@@ -98,9 +98,12 @@ for key in '"schema": "delin-trajectory"' '"bench_id": 9' '"label": "ci-smoke"' 
     || { echo "bench9.json missing $key" >&2; cat "$sampled_tmp/bench9.json" >&2; exit 1; }
 done
 rm -rf "$sampled_tmp"
-# Committed trajectory: BENCH_9.json must carry the pr10 row, in tolerance.
-grep -qF '"label": "pr10"' BENCH_9.json \
-  || { echo "BENCH_9.json is missing the pr10 trajectory row" >&2; exit 1; }
+# Committed trajectory: BENCH_9.json must carry the pr10 and pr13 rows, in
+# tolerance.
+for label in pr10 pr13; do
+  grep -qF "\"label\": \"$label\"" BENCH_9.json \
+    || { echo "BENCH_9.json is missing the $label trajectory row" >&2; exit 1; }
+done
 grep -qF '"within_tolerance": true' BENCH_9.json \
   || { echo "BENCH_9.json has no in-tolerance row" >&2; exit 1; }
 # Miss-path bench schema smoke: the committed BENCH_10.json must stay

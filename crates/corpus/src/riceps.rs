@@ -144,7 +144,8 @@ pub fn generate(spec: &BenchmarkSpec) -> String {
 }
 
 /// Generates a size-reduced variant with the same linearized-nest counts;
-/// used by the quadratic-cost end-to-end vectorizer experiment (E9).
+/// used by the reduced-size census (E1), the end-to-end vectorizer
+/// experiment (E9) and the batch corpora.
 pub fn generate_scaled(spec: &BenchmarkSpec, lines: usize) -> String {
     let mut seed = [0u8; 32];
     for (i, b) in spec.name.bytes().enumerate() {

@@ -7,12 +7,23 @@
 //! level-`k` loop serial and recurse at `k + 1`. The output is printed in
 //! FORTRAN-90 style with `lo:hi` sections substituted for vectorized loop
 //! variables.
+//!
+//! Cost: [`vectorize`] resolves each graph edge to dense statement indices
+//! once. A `codegen` call then reads only the edges it is handed and hands
+//! each cyclic component only the edges among that component's members, so
+//! one call costs O(its statements + its edges), and the calls of one
+//! recursion level together cost O(statements + edges).
+//!
+//! Order invariant: a child's edges are its parent's edges among the
+//! child's members, in graph order. Tarjan visits successors in edge order,
+//! so that order fixes the component order and therefore the output; sorted
+//! or deduplicated edges could yield another valid topological order, i.e.
+//! different code.
 
 use crate::deps::DepGraph;
 use crate::scc::strongly_connected_components;
 use delin_frontend::ast::{Assign, Expr, Program, Stmt, StmtId};
 use delin_frontend::pretty::expr_to_string;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// One loop shell enclosing a statement.
@@ -34,6 +45,17 @@ struct StmtCtx {
     id: StmtId,
     assign: Assign,
     loops: Vec<LoopShell>,
+}
+
+/// A dependence edge resolved to dense statement indices (positions in the
+/// flattened statement list).
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    src: usize,
+    dst: usize,
+    /// Carrying level (1-based); `usize::MAX` for a loop-independent edge,
+    /// which no serial loop satisfies.
+    level: usize,
 }
 
 /// Generated vector code.
@@ -129,8 +151,25 @@ pub fn vectorize(program: &Program, graph: &DepGraph) -> VectorizeResult {
     }
     walk(&program.body, &mut stack, &mut uid, &mut ctxs);
 
-    let index_of: HashMap<StmtId, usize> =
-        ctxs.iter().enumerate().map(|(i, c)| (c.id, i)).collect();
+    // Dense statement index by id; edges whose ends are not assignments of
+    // this program resolve to nothing and are dropped.
+    let mut index_of =
+        vec![usize::MAX; ctxs.iter().map(|c| c.id.0 as usize + 1).max().unwrap_or(0)];
+    for (i, c) in ctxs.iter().enumerate() {
+        index_of[c.id.0 as usize] = i;
+    }
+    let resolve = |s: StmtId| index_of.get(s.0 as usize).copied().filter(|&i| i != usize::MAX);
+    let edges: Vec<Edge> = graph
+        .edges
+        .iter()
+        .filter_map(|e| {
+            Some(Edge {
+                src: resolve(e.src)?,
+                dst: resolve(e.dst)?,
+                level: e.level.unwrap_or(usize::MAX),
+            })
+        })
+        .collect();
     let mut result = VectorizeResult {
         code: Vec::new(),
         total_statements: ctxs.len(),
@@ -138,45 +177,51 @@ pub fn vectorize(program: &Program, graph: &DepGraph) -> VectorizeResult {
         vector_dimensions: 0,
     };
     let all: Vec<usize> = (0..ctxs.len()).collect();
-    let code = codegen(&ctxs, &all, 0, graph, &index_of, &mut result);
+    let mut pos = vec![0; ctxs.len()];
+    let code = codegen(&ctxs, &all, &edges, 0, &mut pos, &mut result);
     result.code = code;
     result
 }
 
+/// One level of the recursion over `members` (ascending statement indices).
+/// `edges` are the graph's edges among `members`, in graph order. `pos` is
+/// scratch indexed by statement, written for `members` on entry and read
+/// only before the first recursive call, so one buffer serves every call.
 fn codegen(
     ctxs: &[StmtCtx],
     members: &[usize],
+    edges: &[Edge],
     level: usize,
-    graph: &DepGraph,
-    index_of: &HashMap<StmtId, usize>,
+    pos: &mut [usize],
     result: &mut VectorizeResult,
 ) -> Vec<VectorStmt> {
-    // Active edges: among members, not yet satisfied by outer serial loops.
-    let member_pos: HashMap<usize, usize> =
-        members.iter().enumerate().map(|(p, &m)| (m, p)).collect();
-    let node_ids: Vec<StmtId> = members.iter().map(|&m| ctxs[m].id).collect();
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for e in &graph.edges {
-        let (Some(&si), Some(&di)) = (index_of.get(&e.src), index_of.get(&e.dst)) else {
-            continue;
-        };
-        let (Some(&sp), Some(&dp)) = (member_pos.get(&si), member_pos.get(&di)) else {
-            continue;
-        };
-        let active = match e.level {
-            None => true,
-            Some(l) => l > level,
-        };
-        if active {
-            edges.push((sp, dp));
+    for (p, &m) in members.iter().enumerate() {
+        pos[m] = p;
+    }
+    // Active edges: not yet satisfied by outer serial loops.
+    let active: Vec<Edge> = edges.iter().copied().filter(|e| e.level > level).collect();
+    let local: Vec<(usize, usize)> = active.iter().map(|e| (pos[e.src], pos[e.dst])).collect();
+    let comps = strongly_connected_components(members.len(), &local);
+    let mut comp_of = vec![0; members.len()];
+    for (c, comp) in comps.iter().enumerate() {
+        for &p in comp {
+            comp_of[p] = c;
         }
     }
-    let comps = strongly_connected_components(&node_ids, &edges);
+    // One pass buckets each component's internal edges, in graph order;
+    // edges between components are satisfied by the emission order. A
+    // singleton's bucket holds exactly its self-loops.
+    let mut buckets: Vec<Vec<Edge>> = vec![Vec::new(); comps.len()];
+    for (&e, &(a, b)) in active.iter().zip(&local) {
+        if comp_of[a] == comp_of[b] {
+            buckets[comp_of[a]].push(e);
+        }
+    }
 
     let mut out = Vec::new();
-    for comp in comps {
+    for (comp, bucket) in comps.iter().zip(&buckets) {
         let comp_members: Vec<usize> = comp.iter().map(|&p| members[p]).collect();
-        let cyclic = comp.len() > 1 || edges.iter().any(|&(a, b)| a == b && comp.contains(&a));
+        let cyclic = comp.len() > 1 || !bucket.is_empty();
         if !cyclic {
             // Vectorize this statement over all its loops at depth >= level.
             let m = comp_members[0];
@@ -199,7 +244,7 @@ fn codegen(
             continue;
         }
         let shell = &ctxs[comp_members[0]].loops[level];
-        let body = codegen(ctxs, &comp_members, level + 1, graph, index_of, result);
+        let body = codegen(ctxs, &comp_members, bucket, level + 1, pos, result);
         out.push(VectorStmt::Serial {
             var: shell.var.clone(),
             lower: expr_to_string(&shell.lower),
@@ -372,6 +417,49 @@ mod tests {
         let text = r.render();
         assert!(text.contains("B(0:9) = C(0:9)"), "{text}");
         assert!(text.contains("DO I = 0, 9"), "{text}");
+    }
+
+    #[test]
+    fn two_statement_cycle_serializes_only_the_outer_loop() {
+        // S2 -> S1 is carried by I and S1 -> S2 by J: the cycle breaks once
+        // I is serial, so both statements vectorize over J, S1 first.
+        let r = run("
+            REAL A(0:10, 0:10), B(0:10, 0:10)
+            DO i = 1, 9
+            DO j = 1, 9
+              A(i, j) = B(i - 1, j)
+              B(i, j) = A(i, j - 1)
+            ENDDO
+            ENDDO
+            END
+        ");
+        assert_eq!(
+            r.render(),
+            "DO I = 1, 9\n  A(I, 1:9) = B(I - 1, 1:9)\n  B(I, 1:9) = A(I, 1:9 - 1)\nENDDO\n"
+        );
+        assert_eq!((r.vectorized_statements, r.vector_dimensions), (2, 2));
+    }
+
+    #[test]
+    fn cycle_carried_at_both_levels_stays_serial() {
+        // S2 -> S1 is carried by I and again by J, so the cycle survives a
+        // serial I and both statements stay inside DO I / DO J.
+        let r = run("
+            REAL A(0:10, 0:10), B(0:10, 0:10)
+            DO i = 1, 9
+            DO j = 1, 9
+              A(i, j) = B(i - 1, j) + B(i, j - 1)
+              B(i, j) = A(i, j)
+            ENDDO
+            ENDDO
+            END
+        ");
+        assert_eq!(
+            r.render(),
+            "DO I = 1, 9\n  DO J = 1, 9\n    A(I, J) = B(I - 1, J) + B(I, J - 1)\n    \
+             B(I, J) = A(I, J)\n  ENDDO\nENDDO\n"
+        );
+        assert_eq!(r.vectorized_statements, 0);
     }
 
     #[test]

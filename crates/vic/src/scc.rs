@@ -1,18 +1,13 @@
 //! Tarjan's strongly-connected components over statement graphs.
 
-use delin_frontend::ast::StmtId;
-use std::collections::HashMap;
-
-/// Computes strongly-connected components of the directed graph given by
-/// `nodes` and `edges` (pairs of node indices into `nodes`). Components are
-/// returned in *reverse topological order of the condensation reversed* —
-/// i.e. in a valid topological order: every edge goes from an earlier
-/// component to a later one (or within a component).
-pub fn strongly_connected_components(
-    nodes: &[StmtId],
-    edges: &[(usize, usize)],
-) -> Vec<Vec<usize>> {
-    let n = nodes.len();
+/// Computes the strongly-connected components of the directed graph on the
+/// nodes `0..n` with the given `edges`. Components come out in topological
+/// order: every edge goes from an earlier component to a later one (or
+/// stays within a component). Each component lists its nodes ascending, and
+/// successors are visited in edge order, so the result is a function of the
+/// edge sequence: another order of the same edges may yield another valid
+/// topological order.
+pub fn strongly_connected_components(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<usize>> {
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
     for &(a, b) in edges {
         adj[a].push(b);
@@ -85,13 +80,13 @@ pub fn strongly_connected_components(
     components.reverse();
     // Sanity: every edge respects the order.
     debug_assert!({
-        let mut pos = HashMap::new();
+        let mut pos = vec![0; n];
         for (i, c) in components.iter().enumerate() {
             for &v in c {
-                pos.insert(v, i);
+                pos[v] = i;
             }
         }
-        edges.iter().all(|&(a, b)| pos[&a] <= pos[&b])
+        edges.iter().all(|&(a, b)| pos[a] <= pos[b])
     });
     components
 }
@@ -100,31 +95,27 @@ pub fn strongly_connected_components(
 mod tests {
     use super::*;
 
-    fn ids(n: usize) -> Vec<StmtId> {
-        (0..n as u32).map(StmtId).collect()
-    }
-
     #[test]
     fn chain_is_singletons_in_order() {
-        let comps = strongly_connected_components(&ids(3), &[(0, 1), (1, 2)]);
+        let comps = strongly_connected_components(3, &[(0, 1), (1, 2)]);
         assert_eq!(comps, vec![vec![0], vec![1], vec![2]]);
     }
 
     #[test]
     fn cycle_collapses() {
-        let comps = strongly_connected_components(&ids(3), &[(0, 1), (1, 0), (1, 2)]);
+        let comps = strongly_connected_components(3, &[(0, 1), (1, 0), (1, 2)]);
         assert_eq!(comps, vec![vec![0, 1], vec![2]]);
     }
 
     #[test]
     fn self_loop_is_its_own_component() {
-        let comps = strongly_connected_components(&ids(2), &[(0, 0), (0, 1)]);
+        let comps = strongly_connected_components(2, &[(0, 0), (0, 1)]);
         assert_eq!(comps, vec![vec![0], vec![1]]);
     }
 
     #[test]
     fn diamond_topological_order() {
-        let comps = strongly_connected_components(&ids(4), &[(0, 1), (0, 2), (1, 3), (2, 3)]);
+        let comps = strongly_connected_components(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         assert_eq!(comps.len(), 4);
         assert_eq!(comps[0], vec![0]);
         assert_eq!(comps[3], vec![3]);
@@ -132,7 +123,7 @@ mod tests {
 
     #[test]
     fn disconnected_nodes_all_appear() {
-        let comps = strongly_connected_components(&ids(4), &[(2, 3)]);
+        let comps = strongly_connected_components(4, &[(2, 3)]);
         assert_eq!(comps.iter().flatten().count(), 4);
     }
 
@@ -140,7 +131,7 @@ mod tests {
     fn big_cycle() {
         let n = 500;
         let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-        let comps = strongly_connected_components(&ids(n), &edges);
+        let comps = strongly_connected_components(n, &edges);
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].len(), n);
     }
