@@ -161,6 +161,23 @@ diff "$serve_tmp/cold.jsonl" "$serve_tmp/warm.jsonl" \
   || { echo "warm daemon restart answered differently from cold" >&2; exit 1; }
 grep -qE 'persistent-cache: loaded=[1-9][0-9]* hits=[1-9][0-9]*' "$serve_tmp/warm.err" \
   || { echo "warm daemon restart reported no disk hits:" >&2; cat "$serve_tmp/warm.err" >&2; exit 1; }
+# Stdin runs the one serve loop as a single connection: the golden session
+# ends with the unified exit report, one connection and no protocol errors.
+serve_env "$repo_root/target/release/delin_serve" --workers 1 \
+  < tests/golden/serve_requests.jsonl > /dev/null 2> "$serve_tmp/golden.err"
+grep -qE '^serve: connections=1 .* errors=0 ' "$serve_tmp/golden.err" \
+  || { echo "stdin session lacks the unified exit report:" >&2; cat "$serve_tmp/golden.err" >&2; exit 1; }
+# A shutdown request ends a stdin session: the request before it is
+# answered, the one after it is never read, and the daemon exits 0.
+{ sed -n 1p tests/golden/serve_requests.jsonl; echo '{"shutdown":true}'
+  sed -n 2p tests/golden/serve_requests.jsonl; } > "$serve_tmp/shutdown.jsonl"
+serve_env "$repo_root/target/release/delin_serve" --workers 1 \
+  < "$serve_tmp/shutdown.jsonl" > "$serve_tmp/shutdown.out" 2> "$serve_tmp/shutdown.err" \
+  || { echo "stdin session did not exit 0 after shutdown:" >&2; cat "$serve_tmp/shutdown.err" >&2; exit 1; }
+[ "$(wc -l < "$serve_tmp/shutdown.out")" -eq 2 ] \
+  && grep -qxF '{"type":"shutdown"}' "$serve_tmp/shutdown.out" \
+  && grep -qF '{"id":"r1","type":"result"' "$serve_tmp/shutdown.out" \
+  || { echo "shutdown session answered wrongly:" >&2; cat "$serve_tmp/shutdown.out" >&2; exit 1; }
 rm -rf "$serve_tmp"
 # Concurrent-socket gate: a real daemon on a Unix socket serving four
 # simultaneous loadgen clients, one of which gets a seeded mid-stream

@@ -36,22 +36,34 @@
 //! * `--idle-timeout-ms N` — end a connection that sends nothing for `N`
 //!   ms with a structured `idle_timeout` error (default 30000; 0 disables).
 //!
+//! The last three apply to socket mode. Both transports run the same serve
+//! loop ([`serve_connections`]): stdin/stdout is a single connection that
+//! may hold the whole `--max-in-flight` bound, and its `{"shutdown": true}`
+//! ends the session and the process. Either way the binary owns the verdict
+//! cache: it loads `--cache-file` before serving (stderr
+//! `persistent-cache: loaded=N rejected=M`, printed in socket mode once the
+//! socket is bound) and saves it after. The exit report on stderr is one
+//! `serve: connections=… busy=… admitted=… completed=… rejected=…
+//! cancels=… errors=… idle_timeouts=… client_gone=…` line, plus
+//! `persistent-cache: loaded=N hits=M saved=S` with a cache file.
+//!
 //! Ctrl-C trips the daemon-wide [`CancelToken`]: admission stops, in-flight
 //! requests degrade conservatively (their responses still flush, attributed
-//! `cancelled`), the summary prints to stderr, and the process exits with
-//! the conventional 130. The wakeup is event-driven end to end: the signal
-//! handler writes one byte to a self-pipe; a watcher thread turns that into
-//! a loopback connection that unblocks `accept`; readers observe the token
-//! at their next read-timeout probe.
+//! `cancelled`), the report prints, and the process exits with the
+//! conventional 130. The wakeup is event-driven end to end: the signal
+//! handler writes one byte to a self-pipe; in socket mode a watcher thread
+//! turns that into a loopback connection that unblocks `accept`; readers
+//! observe the token at their next read-timeout probe (a blocked stdin read
+//! at its next line or EOF).
 
 use delin_dep::budget::CancelToken;
 use delin_vic::cache::VerdictCache;
 use delin_vic::persist;
-use delin_vic::serve::multi::{serve_connections, Accept, MultiConfig, MultiSummary};
-use delin_vic::serve::{serve, ServeConfig, ServeSummary};
-use std::io::BufReader;
+use delin_vic::serve::multi::{serve_connections, Accept, MultiConfig};
+use delin_vic::serve::{ServeConfig, ServeSummary};
+use std::io::{BufReader, ErrorKind};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -105,22 +117,55 @@ fn main() {
     let max_connections = cli.count_or_exit("--max-connections").unwrap_or(8);
     let conn_quota = cli.count_or_exit("--conn-quota").unwrap_or(8);
 
-    if let Some(path) = cli.string("--socket") {
-        config.idle_timeout_ms = match idle_timeout_ms {
-            Some(0) => None,
-            Some(ms) => Some(ms as u64),
-            None => Some(30_000),
-        };
-        let multi = MultiConfig { serve: config, max_connections, conn_quota };
-        if let Err(e) = run_socket(Path::new(&path), &multi, &shutdown, cache_file.as_deref()) {
-            eprintln!("delin_serve: socket {path:?}: {e}");
-            std::process::exit(1);
+    // Bound before the cache file loads, so a client that waits for the
+    // `persistent-cache: loaded=` line can connect at once.
+    let socket = cli.string("--socket").map(|path| {
+        let path = PathBuf::from(path);
+        let _ = std::fs::remove_file(&path);
+        match UnixListener::bind(&path) {
+            Ok(listener) => (path, listener),
+            Err(e) => {
+                eprintln!("delin_serve: socket {path:?}: {e}");
+                std::process::exit(1);
+            }
         }
-    } else {
-        config.batch.cache_file = cache_file;
-        let stdin = std::io::stdin();
-        let summary = serve(stdin.lock(), std::io::stdout(), &config, &shutdown);
-        report(&summary);
+    });
+    let cache = VerdictCache::shared_with_cap(config.batch.keying, config.batch.cache_cap);
+    let loaded = cache_file.as_deref().map_or(0, |file| {
+        let report = persist::load(&cache, file);
+        eprintln!("persistent-cache: loaded={} rejected={}", report.loaded, report.rejected);
+        report.loaded
+    });
+    let summary = match socket {
+        Some((path, listener)) => {
+            config.idle_timeout_ms = match idle_timeout_ms {
+                Some(0) => None,
+                Some(ms) => Some(ms as u64),
+                None => Some(30_000),
+            };
+            let multi = MultiConfig { serve: config, max_connections, conn_quota };
+            spawn_sigint_waker(path.clone());
+            let acceptor = SocketAcceptor { listener, shutdown: &shutdown };
+            let summary = serve_connections(acceptor, &multi, &shutdown, Some(&cache));
+            let _ = std::fs::remove_file(&path);
+            summary
+        }
+        None => {
+            let mut stdio = Some((BufReader::new(std::io::stdin()), std::io::stdout()));
+            let single = MultiConfig::single_stream(config);
+            serve_connections(move || Ok(stdio.take()), &single, &shutdown, Some(&cache))
+        }
+    };
+    report(&summary);
+    if let Some(file) = &cache_file {
+        let saved = persist::save(&cache, file).unwrap_or_else(|e| {
+            eprintln!("persistent-cache: flush failed: {e}");
+            0
+        });
+        eprintln!(
+            "persistent-cache: loaded={loaded} hits={} saved={saved}",
+            summary.batch.persistent_hits
+        );
     }
     if shutdown.is_cancelled() {
         eprintln!("delin_serve: interrupted; in-flight requests degraded conservatively");
@@ -149,79 +194,23 @@ impl Accept for SocketAcceptor<'_> {
                     if self.shutdown.is_cancelled() {
                         return Ok(None);
                     }
-                    stream.set_read_timeout(Some(READ_PROBE))?;
-                    let writer = stream.try_clone()?;
+                    // A stream that cannot be set up is one aborted
+                    // connection, which the serve loop skips.
+                    let writer = stream
+                        .set_read_timeout(Some(READ_PROBE))
+                        .and_then(|()| stream.try_clone())
+                        .map_err(|e| std::io::Error::new(ErrorKind::ConnectionAborted, e))?;
                     return Ok(Some((BufReader::new(stream), writer)));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
     }
 }
 
-/// Concurrent connections on a Unix socket, multiplexed onto one worker
-/// pool and one externally owned verdict cache (persisted around the whole
-/// run, not per session).
-fn run_socket(
-    path: &Path,
-    config: &MultiConfig,
-    shutdown: &CancelToken,
-    cache_file: Option<&Path>,
-) -> std::io::Result<()> {
-    let _ = std::fs::remove_file(path);
-    let listener = UnixListener::bind(path)?;
-    let cache =
-        VerdictCache::shared_with_cap(config.serve.batch.keying, config.serve.batch.cache_cap);
-    if let Some(file) = cache_file {
-        let loaded = persist::load(&cache, file);
-        eprintln!("persistent-cache: loaded={} rejected={}", loaded.loaded, loaded.rejected);
-    }
-    spawn_sigint_waker(path.to_path_buf());
-    let acceptor = SocketAcceptor { listener, shutdown };
-    let summary = serve_connections(acceptor, config, shutdown, Some(&cache));
-    report_multi(&summary);
-    if let Some(file) = cache_file {
-        match persist::save(&cache, file) {
-            Ok(saved) => eprintln!("persistent-cache: saved={saved}"),
-            Err(e) => eprintln!("persistent-cache: flush failed: {e}"),
-        }
-    }
-    let _ = std::fs::remove_file(path);
-    Ok(())
-}
-
-/// The per-session summary, on stderr so stdout stays pure protocol.
+/// The exit report, on stderr so stdout stays pure protocol.
 fn report(summary: &ServeSummary) {
-    eprintln!(
-        "serve: admitted={} completed={} rejected={} cancels={} errors={}",
-        summary.admitted,
-        summary.completed,
-        summary.rejected,
-        summary.cancel_requests,
-        summary.protocol_errors
-    );
-    if summary.batch.persistent_loaded > 0
-        || summary.batch.persistent_hits > 0
-        || summary.batch.persistent_saved > 0
-    {
-        eprintln!(
-            "persistent-cache: loaded={} hits={} saved={}",
-            summary.batch.persistent_loaded,
-            summary.batch.persistent_hits,
-            summary.batch.persistent_saved
-        );
-    }
-    if let Some(e) = &summary.batch.persist_error {
-        eprintln!("persistent-cache: flush failed: {e}");
-    }
-    if let Some(e) = &summary.io_error {
-        eprintln!("serve: transport error: {e}");
-    }
-}
-
-/// The whole-daemon summary for socket mode.
-fn report_multi(summary: &MultiSummary) {
     eprintln!(
         "serve: connections={} busy={} admitted={} completed={} rejected={} cancels={} \
          errors={} idle_timeouts={} client_gone={}",
@@ -275,7 +264,7 @@ extern "C" {
 }
 
 /// Installs the SIGINT handler once and returns the process-wide token it
-/// trips — the daemon-level shutdown token [`serve`] watches.
+/// trips — the daemon-level shutdown token [`serve_connections`] watches.
 fn install_ctrl_c() -> CancelToken {
     let token = CANCEL.get_or_init(CancelToken::new).clone();
     // SAFETY: `on_sigint` matches the C `void (*)(int)` handler signature

@@ -59,4 +59,4 @@ pub use deps::{
 };
 pub use persist::LoadReport;
 pub use pipeline::{run_pipeline, run_pipeline_in, PipelineConfig, PipelineReport};
-pub use serve::{serve, serve_in, ServeConfig, ServeSummary};
+pub use serve::{serve, ServeConfig, ServeSummary};

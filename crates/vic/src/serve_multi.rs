@@ -1,10 +1,14 @@
-//! Concurrent multi-client serving: many jsonl connections multiplexed
-//! onto one shared [`BatchRunner`] worker pool and verdict cache.
+//! The serve loop: jsonl sessions over every connection an [`Accept`]
+//! source yields, multiplexed onto one shared [`BatchRunner`] worker pool
+//! and verdict cache.
 //!
-//! [`serve_connections`] accepts transports from an [`Accept`] source and
-//! runs each as a failure-isolated session speaking the protocol of
-//! [`super`] (one reader thread and one writer thread per connection; one
-//! worker pool for the whole daemon). The contract, per connection:
+//! [`serve_connections`] is the crate's only session loop. The Unix-socket
+//! daemon runs it over accepted sockets; [`super::serve`] runs it over a
+//! single reader/writer pair (a one-shot acceptor under
+//! [`MultiConfig::single_stream`]), which is also how `delin_serve` serves
+//! stdin. Each connection is a failure-isolated session speaking the
+//! protocol of [`super`], with one reader thread and one writer thread; the
+//! whole run has one worker pool. The contract, per connection:
 //!
 //! * **Fair admission.** A request is admitted only if the *global*
 //!   in-flight bound ([`ServeConfig::max_in_flight`]) and the connection's
@@ -13,7 +17,8 @@
 //!   greedy client therefore saturates its quota and starts drawing
 //!   rejections while other connections still admit — it cannot starve
 //!   them through the global bound as long as
-//!   `conn_quota * max_connections <= max_in_flight`.
+//!   `conn_quota * max_connections <= max_in_flight`. Nothing queues
+//!   unboundedly, and no reader ever waits on analysis progress.
 //! * **Backpressure isolation.** Result responses are written by the
 //!   connection's own writer thread, so a client that stops reading stalls
 //!   only its own stream: workers hand rendered lines to the writer's
@@ -24,11 +29,17 @@
 //!   by the connection's reader itself, so a client spamming junk while
 //!   refusing to read blocks only its own reader.
 //! * **Failure isolation.** A client that vanishes (`EPIPE`/`ECONNRESET`
-//!   on write), goes idle past [`ServeConfig::idle_timeout_ms`], or sends
-//!   `{"shutdown":true}` ends *its* session: its in-flight requests are
-//!   cancelled (degrading conservatively), its slots release, and every
-//!   other connection is untouched. Even a panic on a connection thread is
-//!   confined to that connection.
+//!   on read or write), or sends nothing for
+//!   [`ServeConfig::idle_timeout_ms`] (answered with an `idle_timeout`
+//!   error), ends *its* session: its in-flight requests are cancelled
+//!   (degrading conservatively; a vanished client's responses are
+//!   dropped), its slots release, and every other connection is
+//!   untouched. `{"shutdown":true}` ends its session after its in-flight
+//!   requests answer. A connection that dies before its session begins
+//!   (a client-gone accept error) is skipped. Even a panic on a connection
+//!   thread is confined to that connection. The idle clock runs only on
+//!   transports whose reads time out (`WouldBlock`/`TimedOut` is the idle
+//!   probe, and partial lines survive it); a blocking stdin never idles.
 //! * **Connection cap.** At most [`MultiConfig::max_connections`] sessions
 //!   run at once; excess connections receive one machine-readable
 //!   `{"type":"error","error":"busy",...}` line and are closed gracefully.
@@ -39,7 +50,9 @@
 //!   responses before [`serve_connections`] returns. There is no polling
 //!   thread anywhere: wakeup is event-driven (token ancestry plus the
 //!   transport's own read timeouts), and the [`Accept`] source is
-//!   responsible for waking its blocked `accept` when the token trips.
+//!   responsible for waking its blocked `accept` when the token trips. A
+//!   reader blocked on a transport without read timeouts stays blocked
+//!   until its next line or EOF. No thread outlives the run.
 //!
 //! Determinism is inherited from [`super`]: result responses are a pure
 //! function of their request, so any interleaving of clients produces
@@ -48,9 +61,9 @@
 
 use super::{
     empty_batch_stats, interpret, is_client_gone, job_for, lock_recover, render_cancel_ok,
-    render_error, render_result, LineBuf, LineRead, Request, ServeConfig,
+    render_error, render_result, LineBuf, LineRead, Request, ServeConfig, ServeSummary,
 };
-use crate::batch::{BatchJob, BatchRunner, BatchStats, UnitReport};
+use crate::batch::{BatchJob, BatchRunner, UnitReport};
 use crate::cache::VerdictCache;
 use crate::json;
 use delin_dep::budget::CancelToken;
@@ -64,7 +77,9 @@ use std::time::{Duration, Instant};
 /// when the daemon should stop accepting — and are responsible for waking
 /// a blocked `accept` when the daemon's shutdown token trips (e.g. the
 /// Unix-socket binary wakes itself with a loopback connection from its
-/// signal watcher).
+/// signal watcher). An error of a client-gone kind (`ECONNABORTED`,
+/// `ECONNRESET`, `EPIPE`) skips one connection; any other error, except
+/// `Interrupted`, ends the accept loop.
 pub trait Accept {
     /// The read half of an accepted connection.
     type Reader: BufRead + Send;
@@ -111,35 +126,13 @@ impl Default for MultiConfig {
     }
 }
 
-/// What one multi-connection daemon run did, aggregated over every
-/// connection it served.
-#[derive(Debug, Clone)]
-pub struct MultiSummary {
-    /// Connections accepted into a session.
-    pub connections: usize,
-    /// Connections rejected with `busy` at the cap.
-    pub rejected_connections: usize,
-    /// Analyze requests admitted into the shared worker pool.
-    pub admitted: usize,
-    /// Result responses completed (rendered and released; writes to a
-    /// vanished client are skipped but still counted as completed).
-    pub completed: usize,
-    /// Analyze requests rejected with `overloaded` (global or quota).
-    pub rejected: usize,
-    /// Cancel messages received across all connections.
-    pub cancel_requests: usize,
-    /// Error responses for malformed or unserviceable input.
-    pub protocol_errors: usize,
-    /// Connections ended by the idle timeout.
-    pub idle_timeouts: usize,
-    /// Connections whose client vanished mid-session (client-gone write
-    /// failure).
-    pub client_gone: usize,
-    /// Corpus-level totals from the shared batch run.
-    pub batch: BatchStats,
-    /// First non-client-gone I/O error observed anywhere (accept failures,
-    /// transport write failures). Never fatal to the daemon.
-    pub io_error: Option<String>,
+impl MultiConfig {
+    /// One connection that may hold the whole global admission bound: the
+    /// shape of a single-stream session ([`super::serve`], stdin), where a
+    /// smaller quota would only reject requests the global bound admits.
+    pub fn single_stream(serve: ServeConfig) -> MultiConfig {
+        MultiConfig { conn_quota: serve.max_in_flight, max_connections: 1, serve }
+    }
 }
 
 /// Daemon-wide counters, shared across connection threads.
@@ -178,9 +171,8 @@ struct PendingConn<W> {
 }
 
 impl<W: Write> Conn<W> {
-    /// Writes one line plus newline, flushing. Client-gone failures cancel
-    /// the connection (once, counted); other failures land in the shared
-    /// error slot and later writes are still attempted.
+    /// Writes one line plus newline, flushing. After client-gone, writes
+    /// are no-ops: the responses are undeliverable by definition.
     fn write_line(&self, line: &str, io_error: &Mutex<Option<String>>, counters: &Counters) {
         if self.gone.load(Ordering::Acquire) {
             return;
@@ -192,18 +184,29 @@ impl<W: Write> Conn<W> {
             .and_then(|()| guard.flush());
         drop(guard);
         if let Err(e) = result {
-            if is_client_gone(e.kind()) {
-                if !self.gone.swap(true, Ordering::AcqRel) {
-                    counters.client_gone.fetch_add(1, Ordering::SeqCst);
-                    self.token.cancel();
-                }
-            } else {
-                let mut slot = lock_recover(io_error);
-                if slot.is_none() {
-                    *slot = Some(e.to_string());
-                }
-            }
+            self.fail(&e, io_error, counters);
         }
+    }
+
+    /// Books a failed read or write. A client-gone failure cancels the
+    /// connection (once, counted) so its requests degrade and drain; any
+    /// other failure lands in the shared error slot, and later writes are
+    /// still attempted.
+    fn fail(&self, e: &std::io::Error, io_error: &Mutex<Option<String>>, counters: &Counters) {
+        if !is_client_gone(e.kind()) {
+            record_io_error(io_error, e.to_string());
+        } else if !self.gone.swap(true, Ordering::AcqRel) {
+            counters.client_gone.fetch_add(1, Ordering::SeqCst);
+            self.token.cancel();
+        }
+    }
+}
+
+/// Keeps the first I/O error of the run.
+fn record_io_error(slot: &Mutex<Option<String>>, detail: String) {
+    let mut slot = lock_recover(slot);
+    if slot.is_none() {
+        *slot = Some(detail);
     }
 }
 
@@ -219,15 +222,19 @@ pub fn busy_line(max_connections: usize) -> String {
 }
 
 /// Serves jsonl sessions over every connection `accept` yields, all
-/// multiplexed onto one worker pool and (optionally shared) verdict cache.
+/// multiplexed onto one worker pool and verdict cache. With `cache` set the
+/// run shares that caller-owned cache (which then warms across runs and,
+/// if its owner persists it, across restarts); with `None` the run owns its
+/// cache and honors [`crate::batch::BatchConfig::cache_file`] directly.
 /// Returns when the accept source ends — `Ok(None)`, typically after the
-/// daemon token trips — and every accepted connection has drained.
+/// daemon token trips, or an error that is not a one-connection failure
+/// (see [`Accept`]) — and every accepted connection has drained.
 pub fn serve_connections<A>(
     mut accept: A,
     config: &MultiConfig,
     shutdown: &CancelToken,
     cache: Option<&VerdictCache>,
-) -> MultiSummary
+) -> ServeSummary
 where
     A: Accept,
 {
@@ -286,9 +293,11 @@ where
                 Ok(None) => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => {
-                    let mut slot = lock_recover(io_error);
-                    if slot.is_none() {
-                        *slot = Some(e.to_string());
+                    record_io_error(io_error, e.to_string());
+                    // A connection that died before its session began costs
+                    // only itself; any other failure ends accepting.
+                    if is_client_gone(e.kind()) {
+                        continue;
                     }
                     break;
                 }
@@ -356,10 +365,7 @@ where
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.run(input)));
                 if outcome.is_err() {
                     conn.token.cancel();
-                    let mut slot = lock_recover(io_error);
-                    if slot.is_none() {
-                        *slot = Some("connection thread panicked".to_string());
-                    }
+                    record_io_error(io_error, "connection thread panicked".to_string());
                 }
                 active.fetch_sub(1, Ordering::SeqCst);
             });
@@ -372,7 +378,7 @@ where
         Ok(stats) => stats,
         Err(_) => empty_batch_stats(1),
     };
-    MultiSummary {
+    ServeSummary {
         connections,
         rejected_connections,
         admitted: counters.admitted.into_inner(),
@@ -425,17 +431,7 @@ impl<W: Write> ConnSession<'_, W> {
                 Err(e) => {
                     // A read failing because the peer reset is the same
                     // client-gone case as a write failing that way.
-                    if is_client_gone(e.kind()) {
-                        if !self.conn.gone.swap(true, Ordering::AcqRel) {
-                            self.counters.client_gone.fetch_add(1, Ordering::SeqCst);
-                            self.conn.token.cancel();
-                        }
-                    } else {
-                        let mut slot = lock_recover(self.io_error);
-                        if slot.is_none() {
-                            *slot = Some(e.to_string());
-                        }
-                    }
+                    self.conn.fail(&e, self.io_error, self.counters);
                     break;
                 }
             };
@@ -628,6 +624,50 @@ mod tests {
             assert!(lines[0].contains(&format!("\"id\":\"c{i}\"")), "{}", lines[0]);
             assert!(lines[0].contains("\"outcome\":\"analyzed\""), "{}", lines[0]);
         }
+    }
+
+    /// A connection that dies while queued (`ECONNABORTED` from accept)
+    /// costs only itself: the daemon keeps accepting and serves the next.
+    #[test]
+    fn aborted_accept_skips_one_connection() {
+        let out = SharedBuf::default();
+        let live = out.clone();
+        let mut step = 0;
+        let acceptor = move || {
+            step += 1;
+            match step {
+                1 => Err(std::io::Error::from(std::io::ErrorKind::ConnectionAborted)),
+                2 => Ok(Some((Cursor::new(request("after").into_bytes()), live.clone()))),
+                _ => Ok(None),
+            }
+        };
+        let summary = serve_connections(acceptor, &config(), &CancelToken::new(), None);
+        assert_eq!(summary.connections, 1, "the connection after the abort is served");
+        assert_eq!(summary.completed, 1);
+        assert!(summary.io_error.is_some(), "the aborted accept is still reported");
+        let text = String::from_utf8(out.0.lock().unwrap().clone()).unwrap();
+        assert!(text.contains("\"id\":\"after\""), "{text}");
+    }
+
+    /// Any other accept failure means the source itself is broken: the
+    /// loop ends instead of spinning on it.
+    #[test]
+    fn broken_accept_source_ends_the_loop() {
+        let out = SharedBuf::default();
+        let live = out.clone();
+        let mut step = 0;
+        let acceptor = move || {
+            step += 1;
+            match step {
+                1 => Err(std::io::Error::other("listener gone")),
+                2 => Ok(Some((Cursor::new(request("never").into_bytes()), live.clone()))),
+                _ => Ok(None),
+            }
+        };
+        let summary = serve_connections(acceptor, &config(), &CancelToken::new(), None);
+        assert_eq!(summary.connections, 0);
+        assert_eq!(summary.io_error.as_deref(), Some("listener gone"));
+        assert!(out.0.lock().unwrap().is_empty());
     }
 
     #[test]

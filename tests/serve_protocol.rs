@@ -221,6 +221,30 @@ fn overloaded_daemon_rejects_instead_of_queueing() {
     assert_eq!(summary.io_error, None);
 }
 
+/// A single-stream session has no per-connection quota below the global
+/// bound: with every response write rendezvous-blocked, 20 requests are all
+/// in flight at once, and all 20 are admitted under `max_in_flight` 32
+/// (a quota of 8, the multi-connection default, would reject the ninth).
+#[test]
+fn single_stream_is_capped_only_by_max_in_flight() {
+    let config = ServeConfig { max_in_flight: 32, ..pinned_config(1) };
+    let mut session = Session::spawn_rendezvous(config);
+    for i in 0..20 {
+        session.send(&analyze_request(&format!("r{i}"), RECURRENCE));
+    }
+    // The first result write blocks until the first `recv`, so no slot can
+    // free during the pause; the reader admits (or rejects) all 20 in it.
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let lines: Vec<String> = (0..20).map(|_| session.recv()).collect();
+    for line in &lines {
+        assert_eq!(response_type(line), "result", "{line}");
+    }
+    let summary = session.close();
+    assert_eq!(summary.admitted, 20);
+    assert_eq!(summary.rejected, 0);
+    assert_eq!(summary.connections, 1);
+}
+
 /// Cancelling an in-flight request acknowledges with `cancel_ok`. The
 /// rendezvous transport holds r1 in flight (its result write is blocked on
 /// the test), so the cancel deterministically finds it.

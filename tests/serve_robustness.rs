@@ -163,7 +163,7 @@ fn mid_request_disconnect_is_clean_cancellation() {
     ));
     let mut out: Vec<u8> = Vec::new();
     let summary = serve(input, &mut out, &small_config(), &CancelToken::new());
-    assert!(summary.client_gone, "reset on read is the client vanishing");
+    assert_eq!(summary.client_gone, 1, "reset on read is the client vanishing");
     assert_eq!(summary.io_error, None, "client-gone is not a transport error");
     assert_eq!(summary.admitted, 0, "the severed request never admitted");
     let text = String::from_utf8(out).expect("responses are utf-8");

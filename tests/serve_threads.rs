@@ -1,10 +1,11 @@
 //! Thread hygiene for the serving layer: a session leaves no auxiliary
-//! threads behind. Historically `serve_in` spawned a detached
-//! shutdown-watcher that polled the cancellation token every 10 ms and
-//! outlived the session; shutdown is now event-driven (linked cancel
-//! tokens checked on the session's own read probes), so after `serve` or
-//! `serve_connections` returns, the process is back to its baseline thread
-//! count — no watcher, no poller, nothing detached.
+//! threads behind. Shutdown is event-driven (linked cancel tokens checked
+//! on each connection's own read probes, no watcher thread polling the
+//! token), and every thread the serve loop spawns — the worker pool plus
+//! one reader and one writer per connection — is scoped to the run. So
+//! after `serve` (a one-connection run) or `serve_connections` returns,
+//! the process is back to its baseline thread count: no watcher, no
+//! poller, nothing detached.
 //!
 //! This file holds a single `#[test]` on purpose: the assertion reads the
 //! whole process's thread count from `/proc/self/status`, so it must not

@@ -7,7 +7,7 @@
 use delinearization::dep::budget::CancelToken;
 use delinearization::vic::chaos::{FaultyReader, TransportFault};
 use delinearization::vic::json::{self, Json};
-use delinearization::vic::serve::multi::{serve_connections, MultiConfig, MultiSummary};
+use delinearization::vic::serve::multi::{serve_connections, MultiConfig};
 use delinearization::vic::serve::{serve, ServeConfig, ServeSummary};
 use std::io::{BufReader, Read, Write};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender};
@@ -222,10 +222,10 @@ type HarnessConn = (BufReader<FaultyReader<PollReader>>, ChannelWriter);
 /// An in-process multi-connection daemon ([`serve_connections`]) driven by
 /// a channel-fed acceptor: the test opens connections on demand, each a
 /// [`MultiClient`]. Closing the harness ends accepting (the daemon drains
-/// every live connection and returns its [`MultiSummary`]).
+/// every live connection and returns its [`ServeSummary`]).
 pub struct MultiHarness {
     accept_tx: Option<Sender<HarnessConn>>,
-    handle: Option<std::thread::JoinHandle<MultiSummary>>,
+    handle: Option<std::thread::JoinHandle<ServeSummary>>,
     /// The daemon-level shutdown token (what SIGINT trips in the binary).
     pub shutdown: CancelToken,
 }
@@ -277,7 +277,7 @@ impl MultiHarness {
     /// Ends accepting and joins the daemon for its summary. Live
     /// connections drain first: close or drop the clients' inputs (or
     /// cancel `shutdown`) before calling this, or it will block on them.
-    pub fn close(&mut self) -> MultiSummary {
+    pub fn close(&mut self) -> ServeSummary {
         drop(self.accept_tx.take());
         self.handle.take().expect("harness already closed").join().expect("daemon panicked")
     }
