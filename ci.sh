@@ -9,6 +9,9 @@ cargo build --release
 # scheduling-dependent output fails one of the two runs.
 DELIN_WORKERS=1 cargo test -q
 DELIN_WORKERS=4 cargo test -q
+# The engine's own unit tests (pair-class soundness among them) live in
+# the vic crate, which the root test run does not cover.
+cargo test -q -p delin-vic --lib
 # Deeper differential-oracle sweep in release mode (1024 cases/property),
 # including the direction/distance-vector properties, at both fixed worker
 # counts so the incremental solver's env-read defaults get both shapes.
@@ -98,9 +101,9 @@ for key in '"schema": "delin-trajectory"' '"bench_id": 9' '"label": "ci-smoke"' 
     || { echo "bench9.json missing $key" >&2; cat "$sampled_tmp/bench9.json" >&2; exit 1; }
 done
 rm -rf "$sampled_tmp"
-# Committed trajectory: BENCH_9.json must carry the pr10 and pr13 rows, in
-# tolerance.
-for label in pr10 pr13; do
+# Committed trajectory: BENCH_9.json must carry the pr10, pr13 and pr15
+# rows, in tolerance.
+for label in pr10 pr13 pr15; do
   grep -qF "\"label\": \"$label\"" BENCH_9.json \
     || { echo "BENCH_9.json is missing the $label trajectory row" >&2; exit 1; }
 done
@@ -217,6 +220,9 @@ cargo test -q --features chaos --test chaos_suite
 # starvation must degrade refinements conservatively, never to a wrong
 # direction vector.
 cargo test -q --features chaos --test incremental_equivalence
+# Chaos faults must reach every pair of a pair class, not only the pair
+# that represents it.
+cargo test -q -p delin-vic --features chaos --lib deps::
 # The same determinism matrix with faults firing (seed 42).
 cargo run --release -q -p delin-bench --features chaos --bin batch_corpus -- --chaos --verify --units 18 > /dev/null
 cargo clippy --all-targets -- -D warnings

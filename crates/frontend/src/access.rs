@@ -29,7 +29,7 @@ pub type LoopContext = Vec<NormalizedLoop>;
 // `Opaque` is the point (no heap allocation per subscript), and boxing the
 // affine arm would reintroduce exactly that allocation.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Subscript {
     /// Affine over the site's normalized loop variables.
     Affine(SymAffine),

@@ -556,7 +556,7 @@ impl VerdictCache {
             let (_, canonical) = canonicalize(problem, "");
             return (Arc::new(compute(&canonical)), false);
         };
-        let l = self.lookup_in(env, problem, compute);
+        let l = self.lookup(env, problem, compute);
         (l.outcome, !l.computed)
     }
 
@@ -577,13 +577,19 @@ impl VerdictCache {
         problem: &DependenceProblem<SymPoly>,
         compute: impl FnOnce(&DependenceProblem<SymPoly>) -> CachedOutcome,
     ) -> CacheLookup {
-        self.lookup_in(assumptions, problem, compute)
+        self.lookup_class(assumptions, problem, 1, compute)
     }
 
-    fn lookup_in(
+    /// [`VerdictCache::lookup`] on behalf of a class of `members` pairs
+    /// that all build `problem` (see [`crate::deps`]): one probe, but a hit
+    /// on an entry seeded from the persistent tier counts `members` times
+    /// toward [`VerdictCache::persistent_hits`], as `members` separate
+    /// lookups would.
+    pub(crate) fn lookup_class(
         &self,
         assumptions: &Assumptions,
         problem: &DependenceProblem<SymPoly>,
+        members: u64,
         compute: impl FnOnce(&DependenceProblem<SymPoly>) -> CachedOutcome,
     ) -> CacheLookup {
         match &self.shards {
@@ -604,7 +610,7 @@ impl VerdictCache {
                     compute(&canonical)
                 });
                 if !computed && cell.from_disk {
-                    self.persistent_hits.fetch_add(1, Ordering::Relaxed);
+                    self.persistent_hits.fetch_add(members, Ordering::Relaxed);
                 }
                 CacheLookup { outcome, computed, key_fp }
             }

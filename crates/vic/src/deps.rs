@@ -9,12 +9,20 @@
 //! (true/anti/output) are assigned *after* testing, as the paper notes.
 //!
 //! The pair-testing loop is the scalability bottleneck of the whole
-//! pipeline, so [`build_dependence_graph_with`] shards the reference-pair
-//! worklist across scoped worker threads ([`EngineConfig::workers`]) and
-//! memoizes verdicts of canonicalized problems ([`crate::cache`]). Results
-//! are folded back into the graph in source-pair order, so the emitted
-//! edges are identical for any worker count; `workers = 1` runs the exact
-//! serial code path.
+//! pipeline. Programs repeat a handful of subscript shapes, so
+//! [`build_dependence_graph_in`] first groups the reference-pair worklist
+//! into *pair classes*: pairs whose sites have equal shapes (loop names,
+//! upper bounds, subscripts) at the same common loop depth build equal
+//! problems, so only each class's first pair is built, keyed, probed and
+//! decided. Those representatives are sharded across scoped worker threads
+//! ([`EngineConfig::workers`]) and decided through the memoizing verdict
+//! cache ([`crate::cache`]). Each class then charges its counters once,
+//! weighted by its member count, and plans its edges once; every member
+//! pair stamps its own statements, kinds and array onto the planned edges
+//! in source-pair order, so the emitted edges are identical for any worker
+//! count. Chaos-faulted pairs and the members of a class whose
+//! representative degraded are tested alone, exactly as an unclassed
+//! engine would test them.
 
 use crate::cache::{CacheLookup, CachedOutcome, KeyMode, VerdictCache};
 use crate::chaos::{ChaosCtx, FaultKind};
@@ -34,8 +42,9 @@ use delin_dep::verdict::{DependenceTest, Verdict};
 use delin_frontend::access::{AccessKind, AccessSite, Subscript};
 use delin_frontend::ast::{Program, StmtId};
 use delin_numeric::{Assumptions, SymPoly};
+use fxhash::FxBuildHasher;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// The classification of a dependence edge.
@@ -133,9 +142,12 @@ pub struct DepStats {
     pub degraded_pairs: usize,
     /// Degraded pairs broken down by the budget axis that tripped.
     pub degraded_by: BTreeMap<DegradeReason, usize>,
-    /// Total wall-clock nanoseconds spent testing pairs. Not deterministic.
+    /// Total wall-clock nanoseconds spent testing pairs. Only tested pairs
+    /// count: a class's other members take its outcome for free. Not
+    /// deterministic.
     pub test_nanos: u128,
-    /// Wall-clock nanoseconds per deciding test. Not deterministic.
+    /// Wall-clock nanoseconds per deciding test, over tested pairs only.
+    /// Not deterministic.
     pub nanos_by: BTreeMap<&'static str, u128>,
 }
 
@@ -292,43 +304,52 @@ impl DepStats {
         }
     }
 
-    /// Folds one pair's outcome in, attributing cached work to the first
-    /// reference of each canonical problem in fold (source-pair) order.
-    /// `seen_keys` is the per-run set of already-charged key fingerprints.
-    fn absorb(&mut self, pair: &PairOutcome, seen_keys: &mut HashSet<u64>) {
+    /// Folds a tested pair's outcome in for the `members` worklist pairs
+    /// it decides, attributing cached work to the first reference of each
+    /// canonical problem in fold (source-pair) order. `seen_keys` is the
+    /// per-run set of already-charged key fingerprints. Members share the
+    /// tested pair's key and follow it in source-pair order, so at most
+    /// the tested pair is a first reference; with the cache disabled every
+    /// member is charged as its own reference.
+    fn absorb_class(&mut self, pair: &PairOutcome, members: usize, seen_keys: &mut HashSet<u64>) {
         let outcome = &*pair.outcome;
-        self.pairs_tested += 1;
-        *self.decided_by.entry(outcome.tested_by).or_insert(0) += 1;
+        self.pairs_tested += members;
+        *self.decided_by.entry(outcome.tested_by).or_insert(0) += members;
         let charged = match pair.key_fp {
             Some(fp) => {
-                let first = seen_keys.insert(fp);
-                if first {
-                    self.cache_misses += 1;
-                } else {
-                    self.cache_hits += 1;
-                }
+                let first = usize::from(seen_keys.insert(fp));
+                self.cache_misses += first;
+                self.cache_hits += members - first;
                 first
             }
-            // Cache disabled: every pair executed its own decision.
-            None => true,
+            None => members,
         };
-        if charged {
+        if charged > 0 {
             for name in &outcome.attempts {
-                *self.attempts_by.entry(name).or_insert(0) += 1;
+                *self.attempts_by.entry(name).or_insert(0) += charged;
             }
-            self.solver_nodes += outcome.solver_nodes;
+            let charged = charged as u64;
+            self.solver_nodes += outcome.solver_nodes * charged;
             // The reuse counters ride the same single-charge rule: a pair
             // that hits the verdict cache contributes *nothing* here even
             // though the entry it reused also reused subtrees — otherwise a
             // refinement could be double-counted (once as a cache hit, once
             // as a subtree reuse). See `cache_hits_charge_reuse_counters_once`.
-            self.refine_queries += outcome.refine_queries;
-            self.subtree_reuses += outcome.subtree_reuses;
-            self.nodes_saved += outcome.nodes_saved;
+            self.refine_queries += outcome.refine_queries * charged;
+            self.subtree_reuses += outcome.subtree_reuses * charged;
+            self.nodes_saved += outcome.nodes_saved * charged;
+        }
+        match outcome.verdict {
+            Verdict::Independent => {
+                self.proven_independent += members;
+                *self.independent_by.entry(outcome.tested_by).or_insert(0) += members;
+            }
+            Verdict::Unknown => self.conservative_pairs += members,
+            Verdict::Dependent { .. } => {}
         }
         if let Some(reason) = outcome.degraded {
-            self.degraded_pairs += 1;
-            *self.degraded_by.entry(reason).or_insert(0) += 1;
+            self.degraded_pairs += members;
+            *self.degraded_by.entry(reason).or_insert(0) += members;
         }
         self.test_nanos += pair.nanos;
         *self.nanos_by.entry(outcome.tested_by).or_insert(0) += pair.nanos;
@@ -469,7 +490,7 @@ pub fn incremental_from_env() -> bool {
 
 impl EngineConfig {
     /// The worker-thread count after resolving `0` to the machine's
-    /// available parallelism and clamping by the worklist length.
+    /// available parallelism and clamping by the number of pairs to test.
     pub fn effective_workers(&self, worklist_len: usize) -> usize {
         let auto = || std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         let requested = if self.workers == 0 { auto() } else { self.workers };
@@ -492,8 +513,8 @@ pub fn build_dependence_graph(
     )
 }
 
-/// The outcome of testing one reference pair, recorded off-thread and
-/// folded into the graph in source-pair order.
+/// The outcome of testing one pair, recorded off-thread and folded into
+/// the graph in source-pair order on behalf of every member of its class.
 ///
 /// Holds the cache's `Arc` directly: a cache hit costs one reference-count
 /// bump, never a clone of the outcome payload (the per-entry `attempts`
@@ -543,28 +564,7 @@ pub fn build_dependence_graph_in(
     program.visit_assigns(&mut |a| stmts.push(a.id));
     let mut graph = DepGraph { stmts, ..DepGraph::default() };
 
-    // The worklist: every unordered pair of sites on the same array with at
-    // least one write; same-site pairs only for writes (self output deps
-    // are subsumed by the W-W pair of the same site, which `i == j`
-    // covers).
-    let mut worklist: Vec<(usize, usize)> = Vec::new();
-    for i in 0..sites.len() {
-        for j in i..sites.len() {
-            let a = &sites[i];
-            let b = &sites[j];
-            if a.array != b.array {
-                continue;
-            }
-            if a.kind != AccessKind::Write && b.kind != AccessKind::Write {
-                continue;
-            }
-            if i == j && a.kind != AccessKind::Write {
-                continue;
-            }
-            worklist.push((i, j));
-        }
-    }
-
+    let worklist = worklist(&sites);
     let private = (shared.is_none() && config.cache)
         .then(|| VerdictCache::shared_with_cap(config.keying, config.cache_cap));
     let cache = shared.or(private.as_ref());
@@ -572,7 +572,6 @@ pub fn build_dependence_graph_in(
     // happened during it (best-effort attribution under concurrency; exact
     // for private caches — and excluded from all determinism contracts).
     let evictions_before = cache.map_or(0, VerdictCache::evictions);
-    let workers = config.effective_workers(worklist.len());
     // Arm once: the deadline clock covers the whole construction. Pairs
     // derive per-pair trip flags from this via `ResourceBudget::fresh`.
     let budget = config.budget.arm();
@@ -583,34 +582,35 @@ pub fn build_dependence_graph_in(
         incremental: config.incremental,
         arena: config.arena,
         budget: &budget,
-        chaos: config.chaos.as_ref(),
     };
 
-    // Site-pair blocks: maximal runs of worklist entries sharing a source
-    // site. The sharded path hands out whole blocks, so one worker tests a
-    // block's pairs back to back — consecutive misses share subscript
-    // structure, and the canonicalizer/fingerprint pass streams over one
-    // block's similarly-shaped problems instead of ping-ponging between
-    // unrelated sites. (The serial path already walks blocks in order.)
-    let mut blocks: Vec<(usize, usize)> = Vec::new();
-    let mut block_start = 0;
-    for k in 1..=worklist.len() {
-        if k == worklist.len() || worklist[k].0 != worklist[block_start].0 {
-            blocks.push((block_start, k));
-            block_start = k;
-        }
-    }
-
-    let outcomes: Vec<PairOutcome> = if workers <= 1 {
-        worklist.iter().map(|&(i, j)| test_pair(&sites[i], &sites[j], (i, j), &ctx)).collect()
-    } else {
-        run_sharded(&sites, &worklist, &blocks, &ctx, workers)
+    let chaos = config.chaos.as_ref();
+    let mut classes =
+        PairClasses::new(&sites, &worklist, |i, j| chaos.and_then(|c| c.pair_fault(i, j)));
+    let run = |tasks: &[Task]| {
+        let workers = config.effective_workers(tasks.len());
+        run_tasks(&sites, &worklist, tasks, &ctx, workers)
     };
+    let mut outcomes = run(&classes.tasks);
+    let split = classes.split_degraded(&outcomes);
+    outcomes.extend(run(&classes.tasks[split..]));
 
+    let plans: Vec<EdgePlan> = classes
+        .tasks
+        .iter()
+        .zip(&outcomes)
+        .map(|(task, pair)| {
+            let (i, j) = worklist[task.pair];
+            EdgePlan::new(&pair.outcome, sites[i].common_loops_with(&sites[j]))
+        })
+        .collect();
     let mut seen_keys: HashSet<u64> = HashSet::new();
-    for (&(i, j), outcome) in worklist.iter().zip(&outcomes) {
-        graph.stats.absorb(outcome, &mut seen_keys);
-        fold_outcome(&sites[i], &sites[j], outcome, &mut graph);
+    for (k, (&(i, j), &t)) in worklist.iter().zip(&classes.task_of).enumerate() {
+        let task = &classes.tasks[t];
+        if task.pair == k {
+            graph.stats.absorb_class(&outcomes[t], task.members, &mut seen_keys);
+        }
+        plans[t].stamp(&sites[i], &sites[j], &mut graph.edges);
     }
     let mut charged: Vec<u64> = seen_keys.into_iter().collect();
     charged.sort_unstable();
@@ -619,6 +619,23 @@ pub fn build_dependence_graph_in(
     graph.stats.cache_evictions =
         cache.map_or(0, VerdictCache::evictions).saturating_sub(evictions_before);
     graph
+}
+
+/// The reference-pair worklist in source-pair order: every unordered pair
+/// of sites on the same array with at least one write, so same-site pairs
+/// only for writes (self output deps are subsumed by the W-W pair of the
+/// same site, which `i == j` covers).
+fn worklist(sites: &[AccessSite]) -> Vec<(usize, usize)> {
+    let mut worklist: Vec<(usize, usize)> = Vec::new();
+    for (i, a) in sites.iter().enumerate() {
+        for (j, b) in sites.iter().enumerate().skip(i) {
+            let writes = a.kind == AccessKind::Write || b.kind == AccessKind::Write;
+            if a.array == b.array && writes {
+                worklist.push((i, j));
+            }
+        }
+    }
+    worklist
 }
 
 /// Everything a pair decision needs besides the pair itself; one borrow
@@ -632,16 +649,109 @@ struct PairCtx<'a> {
     arena: bool,
     /// The run-armed budget; pairs observe it via `fresh()`.
     budget: &'a ResourceBudget,
-    chaos: Option<&'a ChaosCtx>,
 }
 
-/// Runs the worklist on `workers` scoped threads with work stealing: an
-/// atomic cursor hands out site-pair *blocks* (runs of pairs sharing a
-/// source site — see the block construction in
-/// [`build_dependence_graph_in`]), each worker keeps `(index, outcome)`
-/// locally, and the merged results are re-ordered by index so the fold is
-/// independent of scheduling (block handout changes who computes, never
-/// what is computed).
+/// Dense shape ids for `sites`, numbered in order of first occurrence. A
+/// site's shape is what [`pair_problem`] reads from it: loop names, upper
+/// bounds and subscripts. Loop identity is left out (a pair's common depth
+/// carries it), and so are the statement, kind and array, which only
+/// label edges. The map keeps the default keyed hasher because shapes
+/// come from source text.
+fn intern_shapes(sites: &[AccessSite]) -> Vec<u32> {
+    type Shape<'a> = (Vec<(&'a str, &'a SymPoly)>, &'a [Subscript]);
+    let mut ids: HashMap<Shape<'_>, u32> = HashMap::new();
+    sites
+        .iter()
+        .map(|site| {
+            let loops = site.loops.iter().map(|l| (l.var.as_str(), &l.upper)).collect();
+            let next = ids.len() as u32;
+            *ids.entry((loops, &site.subscripts)).or_insert(next)
+        })
+        .collect()
+}
+
+/// One pair the engine tests; its outcome stands for `members` worklist
+/// pairs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Task {
+    /// Worklist index of the tested pair: its class's first member.
+    pair: usize,
+    /// Worklist pairs that take this pair's outcome, itself included.
+    members: usize,
+    /// The chaos fault drawn for the pair, if any.
+    fault: Option<FaultKind>,
+}
+
+/// The worklist grouped into pair classes.
+///
+/// Two pairs share a class when their sources have equal shapes, their
+/// sinks have equal shapes, and both have the same common loop depth:
+/// [`pair_problem`] then builds equal problems for them, variable names
+/// included, so one test decides the whole class. The representative is
+/// the class's first pair in worklist order. A pair that draws a chaos
+/// fault is tested alone: it neither represents a class nor joins one.
+struct PairClasses {
+    /// The pairs to test. The first pass's tasks are in worklist order;
+    /// [`PairClasses::split_degraded`] appends more.
+    tasks: Vec<Task>,
+    /// Per worklist pair, the task whose outcome it takes.
+    task_of: Vec<usize>,
+}
+
+impl PairClasses {
+    fn new(
+        sites: &[AccessSite],
+        worklist: &[(usize, usize)],
+        fault: impl Fn(usize, usize) -> Option<FaultKind>,
+    ) -> PairClasses {
+        let shapes = intern_shapes(sites);
+        let mut by_key: HashMap<(u32, u32, usize), usize, FxBuildHasher> = HashMap::default();
+        let mut tasks: Vec<Task> = Vec::new();
+        let task_of = worklist
+            .iter()
+            .enumerate()
+            .map(|(k, &(i, j))| {
+                let fault = fault(i, j);
+                let next = tasks.len();
+                let t = match fault {
+                    Some(_) => next,
+                    None => {
+                        let key = (shapes[i], shapes[j], sites[i].common_loops_with(&sites[j]));
+                        *by_key.entry(key).or_insert(next)
+                    }
+                };
+                if t == next {
+                    tasks.push(Task { pair: k, members: 0, fault });
+                }
+                tasks[t].members += 1;
+                t
+            })
+            .collect();
+        PairClasses { tasks, task_of }
+    }
+
+    /// Splits every class whose representative degraded, since a degraded
+    /// outcome is never shared: each other member becomes a task of its
+    /// own, tested like any unclassed pair. `outcomes` covers the current
+    /// tasks. Returns the index of the first new task.
+    fn split_degraded(&mut self, outcomes: &[PairOutcome]) -> usize {
+        let split = self.tasks.len();
+        let tasks = &mut self.tasks;
+        for (k, t) in self.task_of.iter_mut().enumerate() {
+            if tasks[*t].pair != k && outcomes[*t].outcome.degraded.is_some() {
+                tasks[*t].members -= 1;
+                *t = tasks.len();
+                tasks.push(Task { pair: k, members: 1, fault: None });
+            }
+        }
+        split
+    }
+}
+
+/// Tests `tasks` on `workers` scoped threads: an atomic cursor hands the
+/// pairs out one at a time, each worker keeps `(index, outcome)` locally,
+/// and the merged results are put back in task order, so scheduling
+/// changes who computes, never what is computed.
 ///
 /// A panicking worker (a bug in a dependence test, or an injected chaos
 /// fault) does not bring the process down here: every worker is joined
@@ -649,34 +759,32 @@ struct PairCtx<'a> {
 /// a thread — and then exactly one captured payload is re-raised with
 /// [`std::panic::resume_unwind`]. The batch layer catches it at the unit
 /// boundary and converts it into a per-unit failure.
-fn run_sharded(
+fn run_tasks(
     sites: &[AccessSite],
     worklist: &[(usize, usize)],
-    blocks: &[(usize, usize)],
+    tasks: &[Task],
     ctx: &PairCtx<'_>,
     workers: usize,
 ) -> Vec<PairOutcome> {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    let test = |task: &Task| {
+        let (i, j) = worklist[task.pair];
+        test_pair(&sites[i], &sites[j], task, ctx)
+    };
+    if workers <= 1 {
+        return tasks.iter().map(test).collect();
+    }
     let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<PairOutcome>> = Vec::with_capacity(worklist.len());
-    slots.resize_with(worklist.len(), || None);
-
     let chunks: Vec<Vec<(usize, PairOutcome)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
                     let mut local: Vec<(usize, PairOutcome)> = Vec::new();
                     loop {
-                        let b = cursor.fetch_add(1, Ordering::Relaxed);
-                        if b >= blocks.len() {
-                            break;
-                        }
-                        let (start, end) = blocks[b];
-                        for (off, &(i, j)) in worklist[start..end].iter().enumerate() {
-                            let outcome = test_pair(&sites[i], &sites[j], (i, j), ctx);
-                            local.push((start + off, outcome));
-                        }
+                        let t = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(task) = tasks.get(t) else { break };
+                        local.push((t, test(task)));
                     }
                     local
                 })
@@ -696,12 +804,14 @@ fn run_sharded(
         done
     });
 
-    for (k, outcome) in chunks.into_iter().flatten() {
-        slots[k] = Some(outcome);
+    let mut slots: Vec<Option<PairOutcome>> = Vec::with_capacity(tasks.len());
+    slots.resize_with(tasks.len(), || None);
+    for (t, outcome) in chunks.into_iter().flatten() {
+        slots[t] = Some(outcome);
     }
-    // Every worklist index should have produced exactly one outcome. If a
-    // slot is nevertheless empty (a worker ended without reporting — which
-    // the join/re-raise above is designed to prevent), substitute the
+    // Every task should have produced exactly one outcome. If a slot is
+    // nevertheless empty (a worker ended without reporting — which the
+    // join/re-raise above is designed to prevent), substitute the
     // conservative degraded outcome instead of crashing the engine: the
     // pair keeps every direction vector and is attributed to
     // [`DegradeReason::Lost`].
@@ -729,49 +839,42 @@ fn lost_outcome() -> PairOutcome {
     }
 }
 
-/// Tests one reference pair, through the verdict cache when enabled.
+/// Tests one pair, through the verdict cache when enabled.
 ///
 /// Chaos pair faults are applied *here*, outside the cache: a panic fault
 /// unwinds before any lookup, and a budget fault bypasses the cache
 /// entirely (computing under the exhausted budget, charging the pair as
 /// its own reference) so injected degradation can never leak into — or be
 /// masked by — memoized full-budget entries.
-fn test_pair(
-    a: &AccessSite,
-    b: &AccessSite,
-    pair: (usize, usize),
-    ctx: &PairCtx<'_>,
-) -> PairOutcome {
+fn test_pair(a: &AccessSite, b: &AccessSite, task: &Task, ctx: &PairCtx<'_>) -> PairOutcome {
     let started = std::time::Instant::now();
-    if let Some(chaos) = ctx.chaos {
-        match chaos.pair_fault(pair.0, pair.1) {
-            Some(FaultKind::Panic) => panic!("{}", crate::chaos::CHAOS_PANIC_MSG),
-            Some(fault) => {
-                let spec =
-                    ChaosCtx::faulted_spec(fault, &BudgetSpec::nodes_only(ctx.budget.node_limit()));
-                let problem = pair_problem(a, b);
-                let computed = decide_counted(
-                    &problem,
-                    ctx.assumptions,
-                    ctx.choice,
-                    &spec.arm(),
-                    ctx.incremental,
-                    ctx.arena,
-                );
-                return PairOutcome {
-                    outcome: Arc::new(computed),
-                    nanos: started.elapsed().as_nanos(),
-                    key_fp: None,
-                };
-            }
-            None => {}
+    match task.fault {
+        Some(FaultKind::Panic) => panic!("{}", crate::chaos::CHAOS_PANIC_MSG),
+        Some(fault) => {
+            let spec =
+                ChaosCtx::faulted_spec(fault, &BudgetSpec::nodes_only(ctx.budget.node_limit()));
+            let problem = pair_problem(a, b);
+            let computed = decide_counted(
+                &problem,
+                ctx.assumptions,
+                ctx.choice,
+                &spec.arm(),
+                ctx.incremental,
+                ctx.arena,
+            );
+            return PairOutcome {
+                outcome: Arc::new(computed),
+                nanos: started.elapsed().as_nanos(),
+                key_fp: None,
+            };
         }
+        None => {}
     }
     let problem = if ctx.arena { pair_problem_pooled(a, b) } else { pair_problem(a, b) };
     let outcome = match ctx.cache {
         Some(cache) => {
             let CacheLookup { outcome, key_fp, .. } =
-                cache.lookup(ctx.assumptions, &problem, |canonical| {
+                cache.lookup_class(ctx.assumptions, &problem, task.members as u64, |canonical| {
                     // The per-pair budget is armed inside the compute slot:
                     // only a miss spends solver effort, so a hit never pays
                     // for the tracker.
@@ -875,7 +978,7 @@ struct PairScratch {
 }
 
 /// Retired problems a worker keeps for pair construction; one is in
-/// flight at a time, the rest cover shape churn across site-pair blocks.
+/// flight at a time, the rest cover shape churn between consecutive pairs.
 const PAIR_SLABS: usize = 4;
 
 thread_local! {
@@ -1091,100 +1194,104 @@ thread_local! {
     static DECIDE_ARENA: RefCell<ProblemArena<SymPoly>> = RefCell::new(ProblemArena::new());
 }
 
-/// Applies one pair's outcome to the graph: bumps verdict counters and
-/// emits the classified edges. Called in source-pair order.
-fn fold_outcome(a: &AccessSite, b: &AccessSite, pair: &PairOutcome, graph: &mut DepGraph) {
-    let outcome = &*pair.outcome;
-    let common = a.common_loops_with(b);
-    match &outcome.verdict {
-        Verdict::Independent => {
-            graph.stats.proven_independent += 1;
-            *graph.stats.independent_by.entry(outcome.tested_by).or_insert(0) += 1;
-        }
-        Verdict::Dependent { info, .. } => {
-            let dirs = if info.dir_vecs.is_empty() {
-                vec![DirVec::any(common)]
-            } else {
-                info.dir_vecs.clone()
-            };
-            emit_edges(a, b, &dirs, outcome.tested_by, graph);
-        }
-        Verdict::Unknown => {
-            graph.stats.conservative_pairs += 1;
-            emit_edges(a, b, &[DirVec::any(common)], "conservative", graph);
-        }
-    }
+/// The edges a tested pair's outcome implies, planned once per class: the
+/// atomic split into forward, backward and loop-independent vectors, the
+/// per-level grouping and [`summarize`]. Each member pair then only
+/// stamps its own statements, kinds and array on ([`EdgePlan::stamp`]).
+struct EdgePlan {
+    edges: Vec<PlannedEdge>,
+    tested_by: &'static str,
 }
 
-/// Splits direction vectors into atomic forward/backward/loop-independent
-/// classes and emits oriented, classified edges.
-fn emit_edges(
-    a: &AccessSite,
-    b: &AccessSite,
-    dirs: &[DirVec],
-    tested_by: &'static str,
-    graph: &mut DepGraph,
-) {
-    let mut forward: Vec<DirVec> = Vec::new(); // a -> b
-    let mut backward: Vec<DirVec> = Vec::new(); // b -> a (reversed vectors)
-    let mut loop_independent = false;
-    for dv in dirs {
-        for atom in dv.atomic_decompositions() {
-            if atom.0.iter().all(|d| *d == Dir::Eq) {
-                loop_independent = true;
-            } else if atom.is_backward() {
-                backward.push(atom.reverse());
-            } else {
-                forward.push(atom);
-            }
-        }
-    }
-    forward.sort();
-    forward.dedup();
-    backward.sort();
-    backward.dedup();
+/// One planned edge. A carried edge (`level: Some`) runs source → sink,
+/// or sink → source with reversed vectors when `backward`; the
+/// loop-independent edge (`level: None`) follows textual order.
+struct PlannedEdge {
+    backward: bool,
+    level: Option<usize>,
+    dir_vecs: Vec<DirVec>,
+}
 
-    let mut push = |src: &AccessSite, dst: &AccessSite, dirs: Vec<DirVec>, level: Option<usize>| {
-        if src.stmt == dst.stmt && level.is_none() {
-            return; // intra-statement, same iteration: not a dependence edge
-        }
-        let kind = match (src.kind, dst.kind) {
-            (AccessKind::Write, AccessKind::Read) => DepKind::True,
-            (AccessKind::Read, AccessKind::Write) => DepKind::Anti,
-            (AccessKind::Write, AccessKind::Write) => DepKind::Output,
-            (AccessKind::Read, AccessKind::Read) => return,
+impl EdgePlan {
+    fn new(outcome: &CachedOutcome, common: usize) -> EdgePlan {
+        let any = [DirVec::any(common)];
+        let (dirs, tested_by): (&[DirVec], _) = match &outcome.verdict {
+            Verdict::Independent => (&[], outcome.tested_by),
+            Verdict::Dependent { info, .. } if !info.dir_vecs.is_empty() => {
+                (&info.dir_vecs, outcome.tested_by)
+            }
+            Verdict::Dependent { .. } => (&any, outcome.tested_by),
+            Verdict::Unknown => (&any, "conservative"),
         };
-        graph.edges.push(DepEdge {
-            src: src.stmt,
-            dst: dst.stmt,
-            kind,
-            array: src.array.clone(),
-            dir_vecs: summarize(dirs),
-            level,
-            tested_by,
-        });
-    };
-
-    // Carried dependences, grouped by carrying level.
-    for (vectors, (src, dst)) in [(forward, (a, b)), (backward, (b, a))] {
-        let mut by_level: BTreeMap<usize, Vec<DirVec>> = BTreeMap::new();
-        for v in vectors {
-            let level = v.0.iter().position(|d| *d == Dir::Lt).map(|p| p + 1);
-            if let Some(l) = level {
-                by_level.entry(l).or_default().push(v);
+        let mut forward: Vec<DirVec> = Vec::new(); // source -> sink
+        let mut backward: Vec<DirVec> = Vec::new(); // sink -> source (reversed vectors)
+        let mut loop_independent = false;
+        for dv in dirs {
+            for atom in dv.atomic_decompositions() {
+                if atom.0.iter().all(|d| *d == Dir::Eq) {
+                    loop_independent = true;
+                } else if atom.is_backward() {
+                    backward.push(atom.reverse());
+                } else {
+                    forward.push(atom);
+                }
             }
         }
-        for (level, vs) in by_level {
-            push(src, dst, vs, Some(level));
+        let mut edges = Vec::new();
+        // Carried dependences, grouped by carrying level.
+        for (is_backward, mut vectors) in [(false, forward), (true, backward)] {
+            vectors.sort();
+            vectors.dedup();
+            let mut by_level: BTreeMap<usize, Vec<DirVec>> = BTreeMap::new();
+            for v in vectors {
+                if let Some(p) = v.0.iter().position(|d| *d == Dir::Lt) {
+                    by_level.entry(p + 1).or_default().push(v);
+                }
+            }
+            edges.extend(by_level.into_iter().map(|(level, vs)| PlannedEdge {
+                backward: is_backward,
+                level: Some(level),
+                dir_vecs: summarize(vs),
+            }));
         }
+        if loop_independent {
+            edges.push(PlannedEdge {
+                backward: false,
+                level: None,
+                dir_vecs: summarize(vec![DirVec(vec![Dir::Eq; common])]),
+            });
+        }
+        EdgePlan { edges, tested_by }
     }
-    // Loop-independent dependence follows textual order.
-    if loop_independent {
-        let eq = vec![DirVec(vec![Dir::Eq; a.common_loops_with(b)])];
-        if a.stmt <= b.stmt {
-            push(a, b, eq, None);
-        } else {
-            push(b, a, eq, None);
+
+    /// Emits the planned edges for the member pair `(a, b)`, classified
+    /// by its own reference kinds.
+    fn stamp(&self, a: &AccessSite, b: &AccessSite, out: &mut Vec<DepEdge>) {
+        for edge in &self.edges {
+            let (src, dst) = match edge.level {
+                Some(_) if edge.backward => (b, a),
+                Some(_) => (a, b),
+                None if a.stmt <= b.stmt => (a, b),
+                None => (b, a),
+            };
+            if src.stmt == dst.stmt && edge.level.is_none() {
+                continue; // intra-statement, same iteration: not a dependence edge
+            }
+            let kind = match (src.kind, dst.kind) {
+                (AccessKind::Write, AccessKind::Read) => DepKind::True,
+                (AccessKind::Read, AccessKind::Write) => DepKind::Anti,
+                (AccessKind::Write, AccessKind::Write) => DepKind::Output,
+                (AccessKind::Read, AccessKind::Read) => continue,
+            };
+            out.push(DepEdge {
+                src: src.stmt,
+                dst: dst.stmt,
+                kind,
+                array: src.array.clone(),
+                dir_vecs: edge.dir_vecs.clone(),
+                level: edge.level,
+                tested_by: self.tested_by,
+            });
         }
     }
 }
@@ -1360,23 +1467,35 @@ mod tests {
     /// A zero-node budget starves the exact solver, so the motivating
     /// example's delinearization proof is out of reach — the pair must
     /// degrade to a conservative answer (counted per tripped axis), never
-    /// to a bogus independence claim.
+    /// to a bogus independence claim. The repeated statement on `D` puts a
+    /// second member in every class: a degraded representative's outcome
+    /// is never shared, so each member is tested, and counted, on its own.
     #[test]
     fn zero_node_budget_degrades_but_stays_sound() {
-        let src = "
+        let single = "
             REAL C(0:99)
             DO 1 i = 0, 4
             DO 1 j = 0, 9
         1   C(i + 10*j) = C(i + 10*j + 5)
             END
         ";
-        let p = parse_program(src).unwrap();
-        let config = EngineConfig {
-            workers: 1,
-            budget: BudgetSpec::nodes_only(0),
-            ..EngineConfig::default()
+        let repeated = "
+            REAL C(0:99), D(0:99)
+            DO 1 i = 0, 4
+            DO 1 j = 0, 9
+              C(i + 10*j) = C(i + 10*j + 5)
+        1   D(i + 10*j) = D(i + 10*j + 5)
+            END
+        ";
+        let run = |src: &str, workers: usize| {
+            let config = EngineConfig {
+                workers,
+                budget: BudgetSpec::nodes_only(0),
+                ..EngineConfig::default()
+            };
+            build_dependence_graph_with(&parse_program(src).unwrap(), &Assumptions::new(), &config)
         };
-        let g = build_dependence_graph_with(&p, &Assumptions::new(), &config);
+        let g = run(single, 1);
         assert!(g.stats.degraded_pairs > 0, "{:?}", g.stats);
         assert!(g.stats.degraded_by.contains_key(&DegradeReason::Nodes), "{:?}", g.stats);
         // Independence may still be proven by solver-free interval
@@ -1385,6 +1504,21 @@ mod tests {
         // degraded pairs above, never as extra independence.
         let rendered = g.stats.render_summary();
         assert!(rendered.contains("degraded:"), "{rendered}");
+
+        let (_, classes) = classes_of(repeated);
+        assert!(classes.tasks.iter().all(|t| t.members == 2), "{:?}", classes.tasks);
+        let r1 = run(repeated, 1);
+        assert_eq!(r1.stats.pairs_tested, 2 * g.stats.pairs_tested);
+        assert_eq!(r1.stats.degraded_pairs, 2 * g.stats.degraded_pairs, "{:?}", r1.stats);
+        assert_eq!(
+            r1.stats.degraded_by[&DegradeReason::Nodes],
+            2 * g.stats.degraded_by[&DegradeReason::Nodes]
+        );
+        assert_eq!(r1.stats.conservative_pairs, 2 * g.stats.conservative_pairs);
+        assert_eq!(r1.stats.proven_independent, 2 * g.stats.proven_independent);
+        let r4 = run(repeated, 4);
+        assert_eq!(r1.stats.verdict_stats(), r4.stats.verdict_stats());
+        assert_eq!(r1.edges, r4.edges);
     }
 
     /// An already-expired deadline short-circuits every decision at entry:
@@ -1495,6 +1629,283 @@ mod tests {
         assert!(on.stats.solver_nodes < off.stats.solver_nodes, "{:?}", (on.stats, off.stats));
         let rendered = on.stats.render_summary();
         assert!(rendered.contains("refines:"), "{rendered}");
+    }
+
+    /// A degraded representative's outcome is never shared: each other
+    /// member of its class becomes a task of its own, while classes whose
+    /// representative decided keep their members.
+    #[test]
+    fn degraded_representatives_split_their_class() {
+        let (_, mut classes) = classes_of(
+            "
+            REAL A(0:9), B(0:9), C(0:9)
+            DO 1 i = 0, 8
+              A(i + 1) = A(i)
+              B(i + 1) = B(i)
+        1   C(i + 1) = C(i)
+            END
+        ",
+        );
+        let before = classes.tasks.clone();
+        assert!(before.iter().all(|t| t.members == 3), "{before:?}");
+        let decided =
+            Arc::new(CachedOutcome { degraded: None, ..(*lost_outcome().outcome).clone() });
+        let outcomes: Vec<PairOutcome> = (0..before.len())
+            .map(|t| match t {
+                0 => lost_outcome(),
+                _ => PairOutcome { outcome: Arc::clone(&decided), nanos: 0, key_fp: None },
+            })
+            .collect();
+        let split = classes.split_degraded(&outcomes);
+        assert_eq!(split, before.len());
+        assert_eq!(classes.tasks[0], Task { members: 1, ..before[0] });
+        assert_eq!(classes.tasks[1..split], before[1..]);
+        let alone: Vec<usize> = classes.tasks[split..].iter().map(|t| t.pair).collect();
+        let members: Vec<usize> =
+            (0..classes.task_of.len()).filter(|&k| classes.task_of[k] >= split).collect();
+        assert_eq!(alone, members);
+        assert_eq!(alone.len(), 2);
+        assert!(classes.tasks[split..].iter().all(|t| t.members == 1 && t.fault.is_none()));
+    }
+
+    /// With the cache off nothing is memoized, so every member of a class
+    /// is charged as its own reference — exactly as if each were decided.
+    #[test]
+    fn uncached_members_are_charged_as_their_own_references() {
+        let single = "
+            REAL A(0:9)
+            DO 1 i = 0, 8
+        1   A(i + 1) = A(i)
+            END
+        ";
+        let repeated = "
+            REAL A(0:9), B(0:9)
+            DO 1 i = 0, 8
+              A(i + 1) = A(i)
+        1   B(i + 1) = B(i)
+            END
+        ";
+        let run = |src: &str| {
+            let config = EngineConfig { workers: 1, cache: false, ..EngineConfig::default() };
+            build_dependence_graph_with(&parse_program(src).unwrap(), &Assumptions::new(), &config)
+        };
+        let (g1, g2) = (run(single), run(repeated));
+        assert_eq!(g2.stats.pairs_tested, 2 * g1.stats.pairs_tested);
+        assert_eq!((g2.stats.cache_hits, g2.stats.cache_misses), (0, 0));
+        assert!(g1.stats.solver_nodes > 0, "{:?}", g1.stats);
+        assert_eq!(g2.stats.solver_nodes, 2 * g1.stats.solver_nodes);
+        assert_eq!(g2.stats.refine_queries, 2 * g1.stats.refine_queries);
+        for (name, n) in &g1.stats.attempts_by {
+            assert_eq!(g2.stats.attempts_by[name], 2 * n, "{name}");
+        }
+        assert!(g2.charged_keys.is_empty());
+    }
+
+    /// Chaos draws and applies its faults per pair, class members
+    /// included: a Deadline fault on a pair that is not its class's
+    /// representative must still degrade exactly that pair.
+    #[cfg(feature = "chaos")]
+    #[test]
+    fn chaos_faults_reach_class_members() {
+        use crate::chaos::ChaosPlan;
+        let src = "
+            REAL A(0:99), B(0:99)
+            DO 1 i = 0, 8
+              A(i + 1) = A(i) + B(i)
+              A(i + 1) = A(i) + B(i)
+              B(i + 1) = B(i) + A(i)
+        1   B(i + 1) = B(i) + A(i)
+            END
+        ";
+        let (sites, clean) = classes_of(src);
+        let worklist = worklist(&sites);
+        let (chaos, deadlines) = (0u64..10_000)
+            .find_map(|seed| {
+                let plan = ChaosPlan { seed, unit_rate: 0, pair_rate: 100 };
+                let chaos = ChaosCtx { plan, unit: "members".into(), attempt: 0 };
+                let faults: Vec<_> =
+                    worklist.iter().map(|&(i, j)| chaos.pair_fault(i, j)).collect();
+                let member_deadline = faults.iter().enumerate().any(|(k, f)| {
+                    *f == Some(FaultKind::Deadline) && clean.tasks[clean.task_of[k]].pair != k
+                });
+                let deadlines = faults.iter().filter(|f| **f == Some(FaultKind::Deadline)).count();
+                let panics = faults.contains(&Some(FaultKind::Panic));
+                (member_deadline && !panics).then_some((chaos, deadlines))
+            })
+            .expect("some seed puts a Deadline fault on a class member");
+        let p = parse_program(src).unwrap();
+        let run = |workers: usize| {
+            let config =
+                EngineConfig { workers, chaos: Some(chaos.clone()), ..EngineConfig::default() };
+            build_dependence_graph_with(&p, &Assumptions::new(), &config)
+        };
+        let g = run(1);
+        assert_eq!(g.stats.degraded_by.get(&DegradeReason::Deadline), Some(&deadlines));
+        let g4 = run(4);
+        assert_eq!(g.stats.verdict_stats(), g4.stats.verdict_stats());
+        assert_eq!(g.edges, g4.edges);
+    }
+
+    /// The sites and pair classes of a source program.
+    fn classes_of(src: &str) -> (Vec<AccessSite>, PairClasses) {
+        let p = parse_program(src).unwrap();
+        let sites = delin_frontend::access::collect_accesses(&p, &Assumptions::new());
+        let classes = PairClasses::new(&sites, &worklist(&sites), |_, _| None);
+        (sites, classes)
+    }
+
+    /// Every pair builds exactly its class representative's problem,
+    /// variable names included.
+    fn assert_classes_sound(src: &str) {
+        let (sites, classes) = classes_of(src);
+        let worklist = worklist(&sites);
+        for (&(i, j), &t) in worklist.iter().zip(&classes.task_of) {
+            let (ri, rj) = worklist[classes.tasks[t].pair];
+            assert_eq!(
+                pair_problem(&sites[i], &sites[j]),
+                pair_problem(&sites[ri], &sites[rj]),
+                "pair ({i}, {j}) differs from its representative ({ri}, {rj}) in\n{src}"
+            );
+        }
+        assert_eq!(classes.tasks.iter().map(|t| t.members).sum::<usize>(), worklist.len());
+    }
+
+    /// The class of the pair of sites `(i, j)`.
+    fn class_of(classes: &PairClasses, sites: &[AccessSite], i: usize, j: usize) -> usize {
+        let k = worklist(sites).iter().position(|&p| p == (i, j)).expect("pair is in the worklist");
+        classes.task_of[k]
+    }
+
+    #[test]
+    fn pair_classes_split_on_names_bounds_and_depth() {
+        // Sites: 0 = A(I+1) write, 1 = A(I) read, in the first nest; 2 and
+        // 3 the same in a second, identical nest.
+        let (sites, classes) = classes_of(
+            "
+            REAL A(0:99)
+            DO 10 I = 0, 9
+        10  A(I + 1) = A(I)
+            DO 20 I = 0, 9
+        20  A(I + 1) = A(I)
+            END
+        ",
+        );
+        assert_eq!(class_of(&classes, &sites, 0, 1), class_of(&classes, &sites, 2, 3));
+        // Same shapes, but no common loop: a different class.
+        assert_ne!(class_of(&classes, &sites, 0, 1), class_of(&classes, &sites, 0, 3));
+        assert_eq!(class_of(&classes, &sites, 0, 0), class_of(&classes, &sites, 2, 2));
+        assert_ne!(class_of(&classes, &sites, 0, 0), class_of(&classes, &sites, 0, 2));
+
+        // One differing loop name, or one differing bound, splits the class.
+        for (var, bound, what) in [("J", "9", "name"), ("I", "8", "bound")] {
+            let src = format!(
+                "
+                REAL A(0:99)
+                DO 10 I = 0, 9
+            10  A(I + 1) = A(I)
+                DO 20 {var} = 0, {bound}
+            20  A({var} + 1) = A({var})
+                END
+            "
+            );
+            let (sites, classes) = classes_of(&src);
+            assert_ne!(
+                class_of(&classes, &sites, 0, 1),
+                class_of(&classes, &sites, 2, 3),
+                "a differing loop {what} must split the class"
+            );
+            assert_classes_sound(&src);
+        }
+    }
+
+    #[test]
+    fn pair_classes_sound_on_hand_written_nests() {
+        for src in [
+            "
+            REAL X(200), Y(200), B(100)
+            REAL A(100,100), C(100,100)
+            DO 30 i = 1, 100
+              X(i) = Y(i) + 10
+              DO 20 j = 1, 99
+                B(j) = A(j, 20)
+                DO 10 k = 1, 100
+                  A(j+1, k) = B(j) + C(j, k)
+        10      CONTINUE
+                Y(i+j) = A(j+1, 20)
+        20    CONTINUE
+        30  CONTINUE
+            END
+        ",
+            "
+            REAL A(0:N + N)
+            DO 1 i = 0, N - 1
+              A(i) = A(i + N)
+        1   A(i + N) = A(i)
+            END
+        ",
+            "
+            REAL C(0:99), D(0:99)
+            DO 1 i = 0, 4
+            DO 1 j = 0, 9
+              C(i + 10*j) = C(i + 10*j + 5)
+              D(i + 10*j) = D(i + 10*j + 5) + Q
+        1   Q = C(IFUN(i)) + Q
+            END
+        ",
+        ] {
+            assert_classes_sound(src);
+        }
+    }
+
+    /// A generated nest: depth, loop-name pool, and per statement the
+    /// array and the write and read subscript picks.
+    type Nest = (usize, usize, Vec<(usize, usize, usize)>);
+
+    /// Loop-variable names, bounds and subscripts from small pools, so
+    /// generated programs repeat shapes across statements and nests.
+    fn generated_program(nests: &[Nest]) -> String {
+        const NAMES: [[&str; 3]; 3] = [["I", "J", "K"], ["J", "I", "K"], ["I", "K", "J"]];
+        const BOUNDS: [&str; 2] = ["9", "N"];
+        const SUBS: [&str; 6] = ["$0", "$0 + 1", "$0 + 10*$1", "$0 + 10*$1 + 5", "3", "IFUN($0)"];
+        let mut src = String::from("REAL A(0:999), B(0:999)\n");
+        for (n, (depth, names, stmts)) in nests.iter().enumerate() {
+            let vars = &NAMES[*names][..*depth];
+            let label = 10 * (n + 1);
+            for (d, v) in vars.iter().enumerate() {
+                src += &format!("DO {label} {v} = 0, {}\n", BOUNDS[(n + d) % 2]);
+            }
+            let sub =
+                |pick: usize| SUBS[pick].replace("$0", vars[0]).replace("$1", vars[vars.len() - 1]);
+            for &(array, write, read) in stmts {
+                let (lhs, rhs) = if array == 0 { ("A", "B") } else { ("B", "A") };
+                src += &format!(
+                    "{lhs}({}) = {rhs}({}) + {lhs}({})\n",
+                    sub(write),
+                    sub(read),
+                    sub(read)
+                );
+            }
+            src += &format!("{label} CONTINUE\n");
+        }
+        src + "END\n"
+    }
+
+    proptest::proptest! {
+        /// Class keys are sound: on generated programs every pair's problem
+        /// equals its representative's, variable names included.
+        #[test]
+        fn pair_classes_are_sound_on_generated_programs(
+            nests in proptest::collection::vec(
+                (
+                    1usize..=3,
+                    0usize..3,
+                    proptest::collection::vec((0usize..2, 0usize..6, 0usize..6), 1..4),
+                ),
+                1..4,
+            ),
+        ) {
+            assert_classes_sound(&generated_program(&nests));
+        }
     }
 
     #[test]

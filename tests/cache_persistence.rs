@@ -49,6 +49,9 @@ fn warm_run_is_byte_identical_and_hits_the_tier() {
     let warm = run_with(Some(&path), full_budget());
     assert_eq!(warm.persistent_loaded, cold.persistent_saved);
     assert!(warm.persistent_hits > 0, "warm run never hit a disk-seeded entry");
+    // Every pair's problem was seeded, so every referencing pair counts as
+    // a disk hit — not one hit per pair class.
+    assert_eq!(warm.persistent_hits, warm.totals.pairs_tested as u64);
     // The whole point: disk seeding changes where verdicts come from,
     // never what is reported.
     assert_eq!(warm.render(), cold.render());

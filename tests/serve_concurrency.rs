@@ -219,7 +219,15 @@ fn seeded_chaos_confines_the_kill_to_one_connection() {
         .map(|c| harness.connect_with(plan.connection_fault(c as u64), None, false))
         .collect();
     for (i, unit) in units.iter().enumerate() {
-        clients[i % CLIENTS as usize].send(&request_for(unit, &format!("u{i}")));
+        let c = i % CLIENTS as usize;
+        let request = request_for(unit, &format!("u{i}"));
+        if c == victim {
+            // The victim's read side may already be cut and its reader
+            // gone; what it is sent after that is lost by design.
+            let _ = clients[c].try_send(&request);
+        } else {
+            clients[c].send(&request);
+        }
     }
     // The victim's read side resets once the daemon consumes past the cut
     // point — confined there by contract. Survivors must still serve new

@@ -297,11 +297,18 @@ impl MultiClient {
 
     /// Sends raw bytes verbatim.
     pub fn send_raw(&self, bytes: &[u8]) {
-        self.input
-            .as_ref()
-            .expect("input already closed")
-            .send(bytes.to_vec())
-            .expect("daemon reader gone");
+        assert!(self.try_send_raw(bytes), "daemon reader gone");
+    }
+
+    /// Sends one request line like [`MultiClient::send`], but reports a
+    /// daemon that has stopped reading this connection (`false`) instead
+    /// of panicking — for a connection whose read side a fault may cut.
+    pub fn try_send(&self, line: &str) -> bool {
+        self.try_send_raw(format!("{line}\n").as_bytes())
+    }
+
+    fn try_send_raw(&self, bytes: &[u8]) -> bool {
+        self.input.as_ref().expect("input already closed").send(bytes.to_vec()).is_ok()
     }
 
     /// Receives one response line; panics after [`RESPONSE_TIMEOUT`] so a
