@@ -18,25 +18,11 @@ cargo test -q -p delin-vic --lib
 PROPTEST_CASES=1024 DELIN_WORKERS=1 cargo test -q --release --test oracle_differential
 PROPTEST_CASES=1024 DELIN_WORKERS=4 cargo test -q --release --test oracle_differential
 # The batch engine's corpus-wide determinism matrix (workers x orderings)
-# plus the incremental and keying A/B legs, at both fixed worker counts so
-# the keying equivalence is proven serial and parallel.
+# plus the incremental and warm-start A/B legs, at both fixed worker counts.
 DELIN_WORKERS=1 cargo run --release -q -p delin-bench --bin batch_corpus -- --verify --units 18 > /dev/null
 DELIN_WORKERS=4 cargo run --release -q -p delin-bench --bin batch_corpus -- --verify --units 18 > /dev/null
-# Bench harness smoke: the three pinned workloads under both keying modes
-# plus the cold-vs-warm persistent-cache pass must render byte-identically
-# and emit a schema-valid bench JSON at the requested --bench-out path.
 cargo build --release -q -p delin-bench
 repo_root="$(pwd)"
-bench_tmp="$(mktemp -d)"
-(cd "$bench_tmp" && "$repo_root/target/release/batch_corpus" --bench --units 18 \
-  --bench-out bench_smoke.json > /dev/null)
-for key in '"schema": "delin-bench"' '"name": "riceps"' '"name": "generated"' \
-           '"name": "refinement"' '"dep_nanos_delta_pct"' '"totals"' '"reports_identical": true' \
-           '"warm_start"' '"persistent_hits"'; do
-  grep -qF "$key" "$bench_tmp/bench_smoke.json" \
-    || { echo "bench_smoke.json missing $key" >&2; exit 1; }
-done
-rm -rf "$bench_tmp"
 # Warm-start gate: a cold run writes the persistent verdict cache, a warm
 # rerun loads it; stdout must be byte-identical and the warm run must
 # report nonzero persistent hits on stderr.
@@ -100,6 +86,19 @@ for key in '"schema": "delin-trajectory"' '"bench_id": 9' '"label": "ci-smoke"' 
   grep -qF "$key" "$sampled_tmp/bench9.json" \
     || { echo "bench9.json missing $key" >&2; cat "$sampled_tmp/bench9.json" >&2; exit 1; }
 done
+# Trajectory labels are JSON-escaped: two appends to one file with a label
+# holding a quote and a non-ASCII letter both succeed, and the file parses
+# with both labels intact.
+for _ in 1 2; do
+  "$repo_root/target/release/batch_corpus" --trajectory --label "it's-é" \
+    --bench-out "$sampled_tmp/labels.json" > /dev/null \
+    || { echo "trajectory append with an escaped label failed" >&2; exit 1; }
+done
+python3 - "$sampled_tmp/labels.json" <<'EOF'
+import json, sys
+rows = json.load(open(sys.argv[1], encoding="utf-8"))["rows"]
+assert [r["label"] for r in rows] == ["it's-é", "it's-é"], rows
+EOF
 rm -rf "$sampled_tmp"
 # Committed trajectory: BENCH_9.json must carry the pr10, pr13 and pr15
 # rows, in tolerance.
@@ -117,17 +116,6 @@ for key in '"schema": "delin-bench-misspath"' '"bench_id": 10' '"legs": ["legacy
   grep -qF "$key" BENCH_10.json \
     || { echo "BENCH_10.json missing $key" >&2; exit 1; }
 done
-# Arena A/B gate: the arena rebuild of the miss path is a pure allocation
-# change, so the batch report must be byte-identical with the arena forced
-# on and with the legacy allocating path (DELIN_ARENA=0). The in-process
-# arena A/B leg already runs inside --verify above; this one proves the
-# env knob end to end through the binary.
-arena_tmp="$(mktemp -d)"
-DELIN_ARENA=1 "$repo_root/target/release/batch_corpus" --units 18 > "$arena_tmp/arena.out"
-DELIN_ARENA=0 "$repo_root/target/release/batch_corpus" --units 18 > "$arena_tmp/legacy.out"
-diff "$arena_tmp/arena.out" "$arena_tmp/legacy.out" \
-  || { echo "batch report differs between arena and legacy miss paths" >&2; exit 1; }
-rm -rf "$arena_tmp"
 # Malformed-flag gate: every corpus binary rejects a non-numeric count with
 # exit code 2 via the shared strict parser (delin_bench::cli).
 for bad in "batch_corpus --workers four" "delin_serve --cache-cap many" \
@@ -145,8 +133,8 @@ done
 # and =4 above, as part of the whole-suite runs). The env scrub keeps
 # ambient DELIN_* knobs from perturbing the pinned bytes.
 serve_env() {
-  env -u DELIN_DEADLINE_MS -u DELIN_INCREMENTAL -u DELIN_KEYING \
-      -u DELIN_CACHE_CAP -u DELIN_CHAOS_SEED DELIN_WORKERS=1 "$@"
+  env -u DELIN_DEADLINE_MS -u DELIN_INCREMENTAL -u DELIN_CACHE_CAP \
+      -u DELIN_CHAOS_SEED DELIN_WORKERS=1 "$@"
 }
 serve_tmp="$(mktemp -d)"
 serve_env "$repo_root/target/release/delin_serve" --workers 1 \
@@ -193,8 +181,8 @@ loadgen_tmp="$(mktemp -d)"
 # function call forks a subshell, so $! would be the subshell — which does
 # not forward SIGINT — and the shutdown wait below would hang. A simple
 # backgrounded `env` execs straight into the daemon, keeping the pid.
-env -u DELIN_DEADLINE_MS -u DELIN_INCREMENTAL -u DELIN_KEYING \
-    -u DELIN_CACHE_CAP -u DELIN_CHAOS_SEED DELIN_WORKERS=1 \
+env -u DELIN_DEADLINE_MS -u DELIN_INCREMENTAL -u DELIN_CACHE_CAP \
+    -u DELIN_CHAOS_SEED DELIN_WORKERS=1 \
   "$repo_root/target/release/delin_serve" --workers 4 \
   --socket "$loadgen_tmp/delin.sock" 2> "$loadgen_tmp/serve.err" &
 serve_pid=$!

@@ -13,20 +13,9 @@
 //!   A/B (same corpus with incremental solving disabled) and fail unless
 //!   edges and verdicts are identical, subtrees were actually reused, and
 //!   the incremental run spent strictly fewer solver nodes; then run the
-//!   keying A/B (fingerprint vs string cache keys) and fail unless the
-//!   reports are byte-identical and both modes memoize the same canonical
-//!   key set (a fingerprint collision would shrink the fp side's key set);
-//!   then run the warm-start A/B (a cold run that writes the persistent
-//!   tier, a warm run that loads it) and fail unless the two reports are
-//!   byte-identical and the warm run actually hit disk-seeded entries;
-//! * `--bench` — measure the three pinned workloads (RiCEPS, generated,
-//!   refinement-heavy) under both keying modes plus a cold-vs-warm
-//!   persistent-cache pass, best-of-`--reps` runs, and write the
-//!   machine-readable bench JSON (default `BENCH_6.json`; see the README's
-//!   Performance section for the schema);
-//! * `--bench-out PATH` — where `--bench` writes its JSON (so a new bench
-//!   never silently overwrites a committed baseline);
-//! * `--reps N` — repetitions per bench measurement (default 3);
+//!   warm-start A/B (a cold run that writes the persistent tier, a warm
+//!   run that loads it) and fail unless the two reports are byte-identical
+//!   and the warm run actually hit disk-seeded entries;
 //! * `--cache-file PATH` — persistent verdict cache: seed the shared cache
 //!   from `PATH` before the run and rewrite it atomically after, so a
 //!   later invocation starts warm. Stale or corrupt files degrade to a
@@ -36,8 +25,6 @@
 //!   eviction (default: `DELIN_CACHE_CAP`, 0 = unbounded);
 //! * `--no-incremental` — disable incremental exact solving (the A/B
 //!   baseline; equivalent to `DELIN_INCREMENTAL=0`);
-//! * `--no-arena` — disable the arena miss path (the A/B baseline;
-//!   equivalent to `DELIN_ARENA=0`);
 //! * `--chaos` — inject deterministic faults (panics, zero-node budgets,
 //!   expired deadlines) from the seed in `DELIN_CHAOS_SEED` (default 42).
 //!   Requires building with `--features chaos`. Because every injection is
@@ -60,6 +47,8 @@
 //!   appended to the trajectory report (default `BENCH_9.json`; see the
 //!   README's Corpus traces & sampling section for the schema). Rows
 //!   accumulate across PRs, so the file is the repo's perf history;
+//! * `--bench-out PATH` — where `--trajectory` appends its row (so a trial
+//!   run never touches the committed history);
 //! * `--label S` — the row label `--trajectory` writes (default `dev`).
 //!
 //! Ctrl-C requests cooperative cancellation through the run's
@@ -70,27 +59,25 @@
 use delin_bench::cli::Cli;
 use delin_bench::suite::SuiteConfig;
 use delin_corpus::sample::{sample_units, WeightedEstimate};
-use delin_corpus::stream::{generated_units, refinement_units, riceps_units};
+use delin_corpus::stream::{generated_units, riceps_units};
 use delin_dep::budget::{BudgetSpec, CancelToken};
-use delin_dep::exact::arena_from_env;
 use delin_vic::batch::{BatchConfig, BatchRunner, BatchStats, BatchUnit};
-use delin_vic::cache::{cache_cap_from_env, KeyMode};
+use delin_vic::cache::cache_cap_from_env;
 use delin_vic::chaos::ChaosPlan;
 use delin_vic::deps::VerdictStats;
+use delin_vic::json::str_token;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 const GENERATED_SEED: u64 = 20260805;
-const DEFAULT_BENCH_PATH: &str = "BENCH_6.json";
 const DEFAULT_TRAJECTORY_PATH: &str = "BENCH_9.json";
 const DEFAULT_SAMPLED_SUITE: &str = "benchmarks/verify/config.json";
 
-const USAGE: &str = "usage: batch_corpus [--full] [--verify] [--bench] [--chaos] \
-[--no-incremental] [--no-arena] [--sampled] [--sampled-check] [--trajectory] [--units N] \
-[--workers N] [--reps N] [--cache-cap N] [--cache-file PATH] [--bench-out PATH] \
-[--suite PATH] [--label S]";
+const USAGE: &str = "usage: batch_corpus [--full] [--verify] [--chaos] [--no-incremental] \
+[--sampled] [--sampled-check] [--trajectory] [--units N] [--workers N] [--cache-cap N] \
+[--cache-file PATH] [--bench-out PATH] [--suite PATH] [--label S]";
 
 fn corpus(spec: &RunSpec) -> Vec<BatchUnit> {
     match &spec.suite {
@@ -102,8 +89,8 @@ fn corpus(spec: &RunSpec) -> Vec<BatchUnit> {
     }
 }
 
-/// Everything one batch run needs; `--verify` and `--bench` legs derive
-/// their variants from a base spec instead of threading loose arguments.
+/// Everything one batch run needs; the `--verify` legs derive their
+/// variants from a base spec instead of threading loose arguments.
 #[derive(Clone)]
 struct RunSpec {
     workers: usize,
@@ -113,8 +100,6 @@ struct RunSpec {
     suite: Option<SuiteConfig>,
     chaos: Option<ChaosPlan>,
     incremental: bool,
-    arena: bool,
-    keying: KeyMode,
     cache_cap: usize,
     cache_file: Option<PathBuf>,
     cancel: CancelToken,
@@ -126,8 +111,6 @@ impl RunSpec {
             workers: self.workers,
             chaos: self.chaos,
             incremental: self.incremental,
-            arena: self.arena,
-            keying: self.keying,
             cache_cap: self.cache_cap,
             cache_file: self.cache_file.clone(),
             budget: BudgetSpec { cancel: Some(self.cancel.clone()), ..BudgetSpec::default() },
@@ -156,10 +139,8 @@ fn main() {
         &[
             "--full",
             "--verify",
-            "--bench",
             "--chaos",
             "--no-incremental",
-            "--no-arena",
             "--sampled",
             "--sampled-check",
             "--trajectory",
@@ -167,7 +148,6 @@ fn main() {
         &[
             "--units",
             "--workers",
-            "--reps",
             "--cache-cap",
             "--cache-file",
             "--bench-out",
@@ -177,17 +157,14 @@ fn main() {
     );
     let full = cli.flag("--full");
     let verify = cli.flag("--verify");
-    let bench = cli.flag("--bench");
     let trajectory = cli.flag("--trajectory");
     let sampled_check = cli.flag("--sampled-check") || trajectory;
     let sampled = cli.flag("--sampled") || sampled_check;
     let gen_units = cli.count_or_exit("--units").unwrap_or(24);
     let workers = cli.count_or_exit("--workers").unwrap_or_else(delin_vic::deps::workers_from_env);
-    let reps = cli.count_or_exit("--reps").unwrap_or(3).max(1);
     let cache_cap = cli.count_or_exit("--cache-cap").unwrap_or_else(cache_cap_from_env);
     let incremental =
         if cli.flag("--no-incremental") { false } else { delin_vic::deps::incremental_from_env() };
-    let arena = if cli.flag("--no-arena") { false } else { arena_from_env() };
     let suite_path = cli.string("--suite").map(PathBuf::from).or_else(|| {
         // Sampled modes are suite-driven by definition; without an explicit
         // suite they measure the fidelity corpus the trajectory gates pin.
@@ -210,18 +187,10 @@ fn main() {
         suite,
         chaos,
         incremental,
-        arena,
-        keying: KeyMode::from_env(),
         cache_cap,
         cache_file: cli.string("--cache-file").map(PathBuf::from),
         cancel,
     };
-
-    if bench {
-        let bench_out =
-            PathBuf::from(cli.string("--bench-out").unwrap_or(DEFAULT_BENCH_PATH.into()));
-        std::process::exit(run_bench(&spec, reps, &bench_out));
-    }
 
     if sampled {
         let label = cli.string("--label").unwrap_or_else(|| "dev".into());
@@ -276,16 +245,8 @@ fn main() {
             eprintln!("FAIL incremental A/B: {msg}");
             std::process::exit(1);
         }
-        if let Err(msg) = verify_keying_ab(&spec) {
-            eprintln!("FAIL keying A/B: {msg}");
-            std::process::exit(1);
-        }
         if let Err(msg) = verify_persistence_ab(&spec) {
             eprintln!("FAIL warm-start A/B: {msg}");
-            std::process::exit(1);
-        }
-        if let Err(msg) = verify_arena_ab(&spec) {
-            eprintln!("FAIL arena A/B: {msg}");
             std::process::exit(1);
         }
         println!();
@@ -376,41 +337,6 @@ fn verify_incremental_ab(spec: &RunSpec) -> Result<(), String> {
     Ok(())
 }
 
-/// The keying A/B leg of `--verify`: fingerprint and string cache keys are
-/// interchangeable representations of the same partition, so the rendered
-/// reports must be byte-identical, the hit/miss counters equal, and both
-/// caches must memoize the same number of distinct canonical problems — a
-/// fingerprint collision would merge two canonical strings into one cell
-/// and shrink the fp side's count.
-fn verify_keying_ab(spec: &RunSpec) -> Result<(), String> {
-    let fp = stats(&RunSpec { keying: KeyMode::Fp, ..spec.clone() });
-    let st = stats(&RunSpec { keying: KeyMode::Str, ..spec.clone() });
-    if fp.render() != st.render() {
-        return Err("report differs between fingerprint and string keying".into());
-    }
-    let ft = fp.totals.verdict_stats();
-    let st_t = st.totals.verdict_stats();
-    if ft.cache_hits != st_t.cache_hits || ft.cache_misses != st_t.cache_misses {
-        return Err(format!(
-            "cache traffic differs: fp {}h/{}m vs string {}h/{}m",
-            ft.cache_hits, ft.cache_misses, st_t.cache_hits, st_t.cache_misses
-        ));
-    }
-    if fp.distinct_problems != st.distinct_problems {
-        return Err(format!(
-            "distinct canonical problems differ (fingerprint collision?): fp {:?} vs string {:?}",
-            fp.distinct_problems, st.distinct_problems
-        ));
-    }
-    println!(
-        "OK   keying A/B: reports byte-identical, {} distinct problems, {} hits / {} misses",
-        fp.distinct_problems.unwrap_or(0),
-        ft.cache_hits,
-        ft.cache_misses
-    );
-    Ok(())
-}
-
 /// The warm-start A/B leg of `--verify`: a cold run writes the persistent
 /// verdict cache, a warm run of the same corpus loads it. Because cache
 /// attribution is charged at decide time (never read back from live cache
@@ -420,9 +346,7 @@ fn verify_keying_ab(spec: &RunSpec) -> Result<(), String> {
 fn verify_persistence_ab(spec: &RunSpec) -> Result<(), String> {
     let path = std::env::temp_dir().join(format!("delin-verify-cache-{}.bin", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    // Persistence is fingerprint-only; pin the keying so the leg still
-    // exercises the tier under `DELIN_KEYING=string`.
-    let ab = RunSpec { cache_file: Some(path.clone()), keying: KeyMode::Fp, ..spec.clone() };
+    let ab = RunSpec { cache_file: Some(path.clone()), ..spec.clone() };
     let cold = stats(&ab);
     let warm = stats(&ab);
     let verdict = (|| {
@@ -448,31 +372,6 @@ fn verify_persistence_ab(spec: &RunSpec) -> Result<(), String> {
     println!(
         "OK   warm-start A/B: reports byte-identical, {} persisted, {} loaded, {} disk hits",
         cold.persistent_saved, warm.persistent_loaded, warm.persistent_hits
-    );
-    Ok(())
-}
-
-/// The arena A/B leg of `--verify`: the arena miss path (pooled problems
-/// and solver scratch) changes only where allocations come from, never what
-/// is searched — so the arena and legacy runs must render byte-identically
-/// and spend the same number of exact-solver nodes.
-fn verify_arena_ab(spec: &RunSpec) -> Result<(), String> {
-    let on = stats(&RunSpec { arena: true, ..spec.clone() });
-    let off = stats(&RunSpec { arena: false, ..spec.clone() });
-    if on.render() != off.render() {
-        return Err("report differs between arena and legacy miss paths".into());
-    }
-    let on_t = on.totals.verdict_stats();
-    let off_t = off.totals.verdict_stats();
-    if on_t.solver_nodes != off_t.solver_nodes {
-        return Err(format!(
-            "solver nodes differ between arena and legacy miss paths ({} vs {})",
-            on_t.solver_nodes, off_t.solver_nodes
-        ));
-    }
-    println!(
-        "OK   arena A/B: reports byte-identical, {} solver nodes both ways",
-        on_t.solver_nodes
     );
     Ok(())
 }
@@ -536,241 +435,8 @@ fn install_ctrl_c() -> CancelToken {
 }
 
 // ---------------------------------------------------------------------------
-// `--bench`: the measured hot-path harness.
-
-/// Best-of-reps measurements for one workload under one keying mode.
-struct KeyingMeasure {
-    wall_nanos: u128,
-    dep_nanos: u128,
-    render: String,
-}
-
-/// One pinned workload's bench record.
-struct WorkloadBench {
-    name: &'static str,
-    units: usize,
-    pairs_tested: usize,
-    solver_nodes: u64,
-    cache_hits: usize,
-    cache_misses: usize,
-    distinct_problems: usize,
-    fp: KeyingMeasure,
-    string: KeyingMeasure,
-    warm: WarmStart,
-}
-
-impl WorkloadBench {
-    /// How much cheaper the fingerprint path's DepStats nanos are than the
-    /// string baseline's, in percent (positive = fp wins).
-    fn dep_nanos_delta_pct(&self) -> f64 {
-        if self.string.dep_nanos == 0 {
-            return 0.0;
-        }
-        let fp = self.fp.dep_nanos as f64;
-        let st = self.string.dep_nanos as f64;
-        (st - fp) * 100.0 / st
-    }
-}
-
-/// The persistent-tier measurement: the same workload run cold (writing the
-/// cache file) and then warm (loading it).
-struct WarmStart {
-    cold_dep_nanos: u128,
-    warm_dep_nanos: u128,
-    persistent_loaded: usize,
-    persistent_hits: u64,
-    reports_identical: bool,
-}
-
-impl WarmStart {
-    /// How much cheaper the warm run's dependence-test nanos are than the
-    /// cold run's, in percent (positive = warm start wins).
-    fn delta_pct(&self) -> f64 {
-        if self.cold_dep_nanos == 0 {
-            return 0.0;
-        }
-        let cold = self.cold_dep_nanos as f64;
-        let warm = self.warm_dep_nanos as f64;
-        (cold - warm) * 100.0 / cold
-    }
-}
-
-/// The three pinned workloads. Regenerated per rep (the generators are pure
-/// functions of `(seed, index)`), so no rep sees another's allocations.
-fn bench_workloads(full: bool, gen_units: usize) -> Vec<(&'static str, Vec<BatchUnit>)> {
-    vec![
-        ("riceps", riceps_units(if full { None } else { Some(400) }).collect()),
-        ("generated", generated_units(gen_units, GENERATED_SEED).collect()),
-        ("refinement", refinement_units(gen_units, GENERATED_SEED).collect()),
-    ]
-}
-
-/// Cold-vs-warm measurement for one workload: each rep deletes the cache
-/// file, runs cold (flushing the tier), and reruns warm. Best rep = lowest
-/// warm dependence-test nanos.
-fn bench_warm_start(spec: &RunSpec, name: &str, reps: usize) -> Option<WarmStart> {
-    let path =
-        std::env::temp_dir().join(format!("delin-bench-cache-{}-{name}.bin", std::process::id()));
-    let workload = |full, gen_units| {
-        bench_workloads(full, gen_units)
-            .into_iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, u)| u)
-            .unwrap_or_default()
-    };
-    let mut best: Option<WarmStart> = None;
-    for _ in 0..reps {
-        if spec.cancel.is_cancelled() {
-            break;
-        }
-        let _ = std::fs::remove_file(&path);
-        let config =
-            BatchConfig { keying: KeyMode::Fp, cache_file: Some(path.clone()), ..spec.config() };
-        let cold = BatchRunner::new(config.clone()).run(workload(spec.full, spec.gen_units));
-        let warm = BatchRunner::new(config).run(workload(spec.full, spec.gen_units));
-        let measure = WarmStart {
-            cold_dep_nanos: cold.totals.test_nanos,
-            warm_dep_nanos: warm.totals.test_nanos,
-            persistent_loaded: warm.persistent_loaded,
-            persistent_hits: warm.persistent_hits,
-            reports_identical: cold.render() == warm.render(),
-        };
-        if best.as_ref().is_none_or(|b| measure.warm_dep_nanos < b.warm_dep_nanos) {
-            best = Some(measure);
-        }
-    }
-    let _ = std::fs::remove_file(&path);
-    best
-}
-
-fn run_bench(spec: &RunSpec, reps: usize, bench_out: &Path) -> i32 {
-    println!(
-        "bench: 3 pinned workloads x 2 keying modes + warm-start pass, best of {reps} rep(s), \
-         workers={}, gen_units={}",
-        if spec.workers == 0 { "auto".into() } else { spec.workers.to_string() },
-        spec.gen_units
-    );
-    let mut records = Vec::new();
-    let mut failures = 0;
-    for (name, _) in bench_workloads(spec.full, spec.gen_units) {
-        let mut measures = Vec::new();
-        let mut shape = None;
-        for keying in [KeyMode::Fp, KeyMode::Str] {
-            let mut best: Option<KeyingMeasure> = None;
-            for _ in 0..reps {
-                if spec.cancel.is_cancelled() {
-                    eprintln!("interrupted: bench aborted, no BENCH file written");
-                    return 130;
-                }
-                let units = bench_workloads(spec.full, spec.gen_units)
-                    .into_iter()
-                    .find(|(n, _)| *n == name)
-                    .map(|(_, u)| u)
-                    .unwrap_or_default();
-                let started = Instant::now();
-                let stats = BatchRunner::new(BatchConfig { keying, ..spec.config() }).run(units);
-                let wall_nanos = started.elapsed().as_nanos();
-                let totals = stats.totals.verdict_stats();
-                let dep_nanos = stats.totals.test_nanos;
-                if shape.is_none() {
-                    shape = Some((
-                        stats.units.len(),
-                        totals.pairs_tested,
-                        totals.solver_nodes,
-                        totals.cache_hits,
-                        totals.cache_misses,
-                        stats.distinct_problems.unwrap_or(0),
-                    ));
-                }
-                let replace = best.as_ref().is_none_or(|b| dep_nanos < b.dep_nanos);
-                if replace {
-                    best = Some(KeyingMeasure { wall_nanos, dep_nanos, render: stats.render() });
-                }
-            }
-            measures.push(best.expect("reps >= 1"));
-        }
-        let string = measures.pop().expect("two keying modes");
-        let fp = measures.pop().expect("two keying modes");
-        if fp.render != string.render {
-            eprintln!("FAIL {name}: report differs between fp and string keying");
-            failures += 1;
-        }
-        let Some(warm) = bench_warm_start(spec, name, reps) else {
-            eprintln!("interrupted: bench aborted, no BENCH file written");
-            return 130;
-        };
-        if !warm.reports_identical {
-            eprintln!("FAIL {name}: warm-start report differs from cold report");
-            failures += 1;
-        }
-        if warm.persistent_hits == 0 {
-            eprintln!("FAIL {name}: warm run hit no persisted entries");
-            failures += 1;
-        }
-        let (units, pairs_tested, solver_nodes, cache_hits, cache_misses, distinct_problems) =
-            shape.expect("at least one rep ran");
-        let record = WorkloadBench {
-            name,
-            units,
-            pairs_tested,
-            solver_nodes,
-            cache_hits,
-            cache_misses,
-            distinct_problems,
-            fp,
-            string,
-            warm,
-        };
-        println!(
-            "  {:<11} {:>3} units  {:>6} pairs  dep nanos fp {:>12} / string {:>12}  ({:+.1}%)",
-            record.name,
-            record.units,
-            record.pairs_tested,
-            record.fp.dep_nanos,
-            record.string.dep_nanos,
-            record.dep_nanos_delta_pct()
-        );
-        println!(
-            "  {:<11} warm-start dep nanos cold {:>12} / warm {:>12}  ({:+.1}%, {} disk hits)",
-            "",
-            record.warm.cold_dep_nanos,
-            record.warm.warm_dep_nanos,
-            record.warm.delta_pct(),
-            record.warm.persistent_hits
-        );
-        records.push(record);
-    }
-    if failures > 0 {
-        eprintln!("{failures} bench invariant violation(s); no BENCH file written");
-        return 1;
-    }
-    let json = render_bench_json(spec, reps, &records);
-    if let Err(e) = std::fs::write(bench_out, &json) {
-        eprintln!("cannot write {}: {e}", bench_out.display());
-        return 1;
-    }
-    let total_fp: u128 = records.iter().map(|r| r.fp.dep_nanos).sum();
-    let total_st: u128 = records.iter().map(|r| r.string.dep_nanos).sum();
-    let delta = if total_st == 0 {
-        0.0
-    } else {
-        (total_st as f64 - total_fp as f64) * 100.0 / total_st as f64
-    };
-    let total_cold: u128 = records.iter().map(|r| r.warm.cold_dep_nanos).sum();
-    let total_warm: u128 = records.iter().map(|r| r.warm.warm_dep_nanos).sum();
-    let warm_delta = if total_cold == 0 {
-        0.0
-    } else {
-        (total_cold as f64 - total_warm as f64) * 100.0 / total_cold as f64
-    };
-    println!();
-    println!(
-        "total dep nanos: fp {total_fp} / string {total_st} ({delta:+.1}%); \
-         warm-start cold {total_cold} / warm {total_warm} ({warm_delta:+.1}%); wrote {}",
-        bench_out.display()
-    );
-    0
-}
+// `--sampled` / `--sampled-check` / `--trajectory`: the SimPoint-style
+// weighted subset over a config-driven suite.
 
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
@@ -779,88 +445,6 @@ fn json_f64(v: f64) -> String {
         "0.0".into()
     }
 }
-
-/// Hand-rolled writer for the bench JSON — the workspace deliberately has
-/// no serde; the schema is small, flat, and documented in the README.
-fn render_bench_json(spec: &RunSpec, reps: usize, records: &[WorkloadBench]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"delin-bench\",");
-    let _ = writeln!(out, "  \"bench_id\": 6,");
-    let _ = writeln!(out, "  \"config\": {{");
-    let _ = writeln!(out, "    \"workers\": {},", spec.workers);
-    let _ = writeln!(out, "    \"gen_units\": {},", spec.gen_units);
-    let _ = writeln!(out, "    \"full\": {},", spec.full);
-    let _ = writeln!(out, "    \"incremental\": {},", spec.incremental);
-    let _ = writeln!(out, "    \"reps\": {reps},");
-    let _ = writeln!(out, "    \"keying_modes\": [\"fp\", \"string\"]");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"workloads\": [");
-    for (i, r) in records.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", r.name);
-        let _ = writeln!(out, "      \"units\": {},", r.units);
-        let _ = writeln!(out, "      \"pairs_tested\": {},", r.pairs_tested);
-        let _ = writeln!(out, "      \"solver_nodes\": {},", r.solver_nodes);
-        let _ = writeln!(out, "      \"cache_hits\": {},", r.cache_hits);
-        let _ = writeln!(out, "      \"cache_misses\": {},", r.cache_misses);
-        let _ = writeln!(out, "      \"distinct_problems\": {},", r.distinct_problems);
-        let _ = writeln!(out, "      \"keying\": {{");
-        for (j, (label, m)) in [("fp", &r.fp), ("string", &r.string)].iter().enumerate() {
-            let _ = writeln!(out, "        \"{label}\": {{");
-            let _ =
-                writeln!(out, "          \"wall_ms\": {},", json_f64(m.wall_nanos as f64 / 1.0e6));
-            let _ = writeln!(out, "          \"dep_test_nanos\": {}", m.dep_nanos);
-            let _ = writeln!(out, "        }}{}", if j == 0 { "," } else { "" });
-        }
-        let _ = writeln!(out, "      }},");
-        let _ =
-            writeln!(out, "      \"dep_nanos_delta_pct\": {},", json_f64(r.dep_nanos_delta_pct()));
-        let _ = writeln!(out, "      \"warm_start\": {{");
-        let _ = writeln!(out, "        \"cold_dep_test_nanos\": {},", r.warm.cold_dep_nanos);
-        let _ = writeln!(out, "        \"warm_dep_test_nanos\": {},", r.warm.warm_dep_nanos);
-        let _ = writeln!(out, "        \"dep_nanos_delta_pct\": {},", json_f64(r.warm.delta_pct()));
-        let _ = writeln!(out, "        \"persistent_loaded\": {},", r.warm.persistent_loaded);
-        let _ = writeln!(out, "        \"persistent_hits\": {},", r.warm.persistent_hits);
-        let _ = writeln!(out, "        \"reports_identical\": {}", r.warm.reports_identical);
-        let _ = writeln!(out, "      }},");
-        let _ = writeln!(out, "      \"reports_identical\": true");
-        let _ = writeln!(out, "    }}{}", if i + 1 < records.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ],");
-    let total_fp: u128 = records.iter().map(|r| r.fp.dep_nanos).sum();
-    let total_st: u128 = records.iter().map(|r| r.string.dep_nanos).sum();
-    let total_wall_fp: u128 = records.iter().map(|r| r.fp.wall_nanos).sum();
-    let total_wall_st: u128 = records.iter().map(|r| r.string.wall_nanos).sum();
-    let delta = if total_st == 0 {
-        0.0
-    } else {
-        (total_st as f64 - total_fp as f64) * 100.0 / total_st as f64
-    };
-    let total_cold: u128 = records.iter().map(|r| r.warm.cold_dep_nanos).sum();
-    let total_warm: u128 = records.iter().map(|r| r.warm.warm_dep_nanos).sum();
-    let warm_delta = if total_cold == 0 {
-        0.0
-    } else {
-        (total_cold as f64 - total_warm as f64) * 100.0 / total_cold as f64
-    };
-    let _ = writeln!(out, "  \"totals\": {{");
-    let _ = writeln!(out, "    \"dep_test_nanos_fp\": {total_fp},");
-    let _ = writeln!(out, "    \"dep_test_nanos_string\": {total_st},");
-    let _ = writeln!(out, "    \"dep_nanos_delta_pct\": {},", json_f64(delta));
-    let _ = writeln!(out, "    \"wall_ms_fp\": {},", json_f64(total_wall_fp as f64 / 1.0e6));
-    let _ = writeln!(out, "    \"wall_ms_string\": {},", json_f64(total_wall_st as f64 / 1.0e6));
-    let _ = writeln!(out, "    \"warm_start_cold_dep_test_nanos\": {total_cold},");
-    let _ = writeln!(out, "    \"warm_start_warm_dep_test_nanos\": {total_warm},");
-    let _ = writeln!(out, "    \"warm_start_delta_pct\": {}", json_f64(warm_delta));
-    let _ = writeln!(out, "  }}");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// `--sampled` / `--sampled-check` / `--trajectory`: the SimPoint-style
-// weighted subset over a config-driven suite.
 
 /// One timed leg of a sampled run.
 struct TimedRun {
@@ -991,8 +575,8 @@ fn render_trajectory_row(
         if lookups == 0 { 0.0 } else { full_totals.cache_hits as f64 * 100.0 / lookups as f64 };
     let mut out = String::new();
     let _ = writeln!(out, "    {{");
-    let _ = writeln!(out, "      \"label\": \"{}\",", label.escape_default());
-    let _ = writeln!(out, "      \"suite\": \"{}\",", suite.name.escape_default());
+    let _ = writeln!(out, "      \"label\": {},", str_token(label));
+    let _ = writeln!(out, "      \"suite\": {},", str_token(&suite.name));
     let _ = writeln!(out, "      \"units\": {},", plan.total_units);
     let _ = writeln!(out, "      \"sampled_units\": {},", plan.representatives.len());
     let _ = writeln!(out, "      \"workers\": {},", spec.workers);

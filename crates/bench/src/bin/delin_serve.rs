@@ -130,7 +130,7 @@ fn main() {
             }
         }
     });
-    let cache = VerdictCache::shared_with_cap(config.batch.keying, config.batch.cache_cap);
+    let cache = VerdictCache::bounded(config.batch.cache_cap);
     let loaded = cache_file.as_deref().map_or(0, |file| {
         let report = persist::load(&cache, file);
         eprintln!("persistent-cache: loaded={} rejected={}", report.loaded, report.rejected);

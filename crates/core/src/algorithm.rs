@@ -54,10 +54,7 @@ pub struct DelinConfig {
     /// refinements across a unit (and across units) share subtrees. Ignored
     /// when `incremental` is off; `None` uses a fresh per-call store.
     pub solve_store: Option<std::sync::Arc<delin_dep::exact::SubtreeStore>>,
-    /// Run the per-dimension exact solvers on the arena path (per-worker
-    /// scratch reuse — see [`delin_dep::exact::arena_from_env`]). Pure perf
-    /// knob; search order and verdicts are identical either way. Defaults
-    /// to the `DELIN_ARENA` environment switch.
+    /// No effect (solvers always reuse scratch); kept only because perfbench names it.
     pub arena: bool,
 }
 
@@ -70,7 +67,7 @@ impl Default for DelinConfig {
             stop_on_independence: true,
             incremental: true,
             solve_store: None,
-            arena: delin_dep::exact::arena_from_env(),
+            arena: true,
         }
     }
 }

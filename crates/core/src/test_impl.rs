@@ -133,7 +133,7 @@ impl DependenceTest<i128> for DelinearizationTest {
             self.config.budget.clone().unwrap_or_else(|| {
                 ResourceBudget::with_node_limit(self.config.dimension_node_limit)
             });
-        let solver = ExactSolver::with_budget(budget.clone()).with_arena(self.config.arena);
+        let solver = ExactSolver::with_budget(budget.clone());
         // One subtree store spans the whole decision: the hierarchy walk
         // below and the distance extraction that follows query the same
         // per-dimension subproblems, so the distance phase's witness solves

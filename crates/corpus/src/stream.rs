@@ -87,9 +87,8 @@ pub fn generated_unit(seed: u64, index: usize) -> BatchUnit {
 /// write by a small offset inside the same row, so the exact solver cannot
 /// disprove the pair and must refine the full direction-vector hierarchy
 /// instead. Strides and offsets are drawn from small pools, so a corpus
-/// repeats canonical problems heavily — this is the hit-dominated,
-/// refinement-bound workload of the bench harness (`batch_corpus --bench`),
-/// where the cost of *keying* a lookup is most visible.
+/// repeats canonical problems heavily — a hit-dominated, refinement-bound
+/// workload.
 pub fn refinement_units(count: usize, seed: u64) -> impl Iterator<Item = BatchUnit> {
     (0..count).map(move |index| refinement_unit(seed, index))
 }

@@ -7,6 +7,11 @@
 //! variable ordering is exact and fast; we use it as the *ground truth*
 //! against which every approximate test — and delinearization itself — is
 //! validated.
+//!
+//! Solves reuse per-thread scratch: the DFS domain buffers come from a pool
+//! the previous solve on the same worker left behind, and a refinement
+//! query overwrites a recycled problem instead of cloning its base. After
+//! warmup a solve allocates only the witness it hands back.
 
 use crate::budget::{DegradeReason, ResourceBudget};
 use crate::dirvec::Dir;
@@ -19,19 +24,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hasher as _;
 use std::sync::Mutex;
-
-/// The default arena switch: on, unless the `DELIN_ARENA` environment
-/// variable is set to `0` (or `off`).
-///
-/// The arena path reuses per-worker scratch — pooled DFS domain buffers in
-/// [`ExactSolver::solve`] and a recycled refinement problem in
-/// [`SubtreeStore::solve_refined`] — instead of allocating per node/query.
-/// It is a pure perf knob: search order, node accounting, verdicts and
-/// reports are byte-identical either way, which CI asserts with an A/B leg
-/// under `DELIN_ARENA=0`.
-pub fn arena_from_env() -> bool {
-    std::env::var("DELIN_ARENA").map(|v| v != "0" && v != "off").unwrap_or(true)
-}
 
 thread_local! {
     /// Search nodes explored by [`ExactSolver::solve`] on this thread since
@@ -162,12 +154,6 @@ pub struct ExactSolver {
     /// threads its own per-decision budget in via
     /// [`ExactSolver::with_budget`].
     pub budget: ResourceBudget,
-    /// Reuse this thread's [`SolveScratch`] (pooled DFS domain buffers,
-    /// recycled refinement problems) instead of allocating per node/query.
-    /// Defaults to [`arena_from_env`]; flip with [`ExactSolver::with_arena`]
-    /// for same-process A/B runs. Search order and node accounting are
-    /// identical either way.
-    pub arena: bool,
 }
 
 /// The default ground-truth node budget.
@@ -179,10 +165,10 @@ impl Default for ExactSolver {
     }
 }
 
-/// Per-thread scratch for the arena solve path: the DFS buffers one solve
-/// leaves behind, picked up by the next solve on the same worker thread.
-/// After a handful of pairs the miss path stops allocating domain vectors
-/// entirely — every `dfs` child frame pops a recycled buffer from `pool`.
+/// Per-thread solve scratch: the DFS buffers one solve leaves behind,
+/// picked up by the next solve on the same worker thread. After a handful
+/// of pairs the miss path stops allocating domain vectors entirely — every
+/// `dfs` child frame pops a recycled buffer from `pool`.
 #[derive(Default)]
 struct SolveScratch {
     assignment: Vec<i128>,
@@ -210,11 +196,8 @@ struct Search<'a> {
     assigned: Vec<bool>,
     nodes: u64,
     budget: &'a ResourceBudget,
-    /// Recycled domain buffers for child DFS frames (arena path). When
-    /// `reuse_buffers` is off every child clones its parent's domains —
-    /// the legacy allocation pattern the A/B baseline preserves.
+    /// Recycled domain buffers for child DFS frames.
     pool: Vec<Vec<Interval>>,
-    reuse_buffers: bool,
 }
 
 /// Propagation rounds are capped: bounds consistency can converge slowly
@@ -233,13 +216,7 @@ impl ExactSolver {
     /// axis is recorded in the budget's trip flag and surfaced as
     /// [`SolveOutcome::Degraded`].
     pub fn with_budget(budget: ResourceBudget) -> ExactSolver {
-        ExactSolver { budget, arena: arena_from_env() }
-    }
-
-    /// Overrides the scratch-reuse switch (see [`ExactSolver::arena`]).
-    pub fn with_arena(mut self, arena: bool) -> ExactSolver {
-        self.arena = arena;
-        self
+        ExactSolver { budget }
     }
 
     /// The solver's search-node limit.
@@ -267,39 +244,17 @@ impl ExactSolver {
                 return SolveOutcome::NoSolution;
             }
         }
-        if self.arena {
-            SOLVE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-                Ok(mut scratch) => self.run_search(problem, n, &mut scratch),
-                // The solver never re-enters itself on one thread; if it
-                // somehow does, fresh buffers keep the search correct.
-                Err(_) => self.run_search(problem, n, &mut SolveScratch::default()),
-            })
-        } else {
-            let mut search = Search {
-                problem,
-                assignment: vec![0; n],
-                assigned: vec![false; n],
-                nodes: 0,
-                budget: &self.budget,
-                pool: Vec::new(),
-                reuse_buffers: false,
-            };
-            let mut domains: Vec<Interval> =
-                problem.vars().iter().map(|v| Interval::new(0, v.upper)).collect();
-            let result = search.dfs(&mut domains);
-            record_nodes(search.nodes);
-            match result {
-                Ok(true) => SolveOutcome::Solution(search.assignment),
-                Ok(false) => SolveOutcome::NoSolution,
-                Err(reason) => SolveOutcome::Degraded(reason),
-            }
-        }
+        SOLVE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut scratch) => self.run_search(problem, n, &mut scratch),
+            // The solver never re-enters itself on one thread; if it
+            // somehow does, fresh buffers keep the search correct.
+            Err(_) => self.run_search(problem, n, &mut SolveScratch::default()),
+        })
     }
 
-    /// The arena solve: identical search, but every buffer comes from (and
-    /// returns to) the thread's [`SolveScratch`]. After warmup a solve
-    /// allocates only the witness vector it hands back, and only when one
-    /// exists.
+    /// The search proper: every buffer comes from (and returns to) the
+    /// thread's [`SolveScratch`]. After warmup a solve allocates only the
+    /// witness vector it hands back, and only when one exists.
     fn run_search(
         &self,
         problem: &DependenceProblem<i128>,
@@ -320,7 +275,6 @@ impl ExactSolver {
             nodes: 0,
             budget: &self.budget,
             pool: std::mem::take(&mut scratch.pool),
-            reuse_buffers: true,
         };
         let result = search.dfs(&mut domains);
         record_nodes(search.nodes);
@@ -579,28 +533,24 @@ impl SubtreeStore {
         dirs: &[Dir],
     ) -> Result<(SolveOutcome, u64), NumericError> {
         let before = peek_thread_nodes();
-        let outcome = if solver.arena {
-            // Overwrite the thread's recycled refinement problem in place:
-            // `clone_from` reuses every equation/inequality/name buffer the
-            // previous query left behind, so imposing the directions is the
-            // only work that grows it.
-            REFINE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-                Ok(mut slot) => {
-                    let scratch = match slot.as_mut() {
-                        Some(s) => {
-                            s.clone_from(base);
-                            s
-                        }
-                        None => slot.insert(base.clone()),
-                    };
-                    scratch.impose_directions(dirs)?;
-                    Ok(solver.solve(scratch))
-                }
-                Err(_) => Ok(solver.solve(&base.with_directions(dirs)?)),
-            })?
-        } else {
-            solver.solve(&base.with_directions(dirs)?)
-        };
+        // Overwrite the thread's recycled refinement problem in place:
+        // `clone_from` reuses every equation/inequality/name buffer the
+        // previous query left behind, so imposing the directions is the
+        // only work that grows it.
+        let outcome = REFINE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut slot) => {
+                let scratch = match slot.as_mut() {
+                    Some(s) => {
+                        s.clone_from(base);
+                        s
+                    }
+                    None => slot.insert(base.clone()),
+                };
+                scratch.impose_directions(dirs)?;
+                Ok(solver.solve(scratch))
+            }
+            Err(_) => Ok(solver.solve(&base.with_directions(dirs)?)),
+        })?;
         Ok((outcome, peek_thread_nodes().saturating_sub(before)))
     }
 }
@@ -753,19 +703,13 @@ impl Search<'_> {
         self.assigned[var] = true;
         for v in range.lo..=range.hi {
             self.assignment[var] = v;
-            // Child frames copy the parent's post-propagation domains. The
-            // arena path round-trips a recycled buffer through the pool;
-            // the legacy path clones, exactly as the pre-arena engine did.
-            let found = if self.reuse_buffers {
-                let mut child = self.pool.pop().unwrap_or_default();
-                child.clear();
-                child.extend_from_slice(domains);
-                let found = self.dfs(&mut child);
-                self.pool.push(child);
-                found
-            } else {
-                self.dfs(&mut domains.to_owned())
-            };
+            // Child frames copy the parent's post-propagation domains into
+            // a buffer recycled through the pool.
+            let mut child = self.pool.pop().unwrap_or_default();
+            child.clear();
+            child.extend_from_slice(domains);
+            let found = self.dfs(&mut child);
+            self.pool.push(child);
             if found? {
                 return Ok(true);
             }
@@ -1242,36 +1186,6 @@ mod tests {
         let _ = store.solve_refined(&solver, &q, &[Dir::Lt]).unwrap();
         assert_eq!(store.len(), 1);
         assert_eq!(take_thread_refine().subtree_reuses, 1);
-        reset_thread_nodes();
-    }
-
-    #[test]
-    fn arena_and_legacy_paths_agree_node_for_node() {
-        reset_thread_nodes();
-        for p in [
-            motivating(),
-            shift_by_one(),
-            DependenceProblem::single_equation(-3, vec![1, 2, 4], vec![1, 1, 1]),
-            DependenceProblem::single_equation(-1, vec![2, 4, 8], vec![5, 5, 5]),
-        ] {
-            let _ = take_thread_nodes();
-            let arena = ExactSolver::default().with_arena(true).solve(&p);
-            let arena_nodes = take_thread_nodes();
-            let legacy = ExactSolver::default().with_arena(false).solve(&p);
-            let legacy_nodes = take_thread_nodes();
-            assert_eq!(arena, legacy, "outcomes must be identical");
-            assert_eq!(arena_nodes, legacy_nodes, "search must be identical");
-        }
-        // The refinement scratch path must match too (store disabled so
-        // every query runs fresh_solve).
-        let store = SubtreeStore::disabled();
-        let p = shift_by_one();
-        let a =
-            store.solve_refined(&ExactSolver::default().with_arena(true), &p, &[Dir::Lt]).unwrap();
-        let b =
-            store.solve_refined(&ExactSolver::default().with_arena(false), &p, &[Dir::Lt]).unwrap();
-        assert_eq!(a, b);
-        reset_thread_refine();
         reset_thread_nodes();
     }
 

@@ -172,11 +172,7 @@ pub struct BatchConfig {
     pub shared_cache: bool,
     /// With `shared_cache` off, still memoize within each unit.
     pub cache: bool,
-    /// Verdict-cache key representation (see [`KeyMode`]): structural
-    /// fingerprints (default) or rendered strings (the A/B baseline).
-    /// Applies to the shared cross-unit cache and to per-unit private
-    /// caches alike. Pure perf knob — every report is byte-identical
-    /// either way. The default reads `DELIN_KEYING`.
+    /// No effect (see [`KeyMode`]); kept only because perfbench names it.
     pub keying: KeyMode,
     /// Incremental exact solving (see
     /// [`crate::deps::EngineConfig::incremental`]): refinement queries
@@ -185,10 +181,7 @@ pub struct BatchConfig {
     /// are identical either way. The default reads `DELIN_INCREMENTAL`
     /// (`0` disables, the A/B baseline).
     pub incremental: bool,
-    /// Arena miss path (see [`crate::deps::EngineConfig::arena`]):
-    /// per-worker scratch reuse for decision problems and solver buffers.
-    /// A pure perf knob — every report is byte-identical either way. The
-    /// default reads `DELIN_ARENA` (`0` disables, the A/B baseline).
+    /// No effect (the miss path always recycles); kept only because perfbench names it.
     pub arena: bool,
     /// Apply induction-variable substitution.
     pub induction: bool,
@@ -205,10 +198,10 @@ pub struct BatchConfig {
     /// `DELIN_CACHE_CAP`.
     pub cache_cap: usize,
     /// Persistent verdict-cache file (see [`crate::persist`]). When set
-    /// (and the shared cache is enabled under fingerprint keying), the
-    /// runner seeds the shared cache from this file before the batch and
-    /// rewrites it atomically after — a later run starts warm. Stale,
-    /// corrupt, truncated or wrong-version files degrade to a cold start.
+    /// (and the shared cache is enabled), the runner seeds the shared cache
+    /// from this file before the batch and rewrites it atomically after — a
+    /// later run starts warm. Stale, corrupt, truncated or wrong-version
+    /// files degrade to a cold start.
     pub cache_file: Option<PathBuf>,
     /// Per-unit resource budget for dependence analysis. Armed afresh for
     /// every unit attempt, so one slow unit cannot consume another's
@@ -229,9 +222,9 @@ impl Default for BatchConfig {
             unit_parallelism: 0,
             shared_cache: true,
             cache: true,
-            keying: KeyMode::from_env(),
+            keying: KeyMode::Fp,
             incremental: incremental_from_env(),
-            arena: delin_dep::exact::arena_from_env(),
+            arena: true,
             induction: true,
             linearize: true,
             infer_loop_assumptions: true,
@@ -600,7 +593,7 @@ impl BatchRunner {
 
         let (unit_workers, engine_workers) = self.config.worker_split();
         let owned = (external.is_none() && self.config.shared_cache)
-            .then(|| VerdictCache::shared_with_cap(self.config.keying, self.config.cache_cap));
+            .then(|| VerdictCache::bounded(self.config.cache_cap));
         let shared = external.or(owned.as_ref());
         // Warm start: seed an owned shared cache from the persistent tier
         // before any unit runs. Invalid files load partially or not at all.
@@ -797,9 +790,7 @@ impl BatchRunner {
             infer_loop_assumptions: self.config.infer_loop_assumptions,
             workers: engine_workers,
             cache: self.config.cache,
-            keying: self.config.keying,
             incremental: self.config.incremental,
-            arena: self.config.arena,
             cache_cap: self.config.cache_cap,
             budget,
             chaos,

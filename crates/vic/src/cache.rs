@@ -19,33 +19,23 @@
 //! environments; symbolic problems from units with conflicting assumptions
 //! never collide (see `shared_cache_separates_assumption_environments`).
 //!
-//! # Keying modes
+//! # Keys
 //!
-//! The cache supports two interchangeable key representations, selected by
-//! [`KeyMode`] (env knob `DELIN_KEYING`, default fingerprints):
+//! Each lookup folds the canonical structure (environment projection,
+//! bounds, common pairs, equations, inequalities) through a 128-bit
+//! structural fingerprint ([`fingerprint_problem`]:
+//! [`delin_numeric::fp128::Fp128`], two decorrelated FxHash lanes) with
+//! **no string rendering, no `SymPoly` clones, and no heap allocation**.
+//! Equation-order insensitivity comes from combining per-equation
+//! fingerprints commutatively (wrapping add), so the fingerprint never
+//! needs the sorted order that [`canonicalize`] materializes. The shard
+//! maps are `u128 → cell` behind [`fxhash::FxBuildHasher`], so a hit is an
+//! integer hash plus one shard probe. The canonical problem is only built
+//! on a miss, inside the cell's compute slot.
 //!
-//! * [`KeyMode::Fp`] — the hot path. Each lookup folds the canonical
-//!   structure (environment projection, bounds, common pairs, equations,
-//!   inequalities) through a 128-bit structural fingerprint
-//!   ([`delin_numeric::fp128::Fp128`], two decorrelated FxHash lanes) with
-//!   **no string rendering, no `SymPoly` clones, and no heap allocation**.
-//!   Equation-order insensitivity comes from combining per-equation
-//!   fingerprints commutatively (wrapping add), so the fingerprint never
-//!   needs the sorted order that the string key materializes. The shard
-//!   maps are `u128 → cell` behind [`fxhash::FxBuildHasher`], so a hit is
-//!   an integer hash plus one shard probe. The full string key — and the
-//!   canonical problem — are only produced on a miss, inside the cell's
-//!   compute slot; the rendered key is stashed in the cell for debug dumps
-//!   and the `--verify` keying A/B leg (see [`VerdictCache::debug_keys`]).
-//! * [`KeyMode::Str`] — the legacy baseline: every lookup eagerly renders
-//!   the environment key and the canonical string key and probes
-//!   `String`-keyed shards. Kept bit-for-bit faithful so `--verify` can
-//!   prove the two modes partition problems identically and measure the
-//!   fingerprint path's win honestly.
-//!
-//! Both modes key on the same information, so hits, misses, memoized
-//! verdicts and the final graphs are identical between them; only the cost
-//! of a lookup differs.
+//! A fingerprint partitions problems exactly like the canonical string key
+//! [`canonicalize`] renders under [`env_key`]; `tests/key_partition.rs`
+//! checks both directions of that equivalence over a corpus.
 //!
 //! The store is a sharded `RwLock` map of [`ComputeCell`]s: concurrent
 //! workers that race on the same key agree on a single cell, and exactly
@@ -83,12 +73,12 @@
 //!
 //! # Persistent tier
 //!
-//! [`crate::persist`] serializes memoized entries (fingerprint, rendered
-//! canonical key, outcome, solver state) to a versioned, checksummed file
-//! and seeds them back at startup. Seeded cells are marked, so
-//! [`VerdictCache::persistent_hits`] counts the lookups a warm start
-//! answered without solving. Only full-budget outcomes ever reach the
-//! cache, so a warm start can never replay a degraded verdict.
+//! [`crate::persist`] serializes memoized entries (fingerprint, outcome,
+//! solver state) to a versioned, checksummed file and seeds them back at
+//! startup. Seeded cells are marked, so [`VerdictCache::persistent_hits`]
+//! counts the lookups a warm start answered without solving. Only
+//! full-budget outcomes ever reach the cache, so a warm start can never
+//! replay a degraded verdict.
 
 use delin_dep::budget::DegradeReason;
 use delin_dep::exact::SubtreeStore;
@@ -97,9 +87,8 @@ use delin_dep::verdict::Verdict;
 use delin_numeric::fp128::Fp128;
 use delin_numeric::{Assumptions, Sym, SymPoly};
 use fxhash::FxBuildHasher;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
@@ -117,38 +106,11 @@ pub fn cache_cap_from_env() -> usize {
     std::env::var("DELIN_CACHE_CAP").ok().and_then(|v| v.trim().parse().ok()).unwrap_or(0)
 }
 
-/// How the verdict cache represents its keys.
+/// No effect (fingerprints are the only keys); kept only because perfbench names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyMode {
-    /// 128-bit structural fingerprints; canonical strings only on miss.
+    /// 128-bit structural fingerprints.
     Fp,
-    /// Eagerly rendered canonical string keys (the legacy baseline).
-    Str,
-}
-
-impl KeyMode {
-    /// Reads `DELIN_KEYING`: `string`/`str` selects [`KeyMode::Str`],
-    /// anything else (including unset) the default [`KeyMode::Fp`].
-    pub fn from_env() -> KeyMode {
-        match std::env::var("DELIN_KEYING").as_deref() {
-            Ok("string") | Ok("str") => KeyMode::Str,
-            _ => KeyMode::Fp,
-        }
-    }
-
-    /// The name the bench/verify reports use for this mode.
-    pub fn label(self) -> &'static str {
-        match self {
-            KeyMode::Fp => "fp",
-            KeyMode::Str => "string",
-        }
-    }
-}
-
-impl Default for KeyMode {
-    fn default() -> Self {
-        KeyMode::from_env()
-    }
 }
 
 /// The memoized result of deciding one canonical dependence problem.
@@ -202,11 +164,6 @@ struct ComputeCell {
     /// one canonical problem shared by thousands of pairs — is otherwise a
     /// mutex every worker thread hammers.
     ready: OnceLock<Arc<CachedOutcome>>,
-    /// The rendered canonical string key, set by the first compute under
-    /// fingerprint keying (string keying keeps the key in the shard map
-    /// instead). Exists for debug dumps and the keying A/B verification —
-    /// never consulted on the hit path.
-    rendered: OnceLock<String>,
     /// `true` when this cell was seeded from the persistent tier; hits on
     /// such cells count toward [`VerdictCache::persistent_hits`]. Fixed at
     /// construction, so the hit path reads a plain bool.
@@ -237,24 +194,21 @@ impl ComputeCell {
             state: Mutex::new(CellState::Idle),
             cond: Condvar::new(),
             ready: OnceLock::new(),
-            rendered: OnceLock::new(),
             from_disk: false,
         }
     }
 
-    /// A cell seeded from the persistent tier: born `Ready` with its
-    /// rendered key attached and marked so hits on it count as persistent.
-    fn seeded(rendered: String, outcome: CachedOutcome) -> ComputeCell {
+    /// A cell seeded from the persistent tier: born `Ready` and marked so
+    /// hits on it count as persistent.
+    fn seeded(outcome: CachedOutcome) -> ComputeCell {
         let outcome = Arc::new(outcome);
         let cell = ComputeCell {
             state: Mutex::new(CellState::Ready(Arc::clone(&outcome))),
             cond: Condvar::new(),
             ready: OnceLock::new(),
-            rendered: OnceLock::new(),
             from_disk: true,
         };
         let _ = cell.ready.set(outcome);
-        let _ = cell.rendered.set(rendered);
         cell
     }
 
@@ -348,12 +302,8 @@ struct Slot {
     last_use: AtomicU64,
 }
 
-/// The shard array in either key representation. Both variants map the
-/// same partition of problems to cells; see the module docs.
-enum ShardMap {
-    Fp(Vec<RwLock<HashMap<u128, Slot, FxBuildHasher>>>),
-    Str(Vec<RwLock<HashMap<String, Slot>>>),
-}
+/// One lock shard: fingerprint → slot.
+type Shard = RwLock<HashMap<u128, Slot, FxBuildHasher>>;
 
 /// A verdict cache keyed by canonicalized dependence problems.
 ///
@@ -361,11 +311,9 @@ enum ShardMap {
 /// under one assumption environment, or with [`VerdictCache::shared`] for a
 /// cache shared across program units with *different* environments (every
 /// lookup then goes through [`VerdictCache::lookup`], which keys on the
-/// per-unit assumptions). Both pick their [`KeyMode`] from the
-/// `DELIN_KEYING` environment knob; the `_with` constructors pin it
-/// explicitly (the `--verify` keying A/B runs both side by side).
+/// per-unit assumptions).
 pub struct VerdictCache {
-    shards: ShardMap,
+    shards: Vec<Shard>,
     /// The environment baked in by [`VerdictCache::new`]; `None` for shared
     /// caches, whose lookups carry their environment explicitly.
     env: Option<Assumptions>,
@@ -384,40 +332,32 @@ pub struct VerdictCache {
 }
 
 impl VerdictCache {
-    /// An empty cache for one run under the given assumptions, keyed per
-    /// [`KeyMode::from_env`] and bounded per [`cache_cap_from_env`].
+    /// An empty cache for one run under the given assumptions, bounded per
+    /// [`cache_cap_from_env`].
     pub fn new(assumptions: &Assumptions) -> VerdictCache {
-        VerdictCache::new_with(assumptions, KeyMode::from_env())
-    }
-
-    /// An empty cache for one run under the given assumptions, with an
-    /// explicit key representation (capacity per [`cache_cap_from_env`]).
-    pub fn new_with(assumptions: &Assumptions, mode: KeyMode) -> VerdictCache {
-        VerdictCache::with_parts(mode, Some(assumptions.clone()), cache_cap_from_env())
+        VerdictCache::with_parts(Some(assumptions.clone()), cache_cap_from_env())
     }
 
     /// An empty cache safe to share across program units analyzed under
-    /// different assumption environments, keyed per [`KeyMode::from_env`]
-    /// and bounded per [`cache_cap_from_env`].
+    /// different assumption environments, bounded per [`cache_cap_from_env`].
     pub fn shared() -> VerdictCache {
-        VerdictCache::shared_with(KeyMode::from_env())
+        VerdictCache::bounded(cache_cap_from_env())
     }
 
-    /// An empty shareable cache with an explicit key representation
-    /// (capacity per [`cache_cap_from_env`]).
-    pub fn shared_with(mode: KeyMode) -> VerdictCache {
-        VerdictCache::with_parts(mode, None, cache_cap_from_env())
+    /// An empty shareable cache holding at most `capacity` entries (`0` =
+    /// unbounded).
+    pub fn bounded(capacity: usize) -> VerdictCache {
+        VerdictCache::with_parts(None, capacity)
     }
 
-    /// An empty shareable cache with an explicit key representation and an
-    /// explicit entry capacity (`0` = unbounded).
-    pub fn shared_with_cap(mode: KeyMode, capacity: usize) -> VerdictCache {
-        VerdictCache::with_parts(mode, None, capacity)
+    /// [`VerdictCache::bounded`]; the [`KeyMode`] is kept only because perfbench names it.
+    pub fn shared_with_cap(_mode: KeyMode, capacity: usize) -> VerdictCache {
+        VerdictCache::bounded(capacity)
     }
 
-    fn with_parts(mode: KeyMode, env: Option<Assumptions>, capacity: usize) -> VerdictCache {
+    fn with_parts(env: Option<Assumptions>, capacity: usize) -> VerdictCache {
         VerdictCache {
-            shards: new_shards(mode),
+            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect(),
             env,
             capacity,
             shard_cap: capacity.div_ceil(SHARDS),
@@ -455,84 +395,22 @@ impl VerdictCache {
         self.persistent_seeded.load(Ordering::Relaxed)
     }
 
-    /// The key representation this cache was built with.
-    pub fn key_mode(&self) -> KeyMode {
-        match &self.shards {
-            ShardMap::Fp(_) => KeyMode::Fp,
-            ShardMap::Str(_) => KeyMode::Str,
-        }
-    }
-
     /// Number of memoized outcomes across all shards (distinct canonical
     /// problems decided under a full budget). Cells whose computation
     /// panicked or degraded hold no outcome and are not counted.
     pub fn len(&self) -> usize {
-        self.for_each_cell_count(|c| c.is_ready())
+        self.shards
+            .iter()
+            .map(|s| {
+                let map = s.read().unwrap_or_else(PoisonError::into_inner);
+                map.values().filter(|slot| slot.cell.is_ready()).count()
+            })
+            .sum()
     }
 
     /// `true` when no problem has been memoized yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    fn for_each_cell_count(&self, pred: impl Fn(&ComputeCell) -> bool) -> usize {
-        let count_in =
-            |slots: &mut dyn Iterator<Item = Arc<ComputeCell>>| slots.filter(|c| pred(c)).count();
-        match &self.shards {
-            ShardMap::Fp(shards) => shards
-                .iter()
-                .map(|s| {
-                    let map = s.read().unwrap_or_else(PoisonError::into_inner);
-                    count_in(&mut map.values().map(|slot| Arc::clone(&slot.cell)))
-                })
-                .sum(),
-            ShardMap::Str(shards) => shards
-                .iter()
-                .map(|s| {
-                    let map = s.read().unwrap_or_else(PoisonError::into_inner);
-                    count_in(&mut map.values().map(|slot| Arc::clone(&slot.cell)))
-                })
-                .sum(),
-        }
-    }
-
-    /// The rendered canonical string keys of every memoized entry, sorted.
-    ///
-    /// Under string keying these are the shard-map keys themselves; under
-    /// fingerprint keying they are the strings rendered once per miss and
-    /// stashed in the cells. Either way the result describes the same
-    /// partition, which is exactly what the keying A/B verification
-    /// asserts: if two distinct canonical strings ever collided into one
-    /// fingerprint cell, the fingerprint cache would report fewer keys
-    /// here than the string cache.
-    pub fn debug_keys(&self) -> Vec<String> {
-        let mut keys = Vec::new();
-        match &self.shards {
-            ShardMap::Fp(shards) => {
-                for s in shards {
-                    let map = s.read().unwrap_or_else(PoisonError::into_inner);
-                    for slot in map.values() {
-                        if slot.cell.is_ready() {
-                            if let Some(k) = slot.cell.rendered.get() {
-                                keys.push(k.clone());
-                            }
-                        }
-                    }
-                }
-            }
-            ShardMap::Str(shards) => {
-                for s in shards {
-                    let map = s.read().unwrap_or_else(PoisonError::into_inner);
-                    for (k, slot) in map.iter() {
-                        if slot.cell.is_ready() {
-                            keys.push(k.clone());
-                        }
-                    }
-                }
-            }
-        }
-        keys.sort_unstable();
-        keys
     }
 
     /// Looks up the canonical form of `problem` under the environment baked
@@ -567,10 +445,9 @@ impl VerdictCache {
     /// `compute` receives the *canonical* problem, so the stored verdict is
     /// a pure function of the cache key — this is what keeps parallel and
     /// multi-unit runs deterministic regardless of which worker (or which
-    /// unit) populates an entry first. Under fingerprint keying, a hit
-    /// performs no string rendering, no `SymPoly` clone and no heap
-    /// allocation: the canonical problem (and its string key) only
-    /// materialize inside the cell's compute slot on a miss.
+    /// unit) populates an entry first. A hit performs no string rendering,
+    /// no `SymPoly` clone and no heap allocation: the canonical problem only
+    /// materializes inside the cell's compute slot on a miss.
     pub fn lookup(
         &self,
         assumptions: &Assumptions,
@@ -592,53 +469,37 @@ impl VerdictCache {
         members: u64,
         compute: impl FnOnce(&DependenceProblem<SymPoly>) -> CachedOutcome,
     ) -> CacheLookup {
-        match &self.shards {
-            ShardMap::Fp(shards) => {
-                let fp = fingerprint_problem(problem, assumptions);
-                // Lane A (the high half) doubles as the 64-bit attribution
-                // fingerprint; lane B picks the shard, so attribution and
-                // shard choice stay decorrelated.
-                let key_fp = (fp >> 64) as u64;
-                let shard = &shards[(fp as usize) % SHARDS];
-                let cell = self.probe_fp(shard, fp);
-                let (outcome, computed) = cell.get_or_compute(|| {
-                    // Miss: now (and only now) materialize the canonical
-                    // problem for the solver and the string key for debug.
-                    let env = env_key(problem, assumptions);
-                    let (key, canonical) = canonicalize(problem, &env);
-                    let _ = cell.rendered.set(key);
-                    compute(&canonical)
-                });
-                if !computed && cell.from_disk {
-                    self.persistent_hits.fetch_add(members, Ordering::Relaxed);
-                }
-                CacheLookup { outcome, computed, key_fp }
-            }
-            ShardMap::Str(shards) => {
-                // The legacy baseline: render everything eagerly per lookup.
-                let env = env_key(problem, assumptions);
-                let (key, canonical) = canonicalize(problem, &env);
-                let key_fp = fingerprint(&key);
-                let shard = &shards[(key_fp as usize) % SHARDS];
-                let cell = self.probe_str(shard, key);
-                let (outcome, computed) = cell.get_or_compute(|| compute(&canonical));
-                CacheLookup { outcome, computed, key_fp }
-            }
+        let fp = fingerprint_problem(problem, assumptions);
+        // Lane A (the high half) doubles as the 64-bit attribution
+        // fingerprint; lane B picks the shard, so attribution and shard
+        // choice stay decorrelated.
+        let key_fp = (fp >> 64) as u64;
+        let cell = self.probe(fp);
+        let (outcome, computed) = cell.get_or_compute(|| {
+            // Miss: now (and only now) materialize the canonical problem.
+            // Its equation order does not depend on the environment key.
+            let (_, canonical) = canonicalize(problem, "");
+            compute(&canonical)
+        });
+        if !computed && cell.from_disk {
+            self.persistent_hits.fetch_add(members, Ordering::Relaxed);
         }
+        CacheLookup { outcome, computed, key_fp }
     }
 
-    /// Fast path probe for the fingerprint shard: read-lock first (hits
-    /// never take the write lock, refreshing their LRU stamp atomically),
-    /// insert an idle cell under the write lock on miss and evict if the
-    /// shard ran over its share of the capacity. A poisoned shard lock only
-    /// means some worker panicked while holding it; the map itself is never
-    /// left mid-mutation (inserts are single entry operations), so recover
-    /// the guard and keep going.
-    fn probe_fp(
-        &self,
-        shard: &RwLock<HashMap<u128, Slot, FxBuildHasher>>,
-        fp: u128,
-    ) -> Arc<ComputeCell> {
+    /// The shard that holds fingerprint `fp` (picked by lane B).
+    fn shard(&self, fp: u128) -> &Shard {
+        &self.shards[(fp as usize) % SHARDS]
+    }
+
+    /// Shard probe: read-lock first (hits never take the write lock,
+    /// refreshing their LRU stamp atomically), insert an idle cell under
+    /// the write lock on miss and evict if the shard ran over its share of
+    /// the capacity. A poisoned shard lock only means some worker panicked
+    /// while holding it; the map itself is never left mid-mutation (inserts
+    /// are single entry operations), so recover the guard and keep going.
+    fn probe(&self, fp: u128) -> Arc<ComputeCell> {
+        let shard = self.shard(fp);
         {
             let read = shard.read().unwrap_or_else(PoisonError::into_inner);
             if let Some(slot) = read.get(&fp) {
@@ -653,28 +514,7 @@ impl VerdictCache {
         }
         let cell = Arc::new(ComputeCell::new());
         write.insert(fp, self.new_slot(Arc::clone(&cell)));
-        self.evict_over_cap(&mut write, &fp);
-        cell
-    }
-
-    /// The string-keyed analogue of `probe_fp`.
-    fn probe_str(&self, shard: &RwLock<HashMap<String, Slot>>, key: String) -> Arc<ComputeCell> {
-        {
-            let read = shard.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some(slot) = read.get(&key) {
-                self.touch(slot);
-                return Arc::clone(&slot.cell);
-            }
-        }
-        let mut write = shard.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(slot) = write.get(&key) {
-            self.touch(slot);
-            return Arc::clone(&slot.cell);
-        }
-        let cell = Arc::new(ComputeCell::new());
-        let guard_key = key.clone();
-        write.insert(key, self.new_slot(Arc::clone(&cell)));
-        self.evict_over_cap(&mut write, &guard_key);
+        self.evict_over_cap(&mut write, fp);
         cell
     }
 
@@ -698,20 +538,16 @@ impl VerdictCache {
     /// its share of the capacity. The entry just inserted and entries with
     /// a compute in flight are never victims; if nothing else is evictable
     /// the shard briefly exceeds its share instead.
-    fn evict_over_cap<K: Hash + Eq + Clone, S: std::hash::BuildHasher>(
-        &self,
-        map: &mut HashMap<K, Slot, S>,
-        just_inserted: &K,
-    ) {
+    fn evict_over_cap(&self, map: &mut HashMap<u128, Slot, FxBuildHasher>, just_inserted: u128) {
         if self.shard_cap == 0 {
             return;
         }
         while map.len() > self.shard_cap {
             let victim = map
                 .iter()
-                .filter(|(k, slot)| *k != just_inserted && slot.cell.is_evictable())
+                .filter(|(k, slot)| **k != just_inserted && slot.cell.is_evictable())
                 .min_by_key(|(_, slot)| slot.last_use.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone());
+                .map(|(k, _)| *k);
             match victim {
                 Some(k) => {
                     map.remove(&k);
@@ -722,64 +558,40 @@ impl VerdictCache {
         }
     }
 
-    /// Seeds one entry loaded from the persistent tier: inserted `Ready`
-    /// with its rendered canonical key attached, marked so later hits count
-    /// as persistent. Returns `false` (storing nothing) for string-keyed
-    /// caches (persistence is fingerprint-only), for degraded outcomes
-    /// (never persisted, and never memoized even if a file claimed one),
-    /// and for fingerprints already present.
-    pub(crate) fn seed_entry(&self, fp: u128, rendered: String, outcome: CachedOutcome) -> bool {
-        let ShardMap::Fp(shards) = &self.shards else { return false };
+    /// Seeds one entry loaded from the persistent tier: inserted `Ready`,
+    /// marked so later hits count as persistent. Returns `false` (storing
+    /// nothing) for degraded outcomes (never persisted, and never memoized
+    /// even if a file claimed one) and for fingerprints already present.
+    pub(crate) fn seed_entry(&self, fp: u128, outcome: CachedOutcome) -> bool {
         if outcome.degraded.is_some() {
             return false;
         }
-        let shard = &shards[(fp as usize) % SHARDS];
-        let mut write = shard.write().unwrap_or_else(PoisonError::into_inner);
+        let mut write = self.shard(fp).write().unwrap_or_else(PoisonError::into_inner);
         if write.contains_key(&fp) {
             return false;
         }
-        let cell = Arc::new(ComputeCell::seeded(rendered, outcome));
+        let cell = Arc::new(ComputeCell::seeded(outcome));
         write.insert(fp, self.new_slot(cell));
-        self.evict_over_cap(&mut write, &fp);
+        self.evict_over_cap(&mut write, fp);
         self.persistent_seeded.fetch_add(1, Ordering::Relaxed);
         true
     }
 
-    /// Every memoized fingerprint entry with its rendered canonical key and
-    /// outcome, sorted by fingerprint — the deterministic export the
-    /// persistent tier serializes. Empty for string-keyed caches (the
-    /// string baseline exists only for A/B verification).
-    pub(crate) fn export_entries(&self) -> Vec<(u128, String, Arc<CachedOutcome>)> {
-        let ShardMap::Fp(shards) = &self.shards else { return Vec::new() };
+    /// Every memoized entry with its outcome, sorted by fingerprint — the
+    /// deterministic export the persistent tier serializes.
+    pub(crate) fn export_entries(&self) -> Vec<(u128, Arc<CachedOutcome>)> {
         let mut out = Vec::new();
-        for s in shards {
+        for s in &self.shards {
             let map = s.read().unwrap_or_else(PoisonError::into_inner);
             for (fp, slot) in map.iter() {
-                let ready = match &*lock_recover(&slot.cell.state) {
-                    CellState::Ready(o) => Some(Arc::clone(o)),
-                    _ => None,
-                };
-                if let (Some(outcome), Some(key)) = (ready, slot.cell.rendered.get()) {
-                    out.push((*fp, key.clone(), outcome));
+                if let CellState::Ready(outcome) = &*lock_recover(&slot.cell.state) {
+                    out.push((*fp, Arc::clone(outcome)));
                 }
             }
         }
-        out.sort_unstable_by_key(|(fp, _, _)| *fp);
+        out.sort_unstable_by_key(|(fp, _)| *fp);
         out
     }
-}
-
-fn new_shards(mode: KeyMode) -> ShardMap {
-    match mode {
-        KeyMode::Fp => ShardMap::Fp((0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect()),
-        KeyMode::Str => ShardMap::Str((0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect()),
-    }
-}
-
-fn fingerprint(key: &str) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    hasher.finish()
 }
 
 /// Computes the 128-bit structural fingerprint of `problem` under the
@@ -1176,16 +988,12 @@ mod tests {
         );
     }
 
-    /// Both key modes produce the same hit/miss pattern and the same set of
-    /// rendered canonical keys over a mixed workload — the unit-scale
-    /// version of the `--verify` keying A/B.
+    /// Fingerprints partition a mixed workload exactly like the rendered
+    /// canonical keys, in both directions, and the cache misses exactly on
+    /// each key's first sighting — the unit-scale version of
+    /// `tests/key_partition.rs`.
     #[test]
-    fn key_modes_partition_identically() {
-        let fp_cache = VerdictCache::shared_with(KeyMode::Fp);
-        let str_cache = VerdictCache::shared_with(KeyMode::Str);
-        assert_eq!(fp_cache.key_mode(), KeyMode::Fp);
-        assert_eq!(str_cache.key_mode(), KeyMode::Str);
-
+    fn fingerprints_partition_like_canonical_keys() {
         let mut n2 = Assumptions::new();
         n2.set_lower_bound("N", 2);
         let lookups: Vec<(Assumptions, DependenceProblem<SymPoly>)> = vec![
@@ -1196,18 +1004,23 @@ mod tests {
             (n2.clone(), symbolic_problem()),
             (n2, symbolic_problem()),
         ];
-        for (env, p) in &lookups {
-            let a = fp_cache.lookup(env, p, |_| outcome(1));
-            let b = str_cache.lookup(env, p, |_| outcome(1));
-            assert_eq!(a.computed, b.computed, "modes must hit and miss together");
+        let keys: Vec<(u128, String)> = lookups
+            .iter()
+            .map(|(env, p)| (fingerprint_problem(p, env), canonicalize(p, &env_key(p, env)).0))
+            .collect();
+        for a in &keys {
+            for b in &keys {
+                assert_eq!(a.0 == b.0, a.1 == b.1, "fingerprint and key partition differently");
+            }
         }
-        assert_eq!(fp_cache.len(), str_cache.len());
-        assert_eq!(
-            fp_cache.debug_keys(),
-            str_cache.debug_keys(),
-            "fingerprint cells must carry the exact canonical strings"
-        );
-        assert_eq!(fp_cache.debug_keys().len(), fp_cache.len());
+        let cache = VerdictCache::shared();
+        let mut seen = std::collections::HashSet::new();
+        for ((env, p), (_, key)) in lookups.iter().zip(&keys) {
+            let l = cache.lookup(env, p, |_| outcome(1));
+            assert_eq!(l.computed, seen.insert(key.clone()), "miss exactly on a new key");
+        }
+        assert_eq!(cache.len(), seen.len());
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]
@@ -1237,75 +1050,68 @@ mod tests {
     /// Regression test for the cross-unit collision audit: two units with
     /// byte-identical (renamed) equations but different assumption
     /// environments must not share a cache entry, while a third unit whose
-    /// environment agrees on the relevant symbol must. Pinned in both key
-    /// modes.
+    /// environment agrees on the relevant symbol must.
     #[test]
     fn shared_cache_separates_assumption_environments() {
-        for mode in [KeyMode::Fp, KeyMode::Str] {
-            let cache = VerdictCache::shared_with(mode);
-            let p = symbolic_problem();
-            let mut unit_a = Assumptions::new();
-            unit_a.set_lower_bound("N", 1);
-            let mut unit_b = Assumptions::new();
-            unit_b.set_lower_bound("N", 8);
-            let mut unit_c = unit_a.clone();
-            unit_c.set_lower_bound("OTHER", 3); // irrelevant to `p`
+        let cache = VerdictCache::shared();
+        let p = symbolic_problem();
+        let mut unit_a = Assumptions::new();
+        unit_a.set_lower_bound("N", 1);
+        let mut unit_b = Assumptions::new();
+        unit_b.set_lower_bound("N", 8);
+        let mut unit_c = unit_a.clone();
+        unit_c.set_lower_bound("OTHER", 3); // irrelevant to `p`
 
-            let a = cache.lookup(&unit_a, &p, |_| outcome(1));
-            let b = cache.lookup(&unit_b, &p, |_| outcome(2));
-            let c = cache.lookup(&unit_c, &p, |_| outcome(3));
-            assert!(a.computed, "first sighting under env A must compute");
-            assert!(b.computed, "env B must not reuse env A's entry");
-            assert!(!c.computed, "env C agrees with A on N, must share");
-            assert_ne!(a.key_fp, b.key_fp);
-            assert_eq!(a.key_fp, c.key_fp);
-            assert_eq!(c.outcome.solver_nodes, 1, "C must see A's entry");
-            assert_eq!(cache.len(), 2);
-        }
+        let a = cache.lookup(&unit_a, &p, |_| outcome(1));
+        let b = cache.lookup(&unit_b, &p, |_| outcome(2));
+        let c = cache.lookup(&unit_c, &p, |_| outcome(3));
+        assert!(a.computed, "first sighting under env A must compute");
+        assert!(b.computed, "env B must not reuse env A's entry");
+        assert!(!c.computed, "env C agrees with A on N, must share");
+        assert_ne!(a.key_fp, b.key_fp);
+        assert_eq!(a.key_fp, c.key_fp);
+        assert_eq!(c.outcome.solver_nodes, 1, "C must see A's entry");
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn cache_computes_each_canonical_form_once() {
-        for mode in [KeyMode::Fp, KeyMode::Str] {
-            let cache = VerdictCache::new_with(&Assumptions::new(), mode);
-            let mut runs = 0;
-            for order in [[0, 1], [1, 0], [0, 1]] {
-                let p = two_eq_problem(order);
-                let (out, _) = cache.get_or_compute(&p, |_| {
-                    runs += 1;
-                    outcome(11)
-                });
-                assert!(out.verdict.is_independent());
-                assert_eq!(out.solver_nodes, 11);
-            }
-            assert_eq!(runs, 1, "equation order must not defeat the cache");
-            assert_eq!(cache.len(), 1);
-            assert!(!cache.is_empty());
+        let cache = VerdictCache::new(&Assumptions::new());
+        let mut runs = 0;
+        for order in [[0, 1], [1, 0], [0, 1]] {
+            let p = two_eq_problem(order);
+            let (out, _) = cache.get_or_compute(&p, |_| {
+                runs += 1;
+                outcome(11)
+            });
+            assert!(out.verdict.is_independent());
+            assert_eq!(out.solver_nodes, 11);
         }
+        assert_eq!(runs, 1, "equation order must not defeat the cache");
+        assert_eq!(cache.len(), 1);
+        assert!(!cache.is_empty());
     }
 
     #[test]
     fn cache_reports_hits_and_stable_fingerprints() {
-        for mode in [KeyMode::Fp, KeyMode::Str] {
-            let cache = VerdictCache::new_with(&Assumptions::new(), mode);
-            let p = two_eq_problem([0, 1]);
-            let (_, hit) = cache.get_or_compute(&p, |_| outcome(0));
-            assert!(!hit);
-            let (_, hit) = cache.get_or_compute(&p, |_| outcome(0));
-            assert!(hit);
-            // The two equation orders share one key fingerprint.
-            let env = Assumptions::new();
-            let a = cache.lookup(&env, &two_eq_problem([0, 1]), |_| outcome(0));
-            let b = cache.lookup(&env, &two_eq_problem([1, 0]), |_| outcome(0));
-            assert_eq!(a.key_fp, b.key_fp);
-            assert!(!a.computed && !b.computed);
-        }
+        let cache = VerdictCache::new(&Assumptions::new());
+        let p = two_eq_problem([0, 1]);
+        let (_, hit) = cache.get_or_compute(&p, |_| outcome(0));
+        assert!(!hit);
+        let (_, hit) = cache.get_or_compute(&p, |_| outcome(0));
+        assert!(hit);
+        // The two equation orders share one key fingerprint.
+        let env = Assumptions::new();
+        let a = cache.lookup(&env, &two_eq_problem([0, 1]), |_| outcome(0));
+        let b = cache.lookup(&env, &two_eq_problem([1, 0]), |_| outcome(0));
+        assert_eq!(a.key_fp, b.key_fp);
+        assert!(!a.computed && !b.computed);
     }
 
     /// A hit hands back the cache's own `Arc`, not a payload clone.
     #[test]
     fn hits_share_the_memoized_allocation() {
-        let cache = VerdictCache::new_with(&Assumptions::new(), KeyMode::Fp);
+        let cache = VerdictCache::new(&Assumptions::new());
         let p = two_eq_problem([0, 1]);
         let (first, _) = cache.get_or_compute(&p, |_| outcome(1));
         let (second, hit) = cache.get_or_compute(&p, |_| outcome(2));
@@ -1350,7 +1156,7 @@ mod tests {
         }
         let mut counts = Vec::new();
         for _ in 0..2 {
-            let cache = VerdictCache::shared_with_cap(KeyMode::Fp, 1);
+            let cache = VerdictCache::bounded(1);
             assert_eq!(cache.capacity(), 1);
             let env = Assumptions::new();
             for c in 0..200 {
@@ -1368,7 +1174,7 @@ mod tests {
         assert_eq!(counts[0], counts[1], "serial eviction counts must be reproducible");
 
         // Unbounded (capacity 0) never evicts.
-        let cache = VerdictCache::shared_with_cap(KeyMode::Fp, 0);
+        let cache = VerdictCache::bounded(0);
         let env = Assumptions::new();
         for c in 0..50 {
             let _ = cache.lookup(&env, &problem(c), |_| outcome(0));
@@ -1389,7 +1195,7 @@ mod tests {
             b.equation(poly(c), vec![poly(1), poly(10)]);
             b.build()
         }
-        let cache = VerdictCache::shared_with_cap(KeyMode::Fp, 1);
+        let cache = VerdictCache::bounded(1);
         let env = Assumptions::new();
         let l = cache.lookup(&env, &problem(1000), |_| {
             // While this cell is `Computing`, flood every shard.
@@ -1404,67 +1210,47 @@ mod tests {
         assert_eq!(again.outcome.solver_nodes, 77);
     }
 
-    /// Both key modes evict; the string baseline stays behaviorally aligned.
-    #[test]
-    fn string_keyed_caches_evict_too() {
-        let cache = VerdictCache::shared_with_cap(KeyMode::Str, 1);
-        let env = Assumptions::new();
-        for c in 0..200 {
-            let mut b = DependenceProblem::<SymPoly>::builder();
-            b.var("x", poly(4));
-            b.var("y", poly(9));
-            b.equation(poly(c), vec![poly(1), poly(10)]);
-            let _ = cache.lookup(&env, &b.build(), |_| outcome(0));
-        }
-        assert!(cache.len() <= SHARDS);
-        assert!(cache.evictions() > 0);
-    }
-
     /// Degraded outcomes reach their caller but never the store: the next
     /// lookup of the same key recomputes, and once a full-budget outcome
     /// lands it is the one memoized.
     #[test]
     fn degraded_outcomes_are_not_memoized() {
-        for mode in [KeyMode::Fp, KeyMode::Str] {
-            let cache = VerdictCache::new_with(&Assumptions::new(), mode);
-            let p = two_eq_problem([0, 1]);
-            let degraded = CachedOutcome {
-                verdict: Verdict::Unknown,
-                degraded: Some(delin_dep::budget::DegradeReason::Nodes),
-                ..outcome(7)
-            };
-            let (out, hit) = cache.get_or_compute(&p, |_| degraded.clone());
-            assert!(!hit);
-            assert!(out.degraded.is_some());
-            assert_eq!(cache.len(), 0, "degraded outcome must not be stored");
-            // Recompute with a full budget: stored this time.
-            let (out, hit) = cache.get_or_compute(&p, |_| outcome(9));
-            assert!(!hit, "idle cell must recompute, not replay the degraded run");
-            assert_eq!(out.solver_nodes, 9);
-            assert_eq!(cache.len(), 1);
-            let (out, hit) = cache.get_or_compute(&p, |_| outcome(99));
-            assert!(hit);
-            assert_eq!(out.solver_nodes, 9, "full-budget outcome is the memoized one");
-        }
+        let cache = VerdictCache::new(&Assumptions::new());
+        let p = two_eq_problem([0, 1]);
+        let degraded = CachedOutcome {
+            verdict: Verdict::Unknown,
+            degraded: Some(delin_dep::budget::DegradeReason::Nodes),
+            ..outcome(7)
+        };
+        let (out, hit) = cache.get_or_compute(&p, |_| degraded.clone());
+        assert!(!hit);
+        assert!(out.degraded.is_some());
+        assert_eq!(cache.len(), 0, "degraded outcome must not be stored");
+        // Recompute with a full budget: stored this time.
+        let (out, hit) = cache.get_or_compute(&p, |_| outcome(9));
+        assert!(!hit, "idle cell must recompute, not replay the degraded run");
+        assert_eq!(out.solver_nodes, 9);
+        assert_eq!(cache.len(), 1);
+        let (out, hit) = cache.get_or_compute(&p, |_| outcome(99));
+        assert!(hit);
+        assert_eq!(out.solver_nodes, 9, "full-budget outcome is the memoized one");
     }
 
     /// A panic inside the compute closure leaves the cell (and its shard
     /// lock) usable: the same key can be looked up again and computed.
     #[test]
     fn panicking_compute_leaves_cache_usable() {
-        for mode in [KeyMode::Fp, KeyMode::Str] {
-            let cache = VerdictCache::new_with(&Assumptions::new(), mode);
-            let p = two_eq_problem([0, 1]);
-            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                cache.get_or_compute(&p, |_| panic!("injected solver fault"))
-            }));
-            assert!(unwound.is_err());
-            assert_eq!(cache.len(), 0);
-            let (out, hit) = cache.get_or_compute(&p, |_| outcome(5));
-            assert!(!hit, "post-panic lookup must recompute");
-            assert_eq!(out.solver_nodes, 5);
-            assert_eq!(cache.len(), 1);
-        }
+        let cache = VerdictCache::new(&Assumptions::new());
+        let p = two_eq_problem([0, 1]);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_compute(&p, |_| panic!("injected solver fault"))
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(cache.len(), 0);
+        let (out, hit) = cache.get_or_compute(&p, |_| outcome(5));
+        assert!(!hit, "post-panic lookup must recompute");
+        assert_eq!(out.solver_nodes, 5);
+        assert_eq!(cache.len(), 1);
     }
 
     /// The memoized outcome carries the incremental solver state: every
@@ -1490,24 +1276,14 @@ mod tests {
 
     #[test]
     fn compute_sees_the_canonical_problem() {
-        for mode in [KeyMode::Fp, KeyMode::Str] {
-            let cache = VerdictCache::new_with(&Assumptions::new(), mode);
-            let p = two_eq_problem([1, 0]); // reversed order on purpose
-            cache.get_or_compute(&p, |canon| {
-                // Sorted structural order puts the -5 equation first (its
-                // rendition sorts before the "3|2,0," one).
-                assert_eq!(canon.equations().len(), 2);
-                assert_eq!(canon.vars().len(), 2);
-                outcome(0)
-            });
-        }
-    }
-
-    #[test]
-    fn key_mode_env_knob_parses() {
-        // `from_env` itself reads the live environment (unsafe to mutate in
-        // a threaded test harness), so pin the match arms directly.
-        assert_eq!(KeyMode::Fp.label(), "fp");
-        assert_eq!(KeyMode::Str.label(), "string");
+        let cache = VerdictCache::new(&Assumptions::new());
+        let p = two_eq_problem([1, 0]); // reversed order on purpose
+        cache.get_or_compute(&p, |canon| {
+            // Sorted structural order puts the -5 equation first (its
+            // rendition sorts before the "3|2,0," one).
+            assert_eq!(canon.equations().len(), 2);
+            assert_eq!(canon.vars().len(), 2);
+            outcome(0)
+        });
     }
 }

@@ -31,7 +31,7 @@ use delin_dep::acyclic::AcyclicTest;
 use delin_dep::banerjee::BanerjeeTest;
 use delin_dep::budget::{BudgetSpec, DegradeReason, ResourceBudget};
 use delin_dep::dirvec::{summarize, Dir, DirVec};
-use delin_dep::exact::{arena_from_env, SubtreeStore};
+use delin_dep::exact::SubtreeStore;
 use delin_dep::gcd::GcdTest;
 use delin_dep::hierarchy;
 use delin_dep::problem::{DependenceProblem, ProblemArena, ProblemBuilder};
@@ -411,12 +411,7 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Memoize verdicts of canonicalized problems (see [`crate::cache`]).
     pub cache: bool,
-    /// Key representation for the verdict cache (see [`KeyMode`]): 128-bit
-    /// structural fingerprints (the default hot path) or eagerly rendered
-    /// canonical strings (the A/B baseline). Pure perf knob — hits, misses,
-    /// verdicts and edges are identical either way. Defaults to
-    /// [`KeyMode::from_env`] (`DELIN_KEYING`). Ignored when a shared cache
-    /// is passed in (the cache carries its own mode).
+    /// No effect (see [`KeyMode`]); kept only because perfbench names it.
     pub keying: KeyMode,
     /// Incremental exact solving: direction-refinement queries replay
     /// memoized solve subtrees (see [`delin_dep::exact::SubtreeStore`])
@@ -433,13 +428,7 @@ pub struct EngineConfig {
     /// Ignored when a shared cache is passed in (the cache carries its own
     /// capacity).
     pub cache_cap: usize,
-    /// The arena miss path: decisions lease their working problems from a
-    /// per-worker [`ProblemArena`] (capacity-reusing `clone_from` instead
-    /// of builder rebuilds) and the exact solvers reuse per-worker DFS
-    /// scratch. Off reproduces the allocate-per-step engine — the
-    /// `DELIN_ARENA=0` A/B baseline; edges, verdicts, node counts and every
-    /// determinism-checked statistic are identical either way. Defaults to
-    /// [`arena_from_env`].
+    /// No effect (the miss path always recycles); kept only because perfbench names it.
     pub arena: bool,
     /// Resource budget specification. Armed once per graph construction
     /// (the deadline covers the whole run); each pair then observes the
@@ -458,9 +447,9 @@ impl Default for EngineConfig {
             choice: TestChoice::default(),
             workers: workers_from_env(),
             cache: true,
-            keying: KeyMode::from_env(),
+            keying: KeyMode::Fp,
             incremental: incremental_from_env(),
-            arena: arena_from_env(),
+            arena: true,
             cache_cap: crate::cache::cache_cap_from_env(),
             budget: BudgetSpec::default(),
             chaos: None,
@@ -565,8 +554,8 @@ pub fn build_dependence_graph_in(
     let mut graph = DepGraph { stmts, ..DepGraph::default() };
 
     let worklist = worklist(&sites);
-    let private = (shared.is_none() && config.cache)
-        .then(|| VerdictCache::shared_with_cap(config.keying, config.cache_cap));
+    let private =
+        (shared.is_none() && config.cache).then(|| VerdictCache::bounded(config.cache_cap));
     let cache = shared.or(private.as_ref());
     // Snapshot so a shared cache only charges this run the evictions that
     // happened during it (best-effort attribution under concurrency; exact
@@ -580,7 +569,6 @@ pub fn build_dependence_graph_in(
         choice: config.choice,
         cache,
         incremental: config.incremental,
-        arena: config.arena,
         budget: &budget,
     };
 
@@ -646,7 +634,6 @@ struct PairCtx<'a> {
     choice: TestChoice,
     cache: Option<&'a VerdictCache>,
     incremental: bool,
-    arena: bool,
     /// The run-armed budget; pairs observe it via `fresh()`.
     budget: &'a ResourceBudget,
 }
@@ -854,14 +841,8 @@ fn test_pair(a: &AccessSite, b: &AccessSite, task: &Task, ctx: &PairCtx<'_>) -> 
             let spec =
                 ChaosCtx::faulted_spec(fault, &BudgetSpec::nodes_only(ctx.budget.node_limit()));
             let problem = pair_problem(a, b);
-            let computed = decide_counted(
-                &problem,
-                ctx.assumptions,
-                ctx.choice,
-                &spec.arm(),
-                ctx.incremental,
-                ctx.arena,
-            );
+            let computed =
+                decide_counted(&problem, ctx.assumptions, ctx.choice, &spec.arm(), ctx.incremental);
             return PairOutcome {
                 outcome: Arc::new(computed),
                 nanos: started.elapsed().as_nanos(),
@@ -870,7 +851,7 @@ fn test_pair(a: &AccessSite, b: &AccessSite, task: &Task, ctx: &PairCtx<'_>) -> 
         }
         None => {}
     }
-    let problem = if ctx.arena { pair_problem_pooled(a, b) } else { pair_problem(a, b) };
+    let problem = pair_problem_pooled(a, b);
     let outcome = match ctx.cache {
         Some(cache) => {
             let CacheLookup { outcome, key_fp, .. } =
@@ -884,7 +865,6 @@ fn test_pair(a: &AccessSite, b: &AccessSite, task: &Task, ctx: &PairCtx<'_>) -> 
                         ctx.choice,
                         &ctx.budget.fresh(),
                         ctx.incremental,
-                        ctx.arena,
                     )
                 });
             // A hit shares the cache entry's `Arc` — no payload clone.
@@ -897,14 +877,11 @@ fn test_pair(a: &AccessSite, b: &AccessSite, task: &Task, ctx: &PairCtx<'_>) -> 
                 ctx.choice,
                 &ctx.budget.fresh(),
                 ctx.incremental,
-                ctx.arena,
             );
             PairOutcome { outcome: Arc::new(computed), nanos: 0, key_fp: None }
         }
     };
-    if ctx.arena {
-        recycle_pair_problem(problem);
-    }
+    recycle_pair_problem(problem);
     PairOutcome { nanos: started.elapsed().as_nanos(), ..outcome }
 }
 
@@ -923,13 +900,12 @@ fn decide_counted(
     choice: TestChoice,
     budget: &ResourceBudget,
     incremental: bool,
-    arena: bool,
 ) -> CachedOutcome {
     let _ = delin_dep::exact::take_thread_nodes();
     delin_dep::exact::reset_thread_refine();
     let store = incremental.then(|| Arc::new(SubtreeStore::new()));
     let (verdict, tested_by, attempts) =
-        decide(problem, assumptions, choice, budget, incremental, arena, store.as_ref());
+        decide(problem, assumptions, choice, budget, incremental, store.as_ref());
     let refine = delin_dep::exact::take_thread_refine();
     CachedOutcome {
         verdict,
@@ -965,8 +941,8 @@ pub fn pair_problem(a: &AccessSite, b: &AccessSite) -> DependenceProblem<SymPoly
     builder.build()
 }
 
-/// The worker's recycled storage for per-pair problem construction (arena
-/// path): a builder that overwrites retired slots in place plus the pool
+/// The worker's recycled storage for per-pair problem construction: a
+/// builder that overwrites retired slots in place plus the pool
 /// of retired problems feeding it. Per thread, so no locking on the pair
 /// hot path.
 #[derive(Default)]
@@ -1067,42 +1043,19 @@ fn decide(
     choice: TestChoice,
     budget: &ResourceBudget,
     incremental: bool,
-    arena: bool,
     store: Option<&Arc<SubtreeStore>>,
 ) -> (Verdict, &'static str, Vec<&'static str>) {
     if budget.exhausted().is_some() {
         return (Verdict::Unknown, "degraded", Vec::new());
     }
     // The decision works on a copy of the canonical problem with this
-    // unit's assumptions installed. The arena path leases that copy from
-    // the worker's recycled pool and installs the assumptions in place;
-    // the legacy path reproduces the old engine — a clone followed by a
-    // full rebuild through a fresh builder (the builder clears assumptions
-    // on build(), hence the round trip).
-    let sym = if arena {
-        let mut sym = DECIDE_ARENA.with(|a| a.borrow_mut().lease_clone(problem));
-        sym.set_assumptions(assumptions.clone());
-        sym
-    } else {
-        let sym = problem.clone();
-        let mut b = DependenceProblem::<SymPoly>::builder();
-        for v in sym.vars() {
-            b.var(v.name.clone(), v.upper.clone());
-        }
-        for eq in sym.equations() {
-            b.equation(eq.c0.clone(), eq.coeffs.clone());
-        }
-        for (x, y) in sym.common_loops() {
-            b.common_pair(*x, *y);
-        }
-        b.assumptions(assumptions.clone());
-        b.build()
-    };
+    // unit's assumptions installed, leased from the worker's recycled pool.
+    let mut sym = DECIDE_ARENA.with(|a| a.borrow_mut().lease_clone(problem));
+    sym.set_assumptions(assumptions.clone());
     let concrete = concretize(&sym);
 
     let mut delin = DelinearizationTest::with_budget(budget.clone());
     delin.config.incremental = incremental;
-    delin.config.arena = arena;
     delin.config.solve_store = store.map(Arc::clone);
     let delin = delin;
     let run_delin =
@@ -1180,15 +1133,13 @@ fn decide(
             }
         }
     };
-    if arena {
-        DECIDE_ARENA.with(|a| a.borrow_mut().recycle(sym));
-    }
+    DECIDE_ARENA.with(|a| a.borrow_mut().recycle(sym));
     (verdict, tested_by, attempts)
 }
 
 thread_local! {
-    /// The worker's recycled pool for [`decide`]'s working problems (arena
-    /// path): each decision leases its assumption-installed copy of the
+    /// The worker's recycled pool for [`decide`]'s working problems: each
+    /// decision leases its assumption-installed copy of the
     /// canonical problem here and returns it on exit, so after warmup the
     /// install step reuses the previous decision's buffers.
     static DECIDE_ARENA: RefCell<ProblemArena<SymPoly>> = RefCell::new(ProblemArena::new());

@@ -1,13 +1,12 @@
 //! The persistent verdict-cache tier: a versioned, checksummed,
 //! fingerprint-keyed record file.
 //!
-//! [`save`] serializes every memoized entry of a fingerprint-keyed
-//! [`VerdictCache`] — the 128-bit key, the rendered canonical string key,
-//! the full [`CachedOutcome`] and its [`SubtreeStore`] solver state — and
-//! [`load`] seeds them back into a fresh cache, so a later process starts
-//! warm instead of re-solving the whole corpus. The engine's determinism
-//! contract makes this safe by construction: per-run statistics are
-//! attributed at fold time from key fingerprints, never from live cache
+//! [`save`] serializes every memoized entry of a [`VerdictCache`] — the
+//! 128-bit key, the full [`CachedOutcome`] and its [`SubtreeStore`] solver
+//! state — and [`load`] seeds them back into a fresh cache, so a later
+//! process starts warm instead of re-solving the whole corpus. The engine's
+//! determinism contract makes this safe by construction: per-run statistics
+//! are attributed at fold time from key fingerprints, never from live cache
 //! state, so a warm run reports byte-for-byte what the cold run reported
 //! (the `batch_corpus --verify` warm/cold leg pins exactly that).
 //!
@@ -17,7 +16,7 @@
 //!
 //! ```text
 //! magic    b"DELINVC\x01"                      8 bytes
-//! version  u32 LE                              format revision
+//! version  u32 LE                              format revision (2)
 //! probe    u128 LE                             fingerprint-schema probe
 //! record*  u32 len · u64 checksum · payload    until end of file
 //! ```
@@ -45,7 +44,7 @@
 //!   `tested_by`/`attempts` fields are `&'static str` in the engine;
 //!   records naming unknown tests are rejected rather than leaked.
 
-use crate::cache::{CachedOutcome, KeyMode, VerdictCache};
+use crate::cache::{CachedOutcome, VerdictCache};
 use delin_dep::dirvec::{Dir, DirVec, DistDir, DistDirVec};
 use delin_dep::exact::{SolveOutcome, SubtreeStore};
 use delin_dep::verdict::{DependenceInfo, Verdict};
@@ -58,7 +57,7 @@ use std::sync::Arc;
 const MAGIC: &[u8; 8] = b"DELINVC\x01";
 
 /// Format revision; bump on any layout change.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// The deciding-test / attempt names the engine can produce, used to intern
 /// loaded names back to `&'static str`. Must stay a superset of every name
@@ -208,10 +207,9 @@ fn encode_verdict(b: &mut Vec<u8>, v: &Verdict) {
     }
 }
 
-fn encode_record(fp: u128, key: &str, outcome: &CachedOutcome) -> Vec<u8> {
+fn encode_record(fp: u128, outcome: &CachedOutcome) -> Vec<u8> {
     let mut b = Vec::new();
     push_u128(&mut b, fp);
-    push_bytes(&mut b, key.as_bytes());
     push_bytes(&mut b, outcome.tested_by.as_bytes());
     push_u32(&mut b, outcome.attempts.len() as u32);
     for a in &outcome.attempts {
@@ -360,10 +358,9 @@ fn decode_verdict(r: &mut Reader<'_>) -> Option<Verdict> {
     })
 }
 
-fn decode_record(payload: &[u8]) -> Option<(u128, String, CachedOutcome)> {
+fn decode_record(payload: &[u8]) -> Option<(u128, CachedOutcome)> {
     let mut r = Reader::new(payload);
     let fp = r.u128()?;
-    let key = String::from_utf8(r.blob()?.to_vec()).ok()?;
     let tested_by = intern(r.blob()?)?;
     let n = r.u32()? as usize;
     let mut attempts = Vec::with_capacity(n.min(1024));
@@ -406,7 +403,6 @@ fn decode_record(payload: &[u8]) -> Option<(u128, String, CachedOutcome)> {
     }
     Some((
         fp,
-        key,
         CachedOutcome {
             verdict,
             tested_by,
@@ -425,27 +421,23 @@ fn decode_record(payload: &[u8]) -> Option<(u128, String, CachedOutcome)> {
 
 /// Serializes every memoized entry of `cache` to `path`, atomically (write
 /// to a sibling temporary file, then rename). Returns the number of records
-/// written. A string-keyed cache writes nothing and leaves any existing
-/// file untouched — persistence is fingerprint-only.
+/// written.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors from writing or renaming the file.
 pub fn save(cache: &VerdictCache, path: &Path) -> std::io::Result<usize> {
-    if cache.key_mode() != KeyMode::Fp {
-        return Ok(0);
-    }
     let entries = cache.export_entries();
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     push_u32(&mut out, VERSION);
     push_u128(&mut out, build_probe());
     let mut written = 0usize;
-    for (fp, key, outcome) in &entries {
+    for (fp, outcome) in &entries {
         if outcome.degraded.is_some() {
             continue; // never persist a degraded verdict
         }
-        let payload = encode_record(*fp, key, outcome);
+        let payload = encode_record(*fp, outcome);
         push_u32(&mut out, payload.len() as u32);
         push_u64(&mut out, checksum(&payload));
         out.extend_from_slice(&payload);
@@ -460,13 +452,9 @@ pub fn save(cache: &VerdictCache, path: &Path) -> std::io::Result<usize> {
 /// Seeds `cache` from a file written by [`save`]. Missing files, wrong
 /// magic/version, a fingerprint-schema mismatch, and corrupt or truncated
 /// tails all degrade to a (partial) cold start — the file is never trusted
-/// past the first byte that fails validation. String-keyed caches load
-/// nothing.
+/// past the first byte that fails validation.
 pub fn load(cache: &VerdictCache, path: &Path) -> LoadReport {
     let mut report = LoadReport::default();
-    if cache.key_mode() != KeyMode::Fp {
-        return report;
-    }
     let Ok(bytes) = std::fs::read(path) else {
         return report; // no file yet: plain cold start
     };
@@ -489,8 +477,8 @@ pub fn load(cache: &VerdictCache, path: &Path) -> LoadReport {
             break;
         };
         match decode_record(payload) {
-            Some((fp, key, outcome)) => {
-                if cache.seed_entry(fp, key, outcome) {
+            Some((fp, outcome)) => {
+                if cache.seed_entry(fp, outcome) {
                     report.loaded += 1;
                 } else {
                     report.rejected += 1;
@@ -523,6 +511,21 @@ mod tests {
             assert!(intern(name.as_bytes()).is_some());
         }
         assert_eq!(intern(b"made-up-test"), None);
+    }
+
+    /// A version 1 file (records carrying rendered key strings) is rejected
+    /// wholesale: the cache starts cold instead of misreading its records.
+    #[test]
+    fn version_one_files_start_cold() {
+        let path =
+            std::env::temp_dir().join(format!("delin-persist-v1-{}.bin", std::process::id()));
+        let mut bytes = MAGIC.to_vec();
+        push_u32(&mut bytes, 1);
+        push_u128(&mut bytes, build_probe());
+        std::fs::write(&path, &bytes).unwrap();
+        let report = load(&VerdictCache::shared(), &path);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(report, LoadReport { loaded: 0, rejected: 1 });
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::deps::{
     EngineConfig, TestChoice,
 };
 use delin_dep::budget::BudgetSpec;
-use delin_dep::exact::arena_from_env;
 use delin_frontend::induction::{substitute_inductions, InductionReport};
 use delin_frontend::linearize::{linearize_aliased, LinearizeReport};
 use delin_frontend::parser::{parse_program, ParseError};
@@ -39,20 +38,10 @@ pub struct PipelineConfig {
     pub workers: usize,
     /// Memoize verdicts of canonicalized dependence problems.
     pub cache: bool,
-    /// Verdict-cache key representation (see [`KeyMode`]): structural
-    /// fingerprints by default, rendered strings as the A/B baseline. Pure
-    /// perf knob; the default reads `DELIN_KEYING` (`string` selects the
-    /// baseline).
-    pub keying: KeyMode,
     /// Incremental exact solving (see [`EngineConfig::incremental`]): a
     /// pure perf knob, identical edges and verdicts either way. The
     /// default reads `DELIN_INCREMENTAL` (`0` disables).
     pub incremental: bool,
-    /// Arena miss path (see [`EngineConfig::arena`]): per-worker scratch
-    /// reuse for problems and solver buffers. Pure perf knob, identical
-    /// edges and verdicts either way. The default reads `DELIN_ARENA`
-    /// (`0` disables).
-    pub arena: bool,
     /// Verdict-cache entry capacity (see [`EngineConfig::cache_cap`]);
     /// `0` = unbounded. The default reads `DELIN_CACHE_CAP`. Ignored when
     /// a shared cache is passed in.
@@ -75,9 +64,7 @@ impl Default for PipelineConfig {
             infer_loop_assumptions: true,
             workers: workers_from_env(),
             cache: true,
-            keying: KeyMode::from_env(),
             incremental: incremental_from_env(),
-            arena: arena_from_env(),
             cache_cap: crate::cache::cache_cap_from_env(),
             budget: BudgetSpec::default(),
             chaos: None,
@@ -177,9 +164,9 @@ pub fn run_pipeline_in(
         choice: config.choice,
         workers: config.workers,
         cache: config.cache,
-        keying: config.keying,
+        keying: KeyMode::Fp,
         incremental: config.incremental,
-        arena: config.arena,
+        arena: true,
         cache_cap: config.cache_cap,
         budget: config.budget.clone(),
         chaos: config.chaos.clone(),

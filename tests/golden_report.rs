@@ -162,9 +162,7 @@ fn vector_code_matches_golden() {
         infer_loop_assumptions: true,
         workers: 1,
         cache: true,
-        keying: KeyMode::Fp,
         incremental: true,
-        arena: true,
         cache_cap: 0,
         budget: BudgetSpec::nodes_only(1_000_000),
         chaos: None,

@@ -1,6 +1,6 @@
 //! Allocation regression pin for the verdict-cache hit path.
 //!
-//! The fingerprint keying mode promises that a cache *hit* on a concrete
+//! The fingerprint-keyed cache promises that a *hit* on a concrete
 //! problem performs no heap allocation: the structural fingerprint hashes
 //! borrowed data (an empty symbol projection for concrete problems never
 //! allocates its `Vec`), the shard probe is a read-locked integer-keyed
@@ -11,7 +11,7 @@
 use delinearization::dep::problem::DependenceProblem;
 use delinearization::dep::verdict::Verdict;
 use delinearization::numeric::{Assumptions, SymPoly};
-use delinearization::vic::cache::{CachedOutcome, KeyMode, VerdictCache};
+use delinearization::vic::cache::{CachedOutcome, VerdictCache};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -72,7 +72,7 @@ fn outcome() -> CachedOutcome {
 
 #[test]
 fn fp_mode_concrete_hit_allocates_nothing() {
-    let cache = VerdictCache::new_with(&Assumptions::new(), KeyMode::Fp);
+    let cache = VerdictCache::new(&Assumptions::new());
     let problem = concrete_problem();
     let (_, hit) = cache.get_or_compute(&problem, |_| outcome());
     assert!(!hit, "first lookup must miss");
