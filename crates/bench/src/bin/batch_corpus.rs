@@ -293,13 +293,30 @@ fn finish(cancel: &CancelToken) -> ! {
     std::process::exit(0);
 }
 
-/// The incremental A/B leg of `--verify`: the same corpus with incremental
-/// solving on and off must produce identical units, edges, and verdicts,
-/// while the incremental run actually reuses subtrees and spends strictly
-/// fewer exact-solver nodes.
+/// A nest whose rows overlap (`A(i + 5*j)` with `i` in `0..=7`), so
+/// delinearization cannot separate them and its direction walk needs the
+/// exact solver. The generated units decide without search, and under
+/// `--chaos` every RiCEPS unit fails, so the incremental A/B leg decides
+/// [`OVERLAPPING_COPIES`] copies of this unit beside the corpus to keep
+/// solver work to compare when injected faults degrade some of them.
+const OVERLAPPING_UNIT: &str =
+    "REAL A(0:99)\nDO 1 j = 0, 3\nDO 1 i = 0, 7\n1   A(i + 5*j) = A(i + 5*j + 2)\nEND\n";
+const OVERLAPPING_COPIES: usize = 8;
+
+/// The incremental A/B leg of `--verify`: the same corpus (plus the
+/// [`OVERLAPPING_UNIT`] copies) with incremental solving on and off must
+/// produce identical units, edges, and verdicts, while the incremental run
+/// actually reuses subtrees and spends strictly fewer exact-solver nodes.
 fn verify_incremental_ab(spec: &RunSpec) -> Result<(), String> {
-    let on = stats(&RunSpec { incremental: true, ..spec.clone() });
-    let off = stats(&RunSpec { incremental: false, ..spec.clone() });
+    let run = |incremental| {
+        let mut units = corpus(spec);
+        units.extend(
+            (0..OVERLAPPING_COPIES)
+                .map(|k| BatchUnit::new(format!("ab/overlapping-{k}"), OVERLAPPING_UNIT)),
+        );
+        BatchRunner::new(RunSpec { incremental, ..spec.clone() }.config()).run(units)
+    };
+    let (on, off) = (run(true), run(false));
     if on.units.len() != off.units.len() {
         return Err(format!("unit counts differ: {} vs {}", on.units.len(), off.units.len()));
     }

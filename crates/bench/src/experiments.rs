@@ -220,7 +220,7 @@ pub fn distance_rows() -> Vec<Vec<String>> {
         "(no distances)".to_string(),
     ]);
     // Delinearization: per-dimension exact distances.
-    let v = DependenceTest::<i128>::test(&DelinearizationTest::default(), &p);
+    let v = DelinearizationTest::default().test_with_distances(&p);
     let (d, dd) = match v.info() {
         Some(info) => (
             info.dir_vecs.iter().map(ToString::to_string).collect::<Vec<_>>().join(" "),

@@ -44,9 +44,11 @@ pub struct DelinConfig {
     /// wants the full separation even when a "dimension" excludes zero.
     pub stop_on_independence: bool,
     /// Memoize per-dimension refinement subtrees in a
-    /// [`delin_dep::exact::SubtreeStore`] so the direction-hierarchy walk
-    /// and the distance extraction share solves. Off reproduces the
-    /// fresh-solve engine node for node; verdicts are identical either way.
+    /// [`delin_dep::exact::SubtreeStore`] so each tighter direction query
+    /// of the hierarchy walk replays the solves of the looser ones it
+    /// refines (and `DelinearizationTest::test_with_distances` replays the
+    /// walk's leaf proofs). Off reproduces the fresh-solve engine node for
+    /// node; verdicts are identical either way.
     pub incremental: bool,
     /// An externally owned [`delin_dep::exact::SubtreeStore`] to refine
     /// through instead of a per-call private one. The verdict cache hands

@@ -6,9 +6,13 @@
 //! per-dimension direction-vector sets are combined with the paper's
 //! `dv ⊓ nv` rule, intersected across equations, and summarized. For
 //! concrete problems the per-dimension equations are solved *exactly*
-//! (they are small — that is the point of delinearization), and constant
-//! distances are extracted per dimension, yielding the sharper
-//! distance-direction vectors the paper advertises over MHL91.
+//! (they are small — that is the point of delinearization).
+//!
+//! [`DependenceTest::test`] returns direction vectors only: no edge,
+//! report or codegen step reads distances. The sharper distance-direction
+//! vectors the paper advertises over MHL91 — constant distances extracted
+//! per dimension — come from the explicit
+//! [`DelinearizationTest::test_with_distances`].
 
 use crate::algorithm::{
     combine_direction_vectors, delinearize, dimension_direction_vectors, dimension_subproblem,
@@ -129,17 +133,34 @@ impl DependenceTest<i128> for DelinearizationTest {
     }
 
     fn test(&self, problem: &DependenceProblem<i128>) -> Verdict {
+        self.decide_concrete(problem, false)
+    }
+}
+
+impl DelinearizationTest {
+    /// [`DependenceTest::test`] on a concrete problem, with a dependent
+    /// verdict enriched by distance-direction vectors (`info.dist_dirs`):
+    /// per-dimension constant distances, combined across dimensions and
+    /// equations with the meet rule. The verdict and its direction vectors
+    /// are those `test` returns. The distance phase spends the same solver
+    /// budget, so a budget that trips only there still drops the `exact`
+    /// flag.
+    pub fn test_with_distances(&self, problem: &DependenceProblem<i128>) -> Verdict {
+        self.decide_concrete(problem, true)
+    }
+
+    fn decide_concrete(&self, problem: &DependenceProblem<i128>, distances: bool) -> Verdict {
         let budget =
             self.config.budget.clone().unwrap_or_else(|| {
                 ResourceBudget::with_node_limit(self.config.dimension_node_limit)
             });
         let solver = ExactSolver::with_budget(budget.clone());
-        // One subtree store spans the whole decision: the hierarchy walk
-        // below and the distance extraction that follows query the same
-        // per-dimension subproblems, so the distance phase's witness solves
-        // replay the walk's leaf proofs instead of re-enumerating. A caller
-        // (the verdict cache) may hand in a longer-lived store instead, so
-        // repeated decisions of one canonical problem share subtrees too.
+        // One subtree store spans the whole decision: the distance
+        // extraction queries the same per-dimension subproblems as the
+        // hierarchy walk, so its witness solves replay the walk's leaf
+        // proofs instead of re-enumerating. A caller (the verdict cache)
+        // may hand in a longer-lived store instead, so repeated decisions
+        // of one canonical problem share subtrees too.
         let owned;
         let store: &SubtreeStore = match &self.config.solve_store {
             Some(shared) if self.config.incremental => shared,
@@ -154,9 +175,10 @@ impl DependenceTest<i128> for DelinearizationTest {
         };
         let oracle = hierarchy::exact_oracle_in(solver.clone(), store);
         let mut verdict = run(self, problem, &oracle, true);
-        // Enrich with distance-direction vectors (concrete problems only).
-        if let Verdict::Dependent { info, .. } = &mut verdict {
-            info.dist_dirs = distance_vectors(self, problem, &solver, store);
+        if distances {
+            if let Verdict::Dependent { info, .. } = &mut verdict {
+                info.dist_dirs = distance_vectors(self, problem, &solver, store);
+            }
         }
         // A budget-degraded run keeps only conservative claims: the
         // surviving direction vectors are a superset of the truth, but an
@@ -268,6 +290,20 @@ mod tests {
         DependenceProblem::single_equation(-5, vec![1, 10, -1, -10], vec![4, 9, 4, 9])
     }
 
+    /// `A(i + 5j) = A(i + 5j + 2)`, `j` in `0..=3`, `i` in `0..=7`: the rows
+    /// overlap, so delinearization cannot separate them and the direction
+    /// walk itself needs the exact solver.
+    fn overlapping() -> DependenceProblem<i128> {
+        let mut b = DependenceProblem::<i128>::builder();
+        let j1 = b.var("j1", 3);
+        let i1 = b.var("i1", 7);
+        let j2 = b.var("j2", 3);
+        let i2 = b.var("i2", 7);
+        b.common_pair(j1, j2).common_pair(i1, i2);
+        b.equation(-2, vec![5, 1, -5, -1]);
+        b.build()
+    }
+
     #[test]
     fn headline_comparison() {
         // The motivating example: delinearization proves independence where
@@ -291,13 +327,21 @@ mod tests {
         b.common_pair(i1, i2).common_pair(j1, j2);
         b.equation(-3, vec![1, 10, -1, -10]);
         let p = b.build();
-        let v = DelinearizationTest::default().test(&p);
-        let Verdict::Dependent { exact, info } = v else {
+        let t = DelinearizationTest::default();
+        let v = t.test_with_distances(&p);
+        let Verdict::Dependent { exact, info } = &v else {
             panic!("expected dependent");
         };
         assert!(exact);
         assert_eq!(info.dir_vecs, vec![DirVec(vec![Dir::Gt, Dir::Eq])]);
         assert_eq!(info.dist_dirs, vec![DistDirVec(vec![DistDir::Dist(-3), DistDir::Dist(0)])]);
+        // The engine entry point decides the same verdict and directions,
+        // without distances.
+        let Verdict::Dependent { exact: plain_exact, info: plain } = t.test(&p) else {
+            panic!("expected dependent");
+        };
+        assert_eq!((plain_exact, &plain.dir_vecs), (*exact, &info.dir_vecs));
+        assert!(plain.dist_dirs.is_empty());
     }
 
     #[test]
@@ -314,7 +358,7 @@ mod tests {
         // 10 i1 + 20 + j1 - 10 i2 - j2 = 0.
         b.equation(20, vec![10, 1, -10, -1]);
         let p = b.build();
-        let v = DelinearizationTest::default().test(&p);
+        let v = DelinearizationTest::default().test_with_distances(&p);
         let info = v.info().expect("dependent");
         assert_eq!(info.dist_dirs, vec![DistDirVec(vec![DistDir::Dist(2), DistDir::Dist(0)])]);
     }
@@ -453,29 +497,7 @@ mod tests {
         let fresh = DelinearizationTest {
             config: DelinConfig { incremental: false, ..DelinConfig::default() },
         };
-        let problems = vec![
-            motivating(),
-            {
-                let mut b = DependenceProblem::<i128>::builder();
-                let i1 = b.var("i1", 4);
-                let j1 = b.var("j1", 9);
-                let i2 = b.var("i2", 4);
-                let j2 = b.var("j2", 9);
-                b.common_pair(i1, i2).common_pair(j1, j2);
-                b.equation(-3, vec![1, 10, -1, -10]);
-                b.build()
-            },
-            {
-                let mut b = DependenceProblem::<i128>::builder();
-                let i1 = b.var("i1", 7);
-                let j1 = b.var("j1", 9);
-                let i2 = b.var("i2", 7);
-                let j2 = b.var("j2", 9);
-                b.common_pair(i1, i2).common_pair(j1, j2);
-                b.equation(20, vec![10, 1, -10, -1]);
-                b.build()
-            },
-        ];
+        let problems = vec![motivating(), overlapping()];
         for p in &problems {
             reset_thread_nodes();
             reset_thread_refine();

@@ -320,10 +320,10 @@ pub struct SolveTree {
 /// fingerprint of the base problem (see [`problem_fp`]) — refinement
 /// queries are hot enough that rendering a `String` key per query was a
 /// measurable share of their cost. One store is threaded through a whole
-/// unit of refinement work
-/// (a direction-hierarchy walk plus the distance extraction that follows
-/// it), so sibling queries — and, via the verdict cache, repeat decisions
-/// of the same canonical problem — share subtrees instead of re-solving.
+/// unit of refinement work (a direction-hierarchy walk, plus the distance
+/// extraction that follows it when distances are asked for), so sibling
+/// queries — and, via the verdict cache, repeat decisions of the same
+/// canonical problem — share subtrees instead of re-solving.
 ///
 /// A disabled store (see [`SubtreeStore::disabled`]) still counts
 /// refinement queries but answers every one with a fresh solve; it exists

@@ -709,6 +709,52 @@ impl SymPoly {
         Ok(p)
     }
 
+    /// The coefficients by degree, lowest first, when the polynomial has at
+    /// most one symbol and degree below [`SHIFT_BUF_LEN`]; `None` otherwise.
+    fn univariate(&self) -> Option<Univariate<'_>> {
+        let mut u = Univariate { sym: None, coeffs: [0; SHIFT_BUF_LEN] };
+        for (m, c) in self.terms.as_slice() {
+            let mut factors = m.iter();
+            let degree = match (factors.next(), factors.next()) {
+                (None, _) => 0,
+                (Some((s, e)), None) if u.sym.is_none_or(|t| t == s) => {
+                    u.sym = Some(s);
+                    e as usize
+                }
+                _ => return None,
+            };
+            *u.coeffs.get_mut(degree)? = *c;
+        }
+        Some(u)
+    }
+
+    /// The sign summary of the (optionally negated) polynomial after the
+    /// lower-bound shift: whether some coefficient is positive, whether
+    /// some is negative, and the constant term. `None` when the negation or
+    /// the shift overflows. A polynomial in one symbol is shifted in a
+    /// fixed buffer; any other goes through [`SymPoly::shift_by_assumptions`].
+    fn shifted_signs(&self, a: &Assumptions, negate: bool) -> Option<ShiftedSigns> {
+        if let Some(mut u) = self.univariate() {
+            if negate {
+                for c in &mut u.coeffs {
+                    *c = c.checked_neg()?;
+                }
+            }
+            let lb = u.sym.map_or(0, |s| a.lower_bound(s));
+            let c = shift_coeffs(&u.coeffs, lb).ok()?;
+            return Some(ShiftedSigns::of(c[0], c.iter().copied()));
+        }
+        let negated;
+        let p = if negate {
+            negated = self.checked_neg().ok()?;
+            &negated
+        } else {
+            self
+        };
+        let shifted = p.shift_by_assumptions(a).ok()?;
+        Some(ShiftedSigns::of(shifted.coeff_of(&Monomial::unit()), shifted.iter().map(|(_, c)| c)))
+    }
+
     /// Is the value `≥ 0` for every admissible symbol assignment?
     ///
     /// Decision procedure: shift symbols to `[0, ∞)`; if every coefficient
@@ -716,47 +762,17 @@ impl SymPoly {
     /// coefficient is `≤ 0` and the polynomial is nonzero the answer is
     /// *false*; otherwise *unknown*. Sound but (deliberately) incomplete.
     pub fn is_nonneg(&self, a: &Assumptions) -> Trilean {
-        match self.shift_by_assumptions(a) {
-            Ok(p) => {
-                if p.is_zero() {
-                    return Trilean::True;
-                }
-                if p.terms.as_slice().iter().all(|(_, c)| *c >= 0) {
-                    Trilean::True
-                } else if p.terms.as_slice().iter().all(|(_, c)| *c <= 0) {
-                    // Strictly negative somewhere only if some admissible
-                    // assignment makes it nonzero; the all-zero assignment
-                    // gives exactly the constant term.
-                    if p.coeff_of(&Monomial::unit()) < 0 {
-                        Trilean::False
-                    } else {
-                        Trilean::Unknown
-                    }
-                } else {
-                    Trilean::Unknown
-                }
-            }
-            Err(_) => Trilean::Unknown,
+        match self.shifted_signs(a, false) {
+            Some(s) => s.nonneg(),
+            None => Trilean::Unknown,
         }
     }
 
     /// Is the value `> 0` for every admissible symbol assignment?
     pub fn is_pos(&self, a: &Assumptions) -> Trilean {
-        match self.shift_by_assumptions(a) {
-            Ok(p) => {
-                if p.is_zero() {
-                    return Trilean::False;
-                }
-                let c0 = p.coeff_of(&Monomial::unit());
-                if p.terms.as_slice().iter().all(|(_, c)| *c >= 0) && c0 > 0 {
-                    Trilean::True
-                } else if p.terms.as_slice().iter().all(|(_, c)| *c <= 0) {
-                    Trilean::False
-                } else {
-                    Trilean::Unknown
-                }
-            }
-            Err(_) => Trilean::Unknown,
+        match self.shifted_signs(a, false) {
+            Some(s) => s.pos(),
+            None => Trilean::Unknown,
         }
     }
 
@@ -765,14 +781,106 @@ impl SymPoly {
         if self.is_zero() {
             return Some(Sign::Zero);
         }
-        if self.is_pos(a).is_true() {
+        let pos = |negate| self.shifted_signs(a, negate).is_some_and(|s| s.pos().is_true());
+        if pos(false) {
             return Some(Sign::Positive);
         }
-        let neg = self.checked_neg().ok()?;
-        if neg.is_pos(a).is_true() {
+        if pos(true) {
             return Some(Sign::Negative);
         }
         None
+    }
+}
+
+/// Coefficient slots of the single-symbol shift buffer: polynomials in one
+/// symbol of degree below this are shifted without building a polynomial.
+/// Symbolic strides are `N`, `N²` or `N³`, so the buffer covers them all.
+const SHIFT_BUF_LEN: usize = 8;
+
+/// A polynomial in at most one symbol: `coeffs[k]` multiplies `sym^k`.
+struct Univariate<'a> {
+    sym: Option<&'a Sym>,
+    coeffs: [i128; SHIFT_BUF_LEN],
+}
+
+/// `Σ coeffs[k]·(lb + s)^k` expanded, by the same checked multiplications
+/// and additions in the same order as [`SymPoly::substitute`] performs
+/// them, so exactly the same inputs overflow: each term's factor is
+/// multiplied by `lb + s` once per power, a factor's terms ascending
+/// (`lb·f` onto its own degree, then `f` onto the next), and the factors
+/// are summed into the result in ascending degree. `lb = 0` is the
+/// identity, as [`SymPoly::shift_by_assumptions`] skips the substitution.
+fn shift_coeffs(
+    coeffs: &[i128; SHIFT_BUF_LEN],
+    lb: i128,
+) -> Result<[i128; SHIFT_BUF_LEN], NumericError> {
+    if lb == 0 {
+        return Ok(*coeffs);
+    }
+    let mut out = [0i128; SHIFT_BUF_LEN];
+    for (k, &c) in coeffs.iter().enumerate() {
+        if c == 0 {
+            continue;
+        }
+        let mut factor = [0i128; SHIFT_BUF_LEN];
+        factor[0] = c;
+        for j in 0..k {
+            let mut next = [0i128; SHIFT_BUF_LEN];
+            for i in 0..=j {
+                if factor[i] != 0 {
+                    next[i] = int::add(next[i], int::mul(factor[i], lb)?)?;
+                    next[i + 1] = factor[i];
+                }
+            }
+            factor = next;
+        }
+        for (o, f) in out.iter_mut().zip(&factor[..=k]) {
+            *o = int::add(*o, *f)?;
+        }
+    }
+    Ok(out)
+}
+
+/// What the sign procedure reads off a shifted polynomial's coefficients.
+struct ShiftedSigns {
+    any_pos: bool,
+    any_neg: bool,
+    constant: i128,
+}
+
+impl ShiftedSigns {
+    /// Summarizes every coefficient (zeros change nothing) and the
+    /// constant term.
+    fn of(constant: i128, coeffs: impl Iterator<Item = i128>) -> ShiftedSigns {
+        let mut s = ShiftedSigns { any_pos: false, any_neg: false, constant };
+        for c in coeffs {
+            s.any_pos |= c > 0;
+            s.any_neg |= c < 0;
+        }
+        s
+    }
+
+    fn nonneg(&self) -> Trilean {
+        if !self.any_neg {
+            Trilean::True
+        } else if !self.any_pos && self.constant < 0 {
+            // Strictly negative somewhere only if some admissible
+            // assignment makes it nonzero; the all-zero assignment gives
+            // exactly the constant term.
+            Trilean::False
+        } else {
+            Trilean::Unknown
+        }
+    }
+
+    fn pos(&self) -> Trilean {
+        if !self.any_neg && self.constant > 0 {
+            Trilean::True
+        } else if !self.any_pos {
+            Trilean::False
+        } else {
+            Trilean::Unknown
+        }
     }
 }
 
@@ -1144,7 +1252,172 @@ mod tests {
         })
     }
 
+    /// `Σ coeffs[k]·N^k`.
+    fn poly_in_n(coeffs: &[i128]) -> SymPoly {
+        let mut p = SymPoly::zero();
+        let mut m = Monomial::unit();
+        for &c in coeffs {
+            p = p.checked_add(&SymPoly::term(c, m.clone())).unwrap();
+            m = m.mul(&Monomial::symbol("N"));
+        }
+        p
+    }
+
+    /// The sign procedure as it stood before the single-symbol buffer:
+    /// every query expands `shift_by_assumptions`. The differential tests
+    /// below hold the buffer path to it.
+    fn reference_is_nonneg(p: &SymPoly, a: &Assumptions) -> Trilean {
+        match p.shift_by_assumptions(a) {
+            Ok(p) => {
+                if p.is_zero() || p.iter().all(|(_, c)| c >= 0) {
+                    Trilean::True
+                } else if p.iter().all(|(_, c)| c <= 0) && p.coeff_of(&Monomial::unit()) < 0 {
+                    Trilean::False
+                } else {
+                    Trilean::Unknown
+                }
+            }
+            Err(_) => Trilean::Unknown,
+        }
+    }
+
+    fn reference_is_pos(p: &SymPoly, a: &Assumptions) -> Trilean {
+        match p.shift_by_assumptions(a) {
+            Ok(p) => {
+                if p.is_zero() {
+                    return Trilean::False;
+                }
+                if p.iter().all(|(_, c)| c >= 0) && p.coeff_of(&Monomial::unit()) > 0 {
+                    Trilean::True
+                } else if p.iter().all(|(_, c)| c <= 0) {
+                    Trilean::False
+                } else {
+                    Trilean::Unknown
+                }
+            }
+            Err(_) => Trilean::Unknown,
+        }
+    }
+
+    fn reference_sign(p: &SymPoly, a: &Assumptions) -> Option<Sign> {
+        if p.is_zero() {
+            return Some(Sign::Zero);
+        }
+        if reference_is_pos(p, a).is_true() {
+            return Some(Sign::Positive);
+        }
+        let neg = p.checked_neg().ok()?;
+        reference_is_pos(&neg, a).is_true().then_some(Sign::Negative)
+    }
+
+    /// Coefficients for the differential tests: small values, zeros, and
+    /// values at and near both ends of `i128`, where the shift overflows.
+    fn arb_wide_coeff() -> impl Strategy<Value = i128> {
+        (0u8..8, -40i128..40).prop_map(|(kind, x)| match kind {
+            0 => i128::MAX - x.abs(),
+            1 => i128::MIN + x.abs(),
+            2 => (1i128 << 100) + x,
+            3 => -(1i128 << 60) + x,
+            4 => 0,
+            _ => x,
+        })
+    }
+
+    /// Lower bounds in −20..20 and near overflow.
+    fn arb_lower_bound() -> impl Strategy<Value = i128> {
+        (0u8..6, -20i128..20).prop_map(|(kind, x)| match kind {
+            0 => i128::MAX - x.abs(),
+            1 => i128::MIN + x.abs(),
+            2 => (1i128 << 40) + x,
+            3 => -(1i128 << 25) + x,
+            _ => x,
+        })
+    }
+
+    /// Assumptions bounding `N` below by `lb`, explicitly or as the default.
+    fn bound_n(lb: i128, explicit: bool) -> Assumptions {
+        if explicit {
+            let mut a = Assumptions::new();
+            a.set_lower_bound("N", lb);
+            a
+        } else {
+            Assumptions::with_default_lower_bound(lb)
+        }
+    }
+
+    #[test]
+    fn univariate_covers_one_symbol_up_to_the_buffer() {
+        assert!(SymPoly::zero().univariate().is_some());
+        assert!(c(7).univariate().is_some());
+        let full = poly_in_n(&[1; SHIFT_BUF_LEN]);
+        assert_eq!(full.univariate().map(|u| u.coeffs), Some([1; SHIFT_BUF_LEN]));
+        assert!(poly_in_n(&[1; SHIFT_BUF_LEN + 1]).univariate().is_none(), "degree past buffer");
+        assert!((&n() + &m()).univariate().is_none(), "two symbols");
+        // The paper's KK*JJ: one monomial, two symbols — the general path.
+        let kk_jj = SymPoly::symbol("KK") * SymPoly::symbol("JJ");
+        assert!(kk_jj.univariate().is_none());
+        let mut a = Assumptions::new();
+        a.set_lower_bound("KK", 1).set_lower_bound("JJ", 1);
+        assert_eq!(kk_jj.sign(&a), Some(Sign::Positive));
+        assert_eq!((&kk_jj - &c(1)).is_nonneg(&a), Trilean::True);
+        assert_eq!((&kk_jj - &c(1)).is_pos(&a), Trilean::Unknown);
+    }
+
     proptest! {
+        /// The single-symbol buffer agrees with `shift_by_assumptions`
+        /// exactly: same overflow, same coefficients, same answers.
+        #[test]
+        fn buffer_shift_matches_substitution(
+            coeffs in prop::collection::vec(arb_wide_coeff(), 0..=SHIFT_BUF_LEN),
+            lb in arb_lower_bound(),
+            explicit in 0u8..2,
+        ) {
+            let p = poly_in_n(&coeffs);
+            let a = bound_n(lb, explicit == 1);
+            let u = p.univariate().expect("one symbol, within the buffer");
+            match (shift_coeffs(&u.coeffs, lb), p.shift_by_assumptions(&a)) {
+                (Ok(buf), Ok(q)) => prop_assert_eq!(q, poly_in_n(&buf)),
+                (Err(_), Err(_)) => {}
+                (buf, q) => prop_assert!(false, "overflow differs: {:?} vs {:?}", buf, q),
+            }
+            prop_assert_eq!(p.is_nonneg(&a), reference_is_nonneg(&p, &a));
+            prop_assert_eq!(p.is_pos(&a), reference_is_pos(&p, &a));
+            prop_assert_eq!(p.sign(&a), reference_sign(&p, &a));
+        }
+
+        /// Schwartz–Zippel check of the shift: the buffer's coefficients
+        /// evaluated at random points `s` equal the original polynomial
+        /// evaluated at `lb + s`.
+        #[test]
+        fn buffer_shift_evaluates_like_the_original(
+            coeffs in prop::collection::vec(-1000i128..1000, 0..=SHIFT_BUF_LEN),
+            lb in -20i128..20,
+            points in prop::collection::vec(-30i128..30, 8..9),
+        ) {
+            let p = poly_in_n(&coeffs);
+            let u = p.univariate().expect("one symbol, within the buffer");
+            let shifted = shift_coeffs(&u.coeffs, lb).unwrap();
+            for s in points {
+                let horner = shifted.iter().rev().fold(0i128, |acc, &c| acc * s + c);
+                let mut at = BTreeMap::new();
+                at.insert(Sym::new("N"), lb + s);
+                prop_assert_eq!(horner, p.eval(&at).unwrap());
+            }
+        }
+
+        /// Polynomials in two symbols take the general path, and mixed
+        /// lower bounds exercise both shifts: the answers still equal the
+        /// pre-change procedure's.
+        #[test]
+        fn sign_answers_match_reference(a in arb_poly(), lbn in -5i128..5, lbm in -5i128..5) {
+            let mut assume = Assumptions::new();
+            assume.set_lower_bound("N", lbn);
+            assume.set_lower_bound("M", lbm);
+            prop_assert_eq!(a.is_nonneg(&assume), reference_is_nonneg(&a, &assume));
+            prop_assert_eq!(a.is_pos(&assume), reference_is_pos(&a, &assume));
+            prop_assert_eq!(a.sign(&assume), reference_sign(&a, &assume));
+        }
+
         #[test]
         fn ring_axioms(a in arb_poly(), b in arb_poly(), d in arb_poly()) {
             prop_assert_eq!(a.checked_add(&b).unwrap(), b.checked_add(&a).unwrap());

@@ -915,6 +915,19 @@ mod tests {
         )
     }
 
+    /// The classic unit's independent statement beside a nest whose rows
+    /// overlap (`A(i + 5*j)`, `i` in `0..=7`), so delinearization cannot
+    /// separate them and the direction walk needs the exact solver: a
+    /// starved node budget degrades that pair.
+    fn starvable_unit(name: &str) -> BatchUnit {
+        BatchUnit::new(
+            name,
+            "REAL C(0:399), A(0:99)\nDO 1 i = 0, 4\nDO 1 j = 0, 9\n\
+             1   C(i + 10*j) = C(i + 10*j + 5)\nDO 2 j = 0, 3\nDO 2 i = 0, 7\n\
+             2   A(i + 5*j) = A(i + 5*j + 2)\nEND\n",
+        )
+    }
+
     fn units() -> Vec<BatchUnit> {
         vec![
             unit("u0-classic", 10, 5),
@@ -1027,9 +1040,9 @@ mod tests {
         }
     }
 
-    /// A zero-node budget degrades the classic unit's delinearization
-    /// proof; the report row and corpus line must say so, and the verdicts
-    /// must stay conservative (no independence claimed by delinearization).
+    /// A zero-node budget degrades the overlapping nest's direction walk;
+    /// the report row and corpus line must say so, and the verdicts must
+    /// stay conservative (no independence claimed by delinearization).
     #[test]
     fn budget_degradation_is_reported_per_unit() {
         let config = BatchConfig {
@@ -1038,7 +1051,7 @@ mod tests {
             retry: RetryPolicy { max_retries: 0, escalation: 4 },
             ..BatchConfig::default()
         };
-        let stats = BatchRunner::new(config).run(vec![unit("u0-classic", 10, 5)]);
+        let stats = BatchRunner::new(config).run(vec![starvable_unit("u0-starvable")]);
         let report = &stats.units[0];
         assert_eq!(report.outcome, UnitOutcome::Analyzed);
         assert!(report.stats.degraded_pairs > 0, "{:?}", report.stats);
@@ -1079,8 +1092,8 @@ mod tests {
     }
 
     /// An escalated retry turns a first-attempt degradation into a clean
-    /// report: node budget 1 is too small for the classic unit, 4× retries
-    /// reach... still too small, but a large escalation factor succeeds.
+    /// report: node budget 1 is too small for the overlapping nest, but a
+    /// large escalation factor succeeds.
     #[test]
     fn degraded_attempts_retry_with_escalated_budget() {
         let config = BatchConfig {
@@ -1089,7 +1102,7 @@ mod tests {
             retry: RetryPolicy { max_retries: 1, escalation: 1_000_000 },
             ..BatchConfig::default()
         };
-        let stats = BatchRunner::new(config).run(vec![unit("u0-classic", 10, 5)]);
+        let stats = BatchRunner::new(config).run(vec![starvable_unit("u0-starvable")]);
         let report = &stats.units[0];
         assert_eq!(report.outcome, UnitOutcome::Analyzed);
         assert_eq!(report.stats.degraded_pairs, 0, "{:?}", report.stats);
@@ -1101,7 +1114,7 @@ mod tests {
             retry: RetryPolicy { max_retries: 0, escalation: 1 },
             ..BatchConfig::default()
         })
-        .run(vec![unit("u0-classic", 10, 5)]);
+        .run(vec![starvable_unit("u0-starvable")]);
         assert!(stuck.units[0].stats.degraded_pairs > 0);
     }
 

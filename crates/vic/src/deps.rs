@@ -1415,29 +1415,38 @@ mod tests {
         assert!(g.edges.iter().all(|e| e.level.is_none()), "{:?}", g.edges);
     }
 
-    /// A zero-node budget starves the exact solver, so the motivating
-    /// example's delinearization proof is out of reach — the pair must
-    /// degrade to a conservative answer (counted per tripped axis), never
-    /// to a bogus independence claim. The repeated statement on `D` puts a
-    /// second member in every class: a degraded representative's outcome
-    /// is never shared, so each member is tested, and counted, on its own.
+    /// `A(i + 5*j)` with `i` in `0..=7`: the rows overlap, so
+    /// delinearization cannot separate them and the direction walk itself
+    /// needs the exact solver — a starved budget degrades it, and the
+    /// subtree store saves nodes on it.
+    const OVERLAPPING: &str = "
+            REAL A(0:99)
+            DO 1 j = 0, 3
+            DO 1 i = 0, 7
+        1   A(i + 5*j) = A(i + 5*j + 2)
+            END
+        ";
+
+    /// [`OVERLAPPING`] with a second array whose pairs repeat `A`'s shapes.
+    const OVERLAPPING_TWICE: &str = "
+            REAL A(0:99), B(0:99)
+            DO 1 j = 0, 3
+            DO 1 i = 0, 7
+              A(i + 5*j) = A(i + 5*j + 2)
+        1   B(i + 5*j) = B(i + 5*j + 2)
+            END
+        ";
+
+    /// A zero-node budget starves the exact solver, so the direction walk
+    /// over overlapping rows is out of reach — the pair must degrade to a
+    /// conservative answer (counted per tripped axis), never to a bogus
+    /// independence claim. The repeated statement on `B` puts a second
+    /// member in every class: a degraded representative's outcome is never
+    /// shared, so each member is tested, and counted, on its own.
     #[test]
     fn zero_node_budget_degrades_but_stays_sound() {
-        let single = "
-            REAL C(0:99)
-            DO 1 i = 0, 4
-            DO 1 j = 0, 9
-        1   C(i + 10*j) = C(i + 10*j + 5)
-            END
-        ";
-        let repeated = "
-            REAL C(0:99), D(0:99)
-            DO 1 i = 0, 4
-            DO 1 j = 0, 9
-              C(i + 10*j) = C(i + 10*j + 5)
-        1   D(i + 10*j) = D(i + 10*j + 5)
-            END
-        ";
+        let single = OVERLAPPING;
+        let repeated = OVERLAPPING_TWICE;
         let run = |src: &str, workers: usize| {
             let config = EngineConfig {
                 workers,
@@ -1510,25 +1519,8 @@ mod tests {
         // B's pairs canonicalize to exactly A's problems (variable names
         // and array names are dropped), so the second statement's pairs are
         // pure verdict-cache hits.
-        let doubled = parse_program(
-            "
-            REAL A(0:9), B(0:9)
-            DO 1 i = 0, 8
-              A(i + 1) = A(i)
-        1   B(i + 1) = B(i)
-            END
-        ",
-        )
-        .unwrap();
-        let single = parse_program(
-            "
-            REAL A(0:9)
-            DO 1 i = 0, 8
-        1   A(i + 1) = A(i)
-            END
-        ",
-        )
-        .unwrap();
+        let doubled = parse_program(OVERLAPPING_TWICE).unwrap();
+        let single = parse_program(OVERLAPPING).unwrap();
         let config = EngineConfig { workers: 1, incremental: true, ..EngineConfig::default() };
         let g2 = build_dependence_graph_with(&doubled, &Assumptions::new(), &config);
         let g1 = build_dependence_graph_with(&single, &Assumptions::new(), &config);
@@ -1552,16 +1544,7 @@ mod tests {
     /// verdicts, strictly fewer solver nodes when refinements reuse.
     #[test]
     fn incremental_toggle_preserves_graphs_and_saves_nodes() {
-        let p = parse_program(
-            "
-            REAL C(0:99)
-            DO 1 i = 0, 4
-            DO 1 j = 0, 9
-        1   C(i + 10*j) = C(i + 10*j + 1)
-            END
-        ",
-        )
-        .unwrap();
+        let p = parse_program(OVERLAPPING).unwrap();
         let run = |incremental: bool| {
             let config = EngineConfig { workers: 1, incremental, ..EngineConfig::default() };
             build_dependence_graph_with(&p, &Assumptions::new(), &config)
@@ -1623,19 +1606,8 @@ mod tests {
     /// is charged as its own reference — exactly as if each were decided.
     #[test]
     fn uncached_members_are_charged_as_their_own_references() {
-        let single = "
-            REAL A(0:9)
-            DO 1 i = 0, 8
-        1   A(i + 1) = A(i)
-            END
-        ";
-        let repeated = "
-            REAL A(0:9), B(0:9)
-            DO 1 i = 0, 8
-              A(i + 1) = A(i)
-        1   B(i + 1) = B(i)
-            END
-        ";
+        let single = OVERLAPPING;
+        let repeated = OVERLAPPING_TWICE;
         let run = |src: &str| {
             let config = EngineConfig { workers: 1, cache: false, ..EngineConfig::default() };
             build_dependence_graph_with(&parse_program(src).unwrap(), &Assumptions::new(), &config)

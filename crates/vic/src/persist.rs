@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! magic    b"DELINVC\x01"                      8 bytes
-//! version  u32 LE                              format revision (2)
+//! version  u32 LE                              format revision (3)
 //! probe    u128 LE                             fingerprint-schema probe
 //! record*  u32 len · u64 checksum · payload    until end of file
 //! ```
@@ -45,7 +45,7 @@
 //!   records naming unknown tests are rejected rather than leaked.
 
 use crate::cache::{CachedOutcome, VerdictCache};
-use delin_dep::dirvec::{Dir, DirVec, DistDir, DistDirVec};
+use delin_dep::dirvec::{Dir, DirVec};
 use delin_dep::exact::{SolveOutcome, SubtreeStore};
 use delin_dep::verdict::{DependenceInfo, Verdict};
 use delin_numeric::fp128::Fp128;
@@ -56,8 +56,10 @@ use std::sync::Arc;
 /// File magic: "DELINVC" plus a format byte.
 const MAGIC: &[u8; 8] = b"DELINVC\x01";
 
-/// Format revision; bump on any layout change.
-pub const VERSION: u32 = 2;
+/// Format revision; bump on any layout change. Version 3 dropped the
+/// distance-direction vectors from dependent verdicts (engine decisions
+/// no longer compute them); version 2 dropped the rendered key strings.
+pub const VERSION: u32 = 3;
 
 /// The deciding-test / attempt names the engine can produce, used to intern
 /// loaded names back to `&'static str`. Must stay a superset of every name
@@ -178,22 +180,6 @@ fn encode_verdict(b: &mut Vec<u8>, v: &Verdict) {
             push_u32(b, info.dir_vecs.len() as u32);
             for dv in &info.dir_vecs {
                 encode_dirs(b, &dv.0);
-            }
-            push_u32(b, info.dist_dirs.len() as u32);
-            for ddv in &info.dist_dirs {
-                push_u32(b, ddv.0.len() as u32);
-                for dd in &ddv.0 {
-                    match dd {
-                        DistDir::Dist(d) => {
-                            b.push(0);
-                            push_i128(b, *d);
-                        }
-                        DistDir::Dir(d) => {
-                            b.push(1);
-                            b.push(dir_code(*d));
-                        }
-                    }
-                }
             }
             match &info.witness {
                 None => b.push(0),
@@ -332,26 +318,15 @@ fn decode_verdict(r: &mut Reader<'_>) -> Option<Verdict> {
             for _ in 0..n {
                 dir_vecs.push(DirVec(decode_dirs(r)?));
             }
-            let n = r.u32()? as usize;
-            let mut dist_dirs = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let m = r.u32()? as usize;
-                let mut ddv = Vec::with_capacity(m.min(1024));
-                for _ in 0..m {
-                    ddv.push(match r.u8()? {
-                        0 => DistDir::Dist(r.i128()?),
-                        1 => DistDir::Dir(dir_from_code(r.u8()?)?),
-                        _ => return None,
-                    });
-                }
-                dist_dirs.push(DistDirVec(ddv));
-            }
             let witness = match r.u8()? {
                 0 => None,
                 1 => Some(decode_witness(r)?),
                 _ => return None,
             };
-            Verdict::Dependent { exact, info: DependenceInfo { dir_vecs, dist_dirs, witness } }
+            Verdict::Dependent {
+                exact,
+                info: DependenceInfo { dir_vecs, dist_dirs: Vec::new(), witness },
+            }
         }
         2 => Verdict::Unknown,
         _ => return None,
@@ -496,6 +471,7 @@ pub fn load(cache: &VerdictCache, path: &Path) -> LoadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use delin_dep::dirvec::{DistDir, DistDirVec};
 
     #[test]
     fn dir_codec_round_trips() {
@@ -513,19 +489,23 @@ mod tests {
         assert_eq!(intern(b"made-up-test"), None);
     }
 
-    /// A version 1 file (records carrying rendered key strings) is rejected
-    /// wholesale: the cache starts cold instead of misreading its records.
+    /// Version 1 files (records carrying rendered key strings) and
+    /// version 2 files (verdicts carrying distance-direction vectors) are
+    /// rejected wholesale: the cache starts cold instead of misreading
+    /// their records.
     #[test]
     fn version_one_files_start_cold() {
-        let path =
-            std::env::temp_dir().join(format!("delin-persist-v1-{}.bin", std::process::id()));
-        let mut bytes = MAGIC.to_vec();
-        push_u32(&mut bytes, 1);
-        push_u128(&mut bytes, build_probe());
-        std::fs::write(&path, &bytes).unwrap();
-        let report = load(&VerdictCache::shared(), &path);
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(report, LoadReport { loaded: 0, rejected: 1 });
+        for version in [1, 2] {
+            let path = std::env::temp_dir()
+                .join(format!("delin-persist-v{version}-{}.bin", std::process::id()));
+            let mut bytes = MAGIC.to_vec();
+            push_u32(&mut bytes, version);
+            push_u128(&mut bytes, build_probe());
+            std::fs::write(&path, &bytes).unwrap();
+            let report = load(&VerdictCache::shared(), &path);
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(report, LoadReport { loaded: 0, rejected: 1 }, "version {version}");
+        }
     }
 
     #[test]
@@ -537,7 +517,7 @@ mod tests {
                 exact: true,
                 info: DependenceInfo {
                     dir_vecs: vec![DirVec(vec![Dir::Lt, Dir::Any])],
-                    dist_dirs: vec![DistDirVec(vec![DistDir::Dist(-3), DistDir::Dir(Dir::Ge)])],
+                    dist_dirs: Vec::new(),
                     witness: Some(vec![1, -2, i128::MAX]),
                 },
             },
@@ -549,5 +529,16 @@ mod tests {
             assert_eq!(decode_verdict(&mut r).as_ref(), Some(v));
             assert!(r.at_end());
         }
+        // Distances are not part of the record: a verdict carrying them
+        // (only `DelinearizationTest::test_with_distances` computes any)
+        // encodes like the same verdict without.
+        let mut with_distances = verdicts[2].clone();
+        if let Verdict::Dependent { info, .. } = &mut with_distances {
+            info.dist_dirs = vec![DistDirVec(vec![DistDir::Dist(-3), DistDir::Dir(Dir::Ge)])];
+        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        encode_verdict(&mut a, &with_distances);
+        encode_verdict(&mut b, &verdicts[2]);
+        assert_eq!(a, b);
     }
 }

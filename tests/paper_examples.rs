@@ -179,7 +179,7 @@ fn section2_distance_direction() {
     b.equation(0, vec![1, 0, -2, 0]); // i1 = 2 i2
     b.equation(-1, vec![0, 1, 0, -1]); // j1 = j2 + 1
     let p = b.build();
-    let v = DependenceTest::<i128>::test(&DelinearizationTest::default(), &p);
+    let v = DelinearizationTest::default().test_with_distances(&p);
     let info = v.info().expect("dependent");
     // Directions: i1 = 2 i2 allows = (0,0) and > (i2 < i1); j forces >.
     // The paper reads the pair the other way round; the shape to check is
@@ -219,7 +219,7 @@ fn mhl91_distance() {
     b.common_pair(i1, i2).common_pair(j1, j2);
     b.equation(20, vec![10, 1, -10, -1]);
     let p = b.build();
-    let v = DependenceTest::<i128>::test(&DelinearizationTest::default(), &p);
+    let v = DelinearizationTest::default().test_with_distances(&p);
     assert_eq!(
         v.info().unwrap().dist_dirs,
         vec![DistDirVec(vec![DistDir::Dist(2), DistDir::Dist(0)])]

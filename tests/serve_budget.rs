@@ -17,7 +17,7 @@ use std::path::PathBuf;
 mod serve_io;
 use serve_io::{
     analyze_request, analyze_request_with, parse_response, response_type, Session, DELINEARIZED,
-    RECURRENCE,
+    DELINEARIZED_AND_OVERLAPPING, OVERLAPPING, RECURRENCE,
 };
 
 /// Every knob explicit so no environment variable can perturb the
@@ -150,14 +150,14 @@ fn warm_restart_serves_disk_hits_and_starved_sessions_never_poison() {
 fn starved_and_well_budgeted_coexist_in_one_session() {
     let mut session = Session::spawn(config_with(None));
 
-    session.send(&analyze_request_with("s1", DELINEARIZED, "{\"nodes\":0}", ""));
+    session.send(&analyze_request_with("s1", DELINEARIZED_AND_OVERLAPPING, "{\"nodes\":0}", ""));
     let starved_line = session.recv();
     assert!(stat(&starved_line, "degraded") > 0, "{starved_line}");
     assert!(stat(&starved_line, "independent") < stat(&starved_line, "pairs"), "{starved_line}");
 
     // Same problems, real budget: exact — the starved attempt was not
     // memoized, so nothing stale comes back.
-    session.send(&analyze_request("w1", DELINEARIZED));
+    session.send(&analyze_request("w1", DELINEARIZED_AND_OVERLAPPING));
     let exact_line = session.recv();
     assert_eq!(stat(&exact_line, "degraded"), 0, "{exact_line}");
     assert!(stat(&exact_line, "independent") > 0, "{exact_line}");
@@ -165,7 +165,7 @@ fn starved_and_well_budgeted_coexist_in_one_session() {
     // Same id again, still starved: the shared cache now holds exact
     // verdicts, replaying them costs no solver nodes, so even a zero-node
     // client gets the full-fidelity response — byte-identical to w1's.
-    session.send(&analyze_request_with("w1", DELINEARIZED, "{\"nodes\":0}", ""));
+    session.send(&analyze_request_with("w1", DELINEARIZED_AND_OVERLAPPING, "{\"nodes\":0}", ""));
     let cached_line = session.recv();
     assert_eq!(
         cached_line, exact_line,
@@ -207,11 +207,11 @@ fn expired_deadline_degrades_all_pairs() {
 #[test]
 fn degraded_verdicts_are_not_replayed_within_a_session() {
     let mut session = Session::spawn(config_with(None));
-    session.send(&analyze_request_with("s", RECURRENCE, "{\"nodes\":0}", ""));
+    session.send(&analyze_request_with("s", OVERLAPPING, "{\"nodes\":0}", ""));
     let starved_line = session.recv();
     assert!(stat(&starved_line, "degraded") > 0, "{starved_line}");
 
-    session.send(&analyze_request("w", RECURRENCE));
+    session.send(&analyze_request("w", OVERLAPPING));
     let exact_line = session.recv();
     assert_eq!(stat(&exact_line, "degraded"), 0, "{exact_line}");
     assert!(stat(&exact_line, "solver_nodes") > 0, "must re-solve, not replay: {exact_line}");

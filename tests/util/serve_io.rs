@@ -387,6 +387,18 @@ pub fn response_type(line: &str) -> String {
 pub const RECURRENCE: &str = "REAL A(0:99)\nDO 1 i = 1, 50\n1   A(i) = A(i - 1)\nEND\n";
 
 /// The paper's flagship independence case: provable only by
-/// delinearization, so it exercises the solver rather than short-circuits.
+/// delinearization, so it exercises delinearization rather than the
+/// classical battery.
 pub const DELINEARIZED: &str =
     "REAL C(0:399)\nDO 1 i = 0, 4\nDO 1 j = 0, 9\n1   C(i + 10*j) = C(i + 10*j + 5)\nEND\n";
+
+/// Rows that overlap (`A(i + 5*j)` with `i` in `0..=7`): delinearization
+/// cannot separate them, so the direction walk needs the exact solver and
+/// a starved node budget degrades it.
+pub const OVERLAPPING: &str =
+    "REAL A(0:99)\nDO 1 j = 0, 3\nDO 1 i = 0, 7\n1   A(i + 5*j) = A(i + 5*j + 2)\nEND\n";
+
+/// [`DELINEARIZED`]'s independent statement beside [`OVERLAPPING`]'s nest.
+pub const DELINEARIZED_AND_OVERLAPPING: &str =
+    "REAL C(0:399), A(0:99)\nDO 1 i = 0, 4\nDO 1 j = 0, 9\n1   C(i + 10*j) = C(i + 10*j + 5)\n\
+     DO 2 j = 0, 3\nDO 2 i = 0, 7\n2   A(i + 5*j) = A(i + 5*j + 2)\nEND\n";
