@@ -84,11 +84,13 @@ pub fn generated_unit(seed: u64, index: usize) -> BatchUnit {
 /// `count` refinement-heavy units for `seed`.
 ///
 /// Every nest carries a *real* loop-carried dependence: the read trails the
-/// write by a small offset inside the same row, so the exact solver cannot
-/// disprove the pair and must refine the full direction-vector hierarchy
-/// instead. Strides and offsets are drawn from small pools, so a corpus
-/// repeats canonical problems heavily — a hit-dominated, refinement-bound
-/// workload.
+/// write by a small offset inside the same row, so no test can disprove the
+/// pair. The rows do not overlap, so delinearization separates the three
+/// dimensions and reads the direction vector `(=, =, <)` off them without
+/// the exact solver (each `ref/` unit reports `nodes=0`). Strides and
+/// offsets are drawn from small pools, so a corpus repeats canonical
+/// problems heavily — a hit-dominated workload of dependent pairs whose
+/// edges carry direction vectors.
 pub fn refinement_units(count: usize, seed: u64) -> impl Iterator<Item = BatchUnit> {
     (0..count).map(move |index| refinement_unit(seed, index))
 }

@@ -10,6 +10,7 @@
 use crate::affine::{expr_to_affine, normalize_nest, NormalizedLoop, RawLoop, SymAffine};
 use crate::ast::{Assign, Expr, Program, Stmt, StmtId};
 use delin_numeric::Assumptions;
+use std::sync::Arc;
 
 /// Read or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,8 +53,9 @@ impl Subscript {
 pub struct AccessSite {
     /// The enclosing statement.
     pub stmt: StmtId,
-    /// Referenced variable name (uppercased).
-    pub array: String,
+    /// Referenced variable name (uppercased). Shared, so every dependence
+    /// edge on this site copies a pointer rather than the name.
+    pub array: Arc<str>,
     /// Whether this is the statement's store or one of its loads.
     pub kind: AccessKind,
     /// One subscript per dimension (empty for scalars).
@@ -149,7 +151,7 @@ fn sites_of_assign(
                 subs.iter().map(|s| make_subscript(s, &loop_names, normalizer)).collect();
             out.push(AccessSite {
                 stmt: a.id,
-                array: name.clone(),
+                array: name.as_str().into(),
                 kind: AccessKind::Write,
                 subscripts,
                 loops: loops.clone(),
@@ -170,7 +172,7 @@ fn sites_of_assign(
         Expr::Var(name) if !loop_names.contains(name) => {
             out.push(AccessSite {
                 stmt: a.id,
-                array: name.clone(),
+                array: name.as_str().into(),
                 kind: AccessKind::Write,
                 subscripts: Vec::new(),
                 loops: loops.clone(),
@@ -217,7 +219,7 @@ fn collect_refs(
             if !loop_names.contains(name) {
                 out.push(AccessSite {
                     stmt,
-                    array: name.clone(),
+                    array: name.as_str().into(),
                     kind,
                     subscripts: Vec::new(),
                     loops: loops.clone(),
@@ -230,7 +232,7 @@ fn collect_refs(
                     subs.iter().map(|s| make_subscript(s, loop_names, normalizer)).collect();
                 out.push(AccessSite {
                     stmt,
-                    array: name.clone(),
+                    array: name.as_str().into(),
                     kind,
                     subscripts,
                     loops: loops.clone(),
@@ -308,7 +310,7 @@ mod tests {
         assert_eq!(sites.len(), 2);
         let w = &sites[0];
         assert_eq!(w.kind, AccessKind::Write);
-        assert_eq!(w.array, "C");
+        assert_eq!(&*w.array, "C");
         assert_eq!(w.loops.len(), 2);
         assert_eq!(w.loops[0].upper, SymPoly::constant(4));
         assert_eq!(w.loops[1].upper, SymPoly::constant(9));
@@ -350,8 +352,7 @@ mod tests {
         ",
         );
         // Q write, B(i) read, Q read, B write, Q read.
-        let names: Vec<(&str, AccessKind)> =
-            sites.iter().map(|s| (s.array.as_str(), s.kind)).collect();
+        let names: Vec<(&str, AccessKind)> = sites.iter().map(|s| (&*s.array, s.kind)).collect();
         assert!(names.contains(&("Q", AccessKind::Write)));
         assert!(names.contains(&("Q", AccessKind::Read)));
         assert!(names.contains(&("B", AccessKind::Write)));
@@ -369,11 +370,11 @@ mod tests {
             END
         ",
         );
-        let w = sites.iter().find(|s| s.kind == AccessKind::Write && s.array == "A").unwrap();
+        let w = sites.iter().find(|s| s.kind == AccessKind::Write && &*s.array == "A").unwrap();
         assert_eq!(w.subscripts[0], Subscript::Opaque);
         assert!(w.subscripts[1].as_affine().is_some());
         assert!(!w.is_affine());
-        let r = sites.iter().find(|s| s.kind == AccessKind::Read && s.array == "A").unwrap();
+        let r = sites.iter().find(|s| s.kind == AccessKind::Read && &*s.array == "A").unwrap();
         assert_eq!(r.subscripts[0], Subscript::Opaque);
     }
 
@@ -406,8 +407,8 @@ mod tests {
             END
         ",
         );
-        let w = sites.iter().find(|s| s.array == "A" && s.kind == AccessKind::Write).unwrap();
-        let r = sites.iter().find(|s| s.array == "A" && s.kind == AccessKind::Read).unwrap();
+        let w = sites.iter().find(|s| &*s.array == "A" && s.kind == AccessKind::Write).unwrap();
+        let r = sites.iter().find(|s| &*s.array == "A" && s.kind == AccessKind::Read).unwrap();
         // Same variable name, different loops: zero common loops.
         assert_eq!(w.common_loops_with(r), 0);
     }

@@ -70,11 +70,12 @@
 use crate::cache::{cache_cap_from_env, KeyMode, VerdictCache};
 use crate::chaos::{ChaosCtx, ChaosPlan, FaultKind};
 use crate::deps::{
-    incremental_from_env, workers_from_env, DepEdge, DepStats, TestChoice, VerdictStats,
+    incremental_from_env, workers_from_env, DepEdge, DepKind, DepStats, TestChoice, VerdictStats,
 };
 use crate::persist;
 use crate::pipeline::{run_pipeline_in, PipelineConfig};
 use delin_dep::budget::BudgetSpec;
+use delin_dep::dirvec::{Dir, DirVec};
 use delin_numeric::Assumptions;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
@@ -886,19 +887,100 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// A stable fingerprint of an edge list: hashes every structural field in
 /// order, so equal fingerprints mean byte-identical edges in identical
 /// order.
+///
+/// Reports and serve responses pin the value, so the hashed byte stream is
+/// fixed: per edge the statements, the kind's `Debug` name, the array, the
+/// `Debug` text of the direction vectors (each text `0xff`-terminated, as
+/// `str` hashing does), the level and the deciding test. The texts are
+/// written without formatting into a [`ChunkedHasher`].
 pub fn fingerprint_edges(edges: &[DepEdge]) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = ChunkedHasher::new();
     edges.len().hash(&mut h);
     for e in edges {
         e.src.hash(&mut h);
         e.dst.hash(&mut h);
-        format!("{:?}", e.kind).hash(&mut h);
+        kind_name(e.kind).hash(&mut h);
         e.array.hash(&mut h);
-        format!("{:?}", e.dir_vecs).hash(&mut h);
+        push_dir_vecs_debug(&mut h.buf, &e.dir_vecs);
+        h.write_u8(0xff);
         e.level.hash(&mut h);
         e.tested_by.hash(&mut h);
+        h.flush_full();
     }
     h.finish()
+}
+
+/// A [`DefaultHasher`] fed through a buffer: writes append to it, and
+/// [`ChunkedHasher::flush_full`] hands a full chunk to SipHash in one
+/// call. SipHash is a streaming hash, so the result equals writing the
+/// same bytes to a `DefaultHasher` directly.
+struct ChunkedHasher {
+    buf: Vec<u8>,
+    sip: DefaultHasher,
+}
+
+impl ChunkedHasher {
+    /// Bytes buffered before a flush: a chunk stays in L1 cache.
+    const CHUNK: usize = 15 * 1024;
+
+    fn new() -> ChunkedHasher {
+        ChunkedHasher { buf: Vec::with_capacity(Self::CHUNK + 1024), sip: DefaultHasher::new() }
+    }
+
+    fn flush_full(&mut self) {
+        if self.buf.len() >= Self::CHUNK {
+            self.sip.write(&self.buf);
+            self.buf.clear();
+        }
+    }
+}
+
+impl Hasher for ChunkedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut sip = self.sip.clone();
+        sip.write(&self.buf);
+        sip.finish()
+    }
+}
+
+/// `format!("{kind:?}")` without the `String`.
+fn kind_name(kind: DepKind) -> &'static str {
+    match kind {
+        DepKind::True => "True",
+        DepKind::Anti => "Anti",
+        DepKind::Output => "Output",
+    }
+}
+
+/// Appends `format!("{dir_vecs:?}")` to `buf` without formatting.
+fn push_dir_vecs_debug(buf: &mut Vec<u8>, dir_vecs: &[DirVec]) {
+    buf.push(b'[');
+    for (i, dv) in dir_vecs.iter().enumerate() {
+        if i > 0 {
+            buf.extend_from_slice(b", ");
+        }
+        buf.extend_from_slice(b"DirVec([");
+        for (j, dir) in dv.0.iter().enumerate() {
+            if j > 0 {
+                buf.extend_from_slice(b", ");
+            }
+            buf.extend_from_slice(match dir {
+                Dir::Lt => b"Lt",
+                Dir::Eq => b"Eq",
+                Dir::Gt => b"Gt",
+                Dir::Le => b"Le",
+                Dir::Ge => b"Ge",
+                Dir::Ne => b"Ne",
+                Dir::Any => b"Any",
+            });
+        }
+        buf.extend_from_slice(b"])");
+    }
+    buf.push(b']');
 }
 
 #[cfg(test)]
@@ -1159,5 +1241,111 @@ mod tests {
         let stats = BatchRunner::new(BatchConfig { workers: 2, ..BatchConfig::default() }).run(it);
         assert_eq!(stats.units.len(), 6);
         assert_eq!(produced.load(std::sync::atomic::Ordering::SeqCst), 6);
+    }
+
+    /// The fingerprint as first written, with two `format!` calls per
+    /// edge: the reference [`fingerprint_edges`] must agree with.
+    fn fingerprint_edges_formatted(edges: &[DepEdge]) -> u64 {
+        let mut h = DefaultHasher::new();
+        edges.len().hash(&mut h);
+        for e in edges {
+            e.src.hash(&mut h);
+            e.dst.hash(&mut h);
+            format!("{:?}", e.kind).hash(&mut h);
+            e.array.hash(&mut h);
+            format!("{:?}", e.dir_vecs).hash(&mut h);
+            e.level.hash(&mut h);
+            e.tested_by.hash(&mut h);
+        }
+        h.finish()
+    }
+
+    const DIRS: [Dir; 7] = [Dir::Lt, Dir::Eq, Dir::Gt, Dir::Le, Dir::Ge, Dir::Ne, Dir::Any];
+    const KINDS: [DepKind; 3] = [DepKind::True, DepKind::Anti, DepKind::Output];
+
+    /// An edge built from plain indices: `vecs` picks directions from
+    /// [`DIRS`], and `level` 0 is loop-independent.
+    fn edge(src: u32, dst: u32, kind: usize, vecs: &[Vec<usize>], level: usize) -> DepEdge {
+        DepEdge {
+            src: delin_frontend::ast::StmtId(src),
+            dst: delin_frontend::ast::StmtId(dst),
+            kind: KINDS[kind % 3],
+            array: ["A", "W", "XY", "COEF"][(src + dst) as usize % 4].into(),
+            dir_vecs: vecs
+                .iter()
+                .map(|v| DirVec(v.iter().map(|&d| DIRS[d % 7]).collect()))
+                .collect(),
+            level: (level > 0).then_some(level),
+            tested_by: ["delinearization", "gcd", "conservative"][kind % 3],
+        }
+    }
+
+    #[test]
+    fn fingerprint_matches_reference_on_corpus_edges() {
+        use delin_corpus::stream::{dense_units, generated_units, refinement_units, riceps_units};
+        let units =
+            riceps_units(Some(200)).chain(generated_units(24, 7)).chain(refinement_units(12, 7));
+        let mut edges = 0;
+        for unit in units.chain(dense_units(4, 7)) {
+            let config = PipelineConfig {
+                assumptions: unit.assumptions.clone(),
+                workers: 1,
+                ..PipelineConfig::default()
+            };
+            let graph = run_pipeline_in(&unit.source, &config, None).expect("corpus parses").graph;
+            let fp = fingerprint_edges(&graph.edges);
+            assert_eq!(fp, fingerprint_edges_formatted(&graph.edges), "{}", unit.name);
+            edges += graph.edges.len();
+        }
+        assert!(edges > 1000, "the corpora emit {edges} edges");
+    }
+
+    #[test]
+    fn fingerprint_matches_reference_across_chunk_flushes() {
+        // Every direction, kind and level shape, with vector lists from
+        // empty to four vectors of up to seven directions.
+        let edges: Vec<DepEdge> = (0..1000u32)
+            .map(|n| {
+                let n_us = n as usize;
+                let vecs: Vec<Vec<usize>> = (0..n_us % 5)
+                    .map(|k| (0..(n_us + k) % 8).map(|d| n_us + k + d).collect())
+                    .collect();
+                edge(n % 9, n % 5, n_us, &vecs, n_us % 4)
+            })
+            .collect();
+        let text: usize = edges.iter().map(|e| format!("{:?}", e.dir_vecs).len()).sum();
+        assert!(text > 3 * ChunkedHasher::CHUNK, "only {text} bytes of vector text");
+        for len in 0..=edges.len() {
+            let prefix = &edges[..len];
+            assert_eq!(
+                fingerprint_edges(prefix),
+                fingerprint_edges_formatted(prefix),
+                "{len} edges"
+            );
+        }
+    }
+
+    mod fingerprint_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn fingerprint_matches_reference_on_hand_built_lists(
+                parts in prop::collection::vec(
+                    (
+                        (0u32..6, 0u32..6, 0usize..3, 0usize..4),
+                        prop::collection::vec(prop::collection::vec(0usize..7, 0..4), 0..4),
+                    ),
+                    0..24,
+                ),
+            ) {
+                let edges: Vec<DepEdge> = parts
+                    .iter()
+                    .map(|&((src, dst, kind, level), ref vecs)| edge(src, dst, kind, vecs, level))
+                    .collect();
+                prop_assert_eq!(fingerprint_edges(&edges), fingerprint_edges_formatted(&edges));
+            }
+        }
     }
 }

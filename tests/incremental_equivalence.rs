@@ -156,7 +156,7 @@ fn starved_refinements_degrade_conservatively() {
                         .unwrap_or_else(|| {
                             panic!("{label}: starved run dropped dependence {re:?}")
                         });
-                    for rv in &re.dir_vecs {
+                    for rv in re.dir_vecs.iter() {
                         for atom in rv.atomic_decompositions() {
                             assert!(
                                 se.dir_vecs.iter().any(|sv| atom.subsumed_by(sv)),

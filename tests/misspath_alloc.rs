@@ -63,14 +63,23 @@ const FIG3: &str = "
     ";
 
 /// The pinned ceiling for one cold graph build of [`FIG3`] (serial,
-/// caching on, incremental on). Measured at 1011 on x86_64 Linux, rustc
+/// caching on, incremental on). Measured at 981 on x86_64 Linux, rustc
 /// 1.95, with about 30% headroom; headroom absorbs allocator-library
 /// drift, not design regressions — a per-pair allocation leak blows
 /// straight past it.
-const ARENA_COLD_BUDGET: u64 = 1315;
+const ARENA_COLD_BUDGET: u64 = 1275;
 
-fn cold_build() -> (DepGraph, u64) {
-    let program = parse_program(FIG3).expect("test program parses");
+/// Forty copies of one statement in one loop: 2,420 reference pairs in
+/// three pair classes, which emit 2,380 edges (780 loop-independent
+/// output edges and 1,600 carried true edges). Deciding them is cheap, so
+/// the build's allocations are dominated by what stamping the edges costs.
+fn stamped_source() -> String {
+    let body = "  A(i + 1) = A(i) + 1\n".repeat(40);
+    format!("REAL A(0:100)\nDO i = 0, 98\n{body}ENDDO\n")
+}
+
+fn cold_build(source: &str) -> (DepGraph, u64) {
+    let program = parse_program(source).expect("test program parses");
     let assumptions = Assumptions::new();
     let config = EngineConfig {
         choice: TestChoice::DelinearizationFirst,
@@ -88,16 +97,31 @@ fn cold_build() -> (DepGraph, u64) {
 fn arena_miss_path_allocates_under_budget() {
     // Warm-up build: the first call touches lazy runtime state
     // (thread-locals, the pair-scratch pool) that should not be charged.
-    let (warm, _) = cold_build();
+    let (warm, _) = cold_build(FIG3);
     assert!(!warm.edges.is_empty(), "the pinned nest has dependences");
 
     // Min over several measured cold builds: each build runs a private
     // cache, so every pair misses every time.
-    let allocs = (0..3).map(|_| cold_build().1).min().expect("three builds");
+    let allocs = (0..3).map(|_| cold_build(FIG3).1).min().expect("three builds");
     assert!(
         allocs <= ARENA_COLD_BUDGET,
         "cold build allocated {allocs} times (budget {ARENA_COLD_BUDGET}); \
          a per-pair allocation crept back into the pooled miss path"
+    );
+
+    // Stamping a class's planned edges onto its member pairs copies
+    // pointers only, so a build makes fewer allocations than it emits
+    // edges; a per-edge clone of the array name or the vectors alone
+    // would exceed that.
+    let stamped = stamped_source();
+    let (graph, _) = cold_build(&stamped);
+    assert_eq!(graph.edges.len(), 2380, "the stamped nest's edge count moved");
+    let allocs = (0..3).map(|_| cold_build(&stamped).1).min().expect("three builds");
+    assert!(
+        allocs < graph.edges.len() as u64,
+        "a cold build emitting {} edges allocated {allocs} times; \
+         stamping allocates per member pair again",
+        graph.edges.len()
     );
 
     // And the hit side of the same problems stays allocation-free: the

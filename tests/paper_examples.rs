@@ -108,7 +108,7 @@ fn figure3_dependences() {
     let has = |src: u32, dst: u32, array: &str, kind: DepKind| {
         g.edges
             .iter()
-            .any(|e| e.src.0 == src && e.dst.0 == dst && e.array == array && e.kind == kind)
+            .any(|e| e.src.0 == src && e.dst.0 == dst && &*e.array == array && e.kind == kind)
     };
     // S2:B -> S2:B output, (*, =) style (carried by i).
     assert!(has(1, 1, "B", DepKind::Output), "{:?}", g.edges);
@@ -123,8 +123,8 @@ fn figure3_dependences() {
     // S4:Y -> S1:Y with direction (<): S4 writes Y(i+j) read by S1 at a
     // later i iteration.
     assert!(has(3, 0, "Y", DepKind::True), "{:?}", g.edges);
-    let y_edge = g.edges.iter().find(|e| e.src.0 == 3 && e.dst.0 == 0 && e.array == "Y").unwrap();
-    assert_eq!(y_edge.dir_vecs, vec![DirVec(vec![Dir::Lt])]);
+    let y_edge = g.edges.iter().find(|e| e.src.0 == 3 && e.dst.0 == 0 && &*e.array == "Y").unwrap();
+    assert_eq!(*y_edge.dir_vecs, [DirVec(vec![Dir::Lt])]);
 }
 
 fn delin_bench_src() -> &'static str {

@@ -21,7 +21,10 @@ use std::io::Cursor;
 
 #[path = "util/serve_io.rs"]
 mod serve_io;
-use serve_io::{analyze_request, response_id, response_type, Session, DELINEARIZED, RECURRENCE};
+use serve_io::{
+    analyze_request, parse_response, response_id, response_type, Session, DELINEARIZED,
+    OVERLAPPING, RECURRENCE,
+};
 
 /// Every knob explicit (mirroring `golden_report.rs`) so no environment
 /// variable can leak into the matrix or the golden bytes.
@@ -124,7 +127,9 @@ fn responses_identical_across_workers_and_orderings() {
 /// The golden request script: valid analyze requests only — error and
 /// shutdown responses are written by the reader thread and may interleave
 /// with runner-written results, so only an all-results stream has a
-/// deterministic line order (at one worker: request order).
+/// deterministic line order (at one worker: request order). r5's
+/// overlapping rows need the exact solver, so the golden pins its
+/// counters too.
 fn golden_requests() -> Vec<String> {
     vec![
         analyze_request("r1", RECURRENCE),
@@ -134,6 +139,7 @@ fn golden_requests() -> Vec<String> {
             json::str_token(RECURRENCE)
         ),
         analyze_request("r4", "this is not fortran"),
+        analyze_request("r5", OVERLAPPING),
     ]
 }
 
@@ -148,7 +154,7 @@ fn golden_stream_matches() {
     let mut out: Vec<u8> = Vec::new();
     let summary =
         serve(Cursor::new(script.as_bytes()), &mut out, &pinned_config(1), &CancelToken::new());
-    assert_eq!(summary.admitted, 4);
+    assert_eq!(summary.admitted, 5);
     assert_eq!(summary.protocol_errors, 0);
     let responses = String::from_utf8(out).expect("responses are utf-8");
 
@@ -171,7 +177,15 @@ fn golden_stream_matches() {
 
     // The stream is ordered at one worker: result ids in request order.
     let ids: Vec<_> = responses.lines().map(|l| response_id(l).expect("result id")).collect();
-    assert_eq!(ids, ["r1", "r2", "r3", "r4"]);
+    assert_eq!(ids, ["r1", "r2", "r3", "r4", "r5"]);
+
+    // r5 is the request that reaches the exact solver.
+    let r5 = parse_response(responses.lines().last().expect("r5 answered"));
+    let stats = r5.as_obj().and_then(|m| m.get("stats")).and_then(|s| s.as_obj()).expect("stats");
+    for counter in ["solver_nodes", "refine_queries", "subtree_reuses"] {
+        let value = stats.get(counter).and_then(|v| v.as_u64());
+        assert!(value.is_some_and(|v| v > 0), "r5 {counter} = {value:?}");
+    }
 }
 
 /// Bounded admission, proven deterministic via a rendezvous transport: the
