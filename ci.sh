@@ -100,9 +100,9 @@ rows = json.load(open(sys.argv[1], encoding="utf-8"))["rows"]
 assert [r["label"] for r in rows] == ["it's-é", "it's-é"], rows
 EOF
 rm -rf "$sampled_tmp"
-# Committed trajectory: BENCH_9.json must carry the pr10, pr13, pr15, pr17 and
-# pr18 rows, in tolerance.
-for label in pr10 pr13 pr15 pr17 pr18; do
+# Committed trajectory: BENCH_9.json must carry the pr10, pr13, pr15, pr17,
+# pr18 and pr19 rows, in tolerance.
+for label in pr10 pr13 pr15 pr17 pr18 pr19; do
   grep -qF "\"label\": \"$label\"" BENCH_9.json \
     || { echo "BENCH_9.json is missing the $label trajectory row" >&2; exit 1; }
 done

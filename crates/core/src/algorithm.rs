@@ -243,20 +243,15 @@ pub fn delinearize<C: Coeff>(
         // Candidate remainders r ≡ c0 (mod gk): the Euclidean one and its
         // negative companion (the paper's FORTRAN `mod` follows the
         // dividend's sign; trying both representatives subsumes it).
-        let candidates: Vec<C> = match gk {
+        let candidates: [Option<C>; 2] = match gk {
             Some(g) => match c0.div_rem(g) {
                 Ok((_, r)) => {
-                    let mut cands = vec![r.clone()];
-                    if !r.is_zero() {
-                        if let Ok(alt) = r.checked_sub(g) {
-                            cands.push(alt);
-                        }
-                    }
-                    cands
+                    let alt = if r.is_zero() { None } else { r.checked_sub(g).ok() };
+                    [Some(r), alt]
                 }
-                Err(_) => Vec::new(),
+                Err(_) => [None, None],
             },
-            None => vec![c0.clone()],
+            None => [Some(c0.clone()), None],
         };
 
         // A committed separation hands constant `r` to the new dimension
@@ -265,7 +260,7 @@ pub fn delinearize<C: Coeff>(
         // keeping the old `c0` would change the solution set (unsound).
         // Rejecting it is conservative: at worst no separation happens here.
         let mut chosen: Option<(C, C)> = None; // (r, c0 − r)
-        for r in candidates {
+        for r in candidates.into_iter().flatten() {
             let holds = match gk {
                 Some(g) => separation_holds(&smin, &smax, &r, g, a),
                 None => Trilean::True, // g_{n+1} = ∞
@@ -278,13 +273,18 @@ pub fn delinearize<C: Coeff>(
             }
         }
 
-        // Values at check time, for the Fig. 5 trace.
-        let smin_check = smin.clone();
-        let smax_check = smax.clone();
-        let c0_check = c0.clone();
-
-        let mut separated_render: Option<String> = None;
-        if let Some((r, next)) = chosen.clone() {
+        // The Fig. 5 trace row, begun with the values at check time.
+        let mut row = config.collect_trace.then(|| TraceRow {
+            k: k + 1,
+            coeff: if k < n { Some(order[k].1.clone()) } else { None },
+            smin: smin.clone(),
+            smax: smax.clone(),
+            c0: c0.clone(),
+            g: gk.cloned(),
+            r: None,
+            separated: None,
+        });
+        if let Some((r, next)) = chosen {
             // On-the-fly independence: cmin > 0 or cmax < 0.
             let cminmax = add_r(&smin, &smax, &r);
             if let Some((cmin, cmax)) = &cminmax {
@@ -297,8 +297,11 @@ pub fn delinearize<C: Coeff>(
                     independent = true;
                 }
             }
-            let dim = Dimension { constant: r.clone(), terms: order[kbeg..k].to_vec() };
-            separated_render = Some(dim.render(problem));
+            let dim = Dimension { constant: r, terms: order[kbeg..k].to_vec() };
+            if let Some(row) = &mut row {
+                row.r = Some(dim.constant.clone());
+                row.separated = Some(dim.render(problem));
+            }
             // The k = k0 trivial separation ("0 = 0") is the GCD test; it
             // carries no variables and is recorded only in the trace.
             if !dim.terms.is_empty() || !dim.constant.is_zero() {
@@ -309,19 +312,7 @@ pub fn delinearize<C: Coeff>(
             kbeg = k;
             c0 = next;
         }
-
-        if config.collect_trace {
-            trace.push(TraceRow {
-                k: k + 1,
-                coeff: if k < n { Some(order[k].1.clone()) } else { None },
-                smin: smin_check,
-                smax: smax_check,
-                c0: c0_check,
-                g: gk.cloned(),
-                r: chosen.map(|(r, _)| r),
-                separated: separated_render,
-            });
-        }
+        trace.extend(row);
 
         if independent {
             return DelinOutcome::Independent { separation: Separation { dimensions, trace } };
@@ -437,13 +428,14 @@ pub fn dimension_subproblem<C: Coeff>(
 }
 
 /// Direction vectors contributed by one dimension, expanded to the full
-/// common-loop length (levels outside the dimension are `*`). `None` means
+/// common-loop length (levels outside the dimension are `*`). `walk`
+/// computes the atomic vectors of the dimension's sub-problem. `None` means
 /// the dimension rules out every direction — i.e. it is unsatisfiable and
 /// the whole dependence is independent.
 pub fn dimension_direction_vectors<C: Coeff>(
     problem: &DependenceProblem<C>,
     dim: &Dimension<C>,
-    oracle: &hierarchy::DirOracle<'_, C>,
+    walk: &hierarchy::AtomicWalk<'_, C>,
 ) -> Option<Vec<DirVec>> {
     let total = problem.common_loops().len();
     // Strong-SIV shortcut (works symbolically): a dimension of the exact
@@ -460,7 +452,7 @@ pub fn dimension_direction_vectors<C: Coeff>(
         };
     }
     let (sub, levels) = dimension_subproblem(problem, dim);
-    let atomic = hierarchy::atomic_direction_vectors(&sub, oracle);
+    let atomic = walk(&sub);
     if atomic.is_empty() {
         return None;
     }
@@ -831,10 +823,12 @@ mod tests {
         };
         let solver = ExactSolver::default();
         let oracle = exact_oracle(solver);
+        let walk =
+            |sub: &DependenceProblem<i128>| hierarchy::atomic_direction_vectors(sub, &oracle);
         let per_dim: Vec<Vec<DirVec>> = separation
             .dimensions
             .iter()
-            .map(|d| dimension_direction_vectors(&p, d, &oracle).expect("feasible"))
+            .map(|d| dimension_direction_vectors(&p, d, &walk).expect("feasible"))
             .collect();
         let combined = combine_direction_vectors(2, &per_dim).expect("dependent");
         // i1 = i2 + 3 forces '>' on loop i; j1 = j2 forces '=' on loop j.

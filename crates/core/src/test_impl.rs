@@ -18,6 +18,7 @@ use crate::algorithm::{
     combine_direction_vectors, delinearize, dimension_direction_vectors, dimension_subproblem,
     DelinConfig, DelinOutcome,
 };
+use delin_dep::banerjee::DirectionMode;
 use delin_dep::budget::ResourceBudget;
 use delin_dep::dirvec::{summarize, Dir, DirVec, DistDir, DistDirVec};
 use delin_dep::exact::{ExactSolver, SubtreeStore};
@@ -57,11 +58,12 @@ impl DelinearizationTest {
     }
 }
 
-/// Generic core shared by the concrete and symbolic instantiations.
+/// Generic core shared by the concrete and symbolic instantiations;
+/// `walk` computes each dimension sub-problem's atomic direction vectors.
 fn run<C: Coeff>(
     test: &DelinearizationTest,
     problem: &DependenceProblem<C>,
-    oracle: &hierarchy::DirOracle<'_, C>,
+    walk: &hierarchy::AtomicWalk<'_, C>,
     oracle_is_exact: bool,
 ) -> Verdict {
     let num_levels = problem.common_loops().len();
@@ -87,7 +89,7 @@ fn run<C: Coeff>(
                     if equation_divisible(&sub_eq, problem.assumptions()).is_false() {
                         return Verdict::Independent;
                     }
-                    match dimension_direction_vectors(problem, dim, oracle) {
+                    match dimension_direction_vectors(problem, dim, walk) {
                         None => return Verdict::Independent,
                         Some(nv) => per_dim.push(nv),
                     }
@@ -174,7 +176,9 @@ impl DelinearizationTest {
             }
         };
         let oracle = hierarchy::exact_oracle_in(solver.clone(), store);
-        let mut verdict = run(self, problem, &oracle, true);
+        let walk =
+            |sub: &DependenceProblem<i128>| hierarchy::atomic_direction_vectors(sub, &oracle);
+        let mut verdict = run(self, problem, &walk, true);
         if distances {
             if let Verdict::Dependent { info, .. } = &mut verdict {
                 info.dist_dirs = distance_vectors(self, problem, &solver, store);
@@ -198,9 +202,13 @@ impl DependenceTest<SymPoly> for DelinearizationTest {
         "delinearization-symbolic"
     }
 
+    /// Each dimension's sub-problem is walked under the Banerjee bounds,
+    /// one [`delin_dep::banerjee::BanerjeeWalk`] per sub-problem.
     fn test(&self, problem: &DependenceProblem<SymPoly>) -> Verdict {
-        let oracle = hierarchy::banerjee_oracle();
-        run(self, problem, &oracle, false)
+        let walk = |sub: &DependenceProblem<SymPoly>| {
+            hierarchy::banerjee_atomic_vectors(sub, DirectionMode::IntegerSharp)
+        };
+        run(self, problem, &walk, false)
     }
 }
 

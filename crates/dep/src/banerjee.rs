@@ -16,6 +16,7 @@ use crate::dirvec::Dir;
 use crate::problem::{DependenceProblem, LinEq};
 use crate::verdict::{DependenceTest, Verdict};
 use delin_numeric::{Assumptions, Coeff, NumericError};
+use std::cell::OnceCell;
 
 /// The Banerjee-inequalities dependence test (all directions `*`).
 #[derive(Debug, Clone, Copy, Default)]
@@ -192,18 +193,16 @@ fn pair_range<C: Coeff>(
             delin_numeric::Trilean::Unknown | delin_numeric::Trilean::True => {}
         }
     }
-    let corner_sets: Vec<&'static [(Coord, Coord)]> = match corners(dir, mode) {
-        Some(cs) => vec![cs],
-        None => vec![corners(Dir::Lt, mode).unwrap(), corners(Dir::Gt, mode).unwrap()],
+    let (first, second) = match corners(dir, mode) {
+        Some(cs) => (cs, &[][..]),
+        None => (corners(Dir::Lt, mode).unwrap(), corners(Dir::Gt, mode).unwrap()),
     };
-    let mut values: Vec<C> = Vec::new();
-    for set in corner_sets {
-        for &(xc, yc) in set {
-            let x = xc.eval(z).ok()?;
-            let y = yc.eval(z).ok()?;
-            let v = cx.checked_mul(&x).ok()?.checked_add(&cy.checked_mul(&y).ok()?).ok()?;
-            values.push(v);
-        }
+    let mut values: Vec<C> = Vec::with_capacity(first.len() + second.len());
+    for &(xc, yc) in first.iter().chain(second) {
+        let x = xc.eval(z).ok()?;
+        let y = yc.eval(z).ok()?;
+        let v = cx.checked_mul(&x).ok()?.checked_add(&cy.checked_mul(&y).ok()?).ok()?;
+        values.push(v);
     }
     let min = reduce_candidates(values.clone(), true, a);
     let max = reduce_candidates(values, false, a);
@@ -212,6 +211,21 @@ fn pair_range<C: Coeff>(
         return None;
     }
     Some(EquationRange::Range(CandidateRange { min, max }))
+}
+
+/// The contribution of a free variable's term `c·z`, `z ∈ [0, Z]`: the
+/// interval between `0` and `c·Z`, only one end of which moves.
+fn free_contribution<C: Coeff>(c: &C, z: &C, a: &Assumptions) -> Option<CandidateRange<C>> {
+    let span = c.checked_mul(z).ok()?;
+    Some(if span.is_nonneg(a).is_true() {
+        CandidateRange { min: vec![C::zero()], max: vec![span] }
+    } else if span.checked_neg().ok()?.is_nonneg(a).is_true() {
+        CandidateRange { min: vec![span], max: vec![C::zero()] }
+    } else {
+        // Sign unknown: the contribution is between span and 0, in an
+        // unknown order — exactly what candidate sets express.
+        CandidateRange { min: vec![C::zero(), span.clone()], max: vec![C::zero(), span] }
+    })
 }
 
 /// Computes the Banerjee `[min, max]` range of one equation's LHS under the
@@ -233,57 +247,7 @@ pub fn equation_range_mode<C: Coeff>(
     dirs: &[Dir],
     mode: DirectionMode,
 ) -> Option<EquationRange<C>> {
-    let a = problem.assumptions();
-    // Resolve the hybrid mode per equation.
-    let mode = match mode {
-        DirectionMode::Hybrid => {
-            if eq.num_active_vars() <= 2 {
-                DirectionMode::IntegerSharp
-            } else {
-                DirectionMode::Real
-            }
-        }
-        m => m,
-    };
-    let mut range = CandidateRange::point(eq.c0.clone());
-    let mut in_pair = vec![false; problem.num_vars()];
-    for (level, &(x, y)) in problem.common_loops().iter().enumerate() {
-        in_pair[x] = true;
-        in_pair[y] = true;
-        let dir = dirs.get(level).copied().unwrap_or(Dir::Any);
-        let cx = &eq.coeffs[x];
-        let cy = &eq.coeffs[y];
-        if cx.is_zero() && cy.is_zero() && dir == Dir::Any {
-            continue;
-        }
-        let z = &problem.vars()[x].upper;
-        match pair_range(cx, cy, z, dir, mode, problem)? {
-            EquationRange::EmptyRegion => return Some(EquationRange::EmptyRegion),
-            EquationRange::Range(r) => {
-                range = range.add(&r, a)?;
-            }
-        }
-    }
-    for (k, c) in eq.coeffs.iter().enumerate() {
-        if in_pair[k] || c.is_zero() {
-            continue;
-        }
-        let z = &problem.vars()[k].upper;
-        // The contribution of c·z over z ∈ [0, Z] is the interval between 0
-        // and c·Z; only one end moves.
-        let span = c.checked_mul(z).ok()?;
-        let contrib = if span.is_nonneg(a).is_true() {
-            CandidateRange { min: vec![C::zero()], max: vec![span] }
-        } else if span.checked_neg().ok()?.is_nonneg(a).is_true() {
-            CandidateRange { min: vec![span], max: vec![C::zero()] }
-        } else {
-            // Sign unknown: the contribution is between span and 0, in an
-            // unknown order — exactly what candidate sets express.
-            CandidateRange { min: vec![C::zero(), span.clone()], max: vec![C::zero(), span] }
-        };
-        range = range.add(&contrib, a)?;
-    }
-    Some(EquationRange::Range(range))
+    BanerjeeWalk::once(problem, mode).equation_range(None, eq, dirs)
 }
 
 /// Applies the Banerjee inequalities to every equation under direction
@@ -298,47 +262,170 @@ pub fn test_with_directions_mode<C: Coeff>(
     dirs: &[Dir],
     mode: DirectionMode,
 ) -> Verdict {
-    let a = problem.assumptions();
-    // `≠` is not convex: split it into `<` and `>` and combine — the
-    // equation is unsatisfiable under `≠` iff it is under both pieces.
-    if let Some(l) = dirs.iter().position(|d| *d == Dir::Ne) {
-        let mut lt = dirs.to_vec();
-        lt[l] = Dir::Lt;
-        let mut gt = dirs.to_vec();
-        gt[l] = Dir::Gt;
-        let v1 = test_with_directions_mode(problem, &lt, mode);
-        let v2 = test_with_directions_mode(problem, &gt, mode);
-        return match (v1, v2) {
-            (Verdict::Independent, Verdict::Independent) => Verdict::Independent,
-            (v @ Verdict::Dependent { .. }, _) | (_, v @ Verdict::Dependent { .. }) => v,
-            _ => Verdict::Unknown,
-        };
+    BanerjeeWalk::once(problem, mode).test(dirs)
+}
+
+/// The directions a hierarchy walk asks about, in table-slot order.
+const WALK_DIRS: [Dir; 4] = [Dir::Any, Dir::Lt, Dir::Eq, Dir::Gt];
+
+/// The Banerjee test bound to one problem for the length of one direction
+/// walk (`hierarchy::banerjee_atomic_vectors`).
+///
+/// A walk asks about many direction vectors, and each one differs from
+/// the last in a level or two. The walk therefore computes each
+/// `(equation, common level, direction)` pair range, and each free
+/// variable's contribution, at most once, on first use. Every query still
+/// sums its ranges in the order [`test_with_directions_mode`] does (the
+/// point `c0`, then the levels ascending, then the free variables), so
+/// every candidate range and verdict equals a fresh call's.
+pub struct BanerjeeWalk<'p, C> {
+    problem: &'p DependenceProblem<C>,
+    mode: DirectionMode,
+    /// Whether some loop runs zero times, emptying the iteration space.
+    empty: OnceCell<bool>,
+    /// Pair ranges at `(equation × levels + level) × 4 + slot`, the slot
+    /// indexing [`WALK_DIRS`]; empty for a one-shot query.
+    pairs: Vec<OnceCell<Option<EquationRange<C>>>>,
+    /// Free-variable contributions at `equation × vars + var`; empty for a
+    /// one-shot query.
+    free: Vec<OnceCell<Option<CandidateRange<C>>>>,
+}
+
+impl<'p, C: Coeff> BanerjeeWalk<'p, C> {
+    /// A walk over `problem` whose regions follow `mode`.
+    pub fn new(problem: &'p DependenceProblem<C>, mode: DirectionMode) -> BanerjeeWalk<'p, C> {
+        let eqs = problem.equations().len();
+        let pairs = eqs * problem.common_loops().len() * WALK_DIRS.len();
+        BanerjeeWalk {
+            pairs: (0..pairs).map(|_| OnceCell::new()).collect(),
+            free: (0..eqs * problem.num_vars()).map(|_| OnceCell::new()).collect(),
+            ..BanerjeeWalk::once(problem, mode)
+        }
     }
-    // A zero-trip loop anywhere makes the whole iteration space empty.
-    for v in problem.vars() {
-        if v.upper.is_nonneg(a).is_false() {
+
+    /// A single query's walk: nothing is memoized.
+    fn once(problem: &'p DependenceProblem<C>, mode: DirectionMode) -> BanerjeeWalk<'p, C> {
+        BanerjeeWalk { problem, mode, empty: OnceCell::new(), pairs: Vec::new(), free: Vec::new() }
+    }
+
+    /// The number of pair ranges this walk has computed and kept.
+    #[cfg(test)]
+    pub(crate) fn pair_ranges_computed(&self) -> usize {
+        self.pairs.iter().filter(|cell| cell.get().is_some()).count()
+    }
+
+    /// [`test_with_directions_mode`] on the walk's problem and mode.
+    pub fn test(&self, dirs: &[Dir]) -> Verdict {
+        let problem = self.problem;
+        let a = problem.assumptions();
+        // `≠` is not convex: split it into `<` and `>` and combine — the
+        // equation is unsatisfiable under `≠` iff it is under both pieces.
+        if let Some(l) = dirs.iter().position(|d| *d == Dir::Ne) {
+            let mut lt = dirs.to_vec();
+            lt[l] = Dir::Lt;
+            let mut gt = dirs.to_vec();
+            gt[l] = Dir::Gt;
+            return match (self.test(&lt), self.test(&gt)) {
+                (Verdict::Independent, Verdict::Independent) => Verdict::Independent,
+                (v @ Verdict::Dependent { .. }, _) | (_, v @ Verdict::Dependent { .. }) => v,
+                _ => Verdict::Unknown,
+            };
+        }
+        // A zero-trip loop anywhere makes the whole iteration space empty.
+        let empty = *self
+            .empty
+            .get_or_init(|| problem.vars().iter().any(|v| v.upper.is_nonneg(a).is_false()));
+        if empty {
             return Verdict::Independent;
         }
-    }
-    let mut all_ranges_known = true;
-    for eq in problem.equations() {
-        match equation_range_mode(problem, eq, dirs, mode) {
-            Some(EquationRange::EmptyRegion) => return Verdict::Independent,
-            Some(EquationRange::Range(r)) => {
-                if r.min_positive(a) || r.max_negative(a) {
-                    return Verdict::Independent;
+        let mut all_ranges_known = true;
+        for (e, eq) in problem.equations().iter().enumerate() {
+            match self.equation_range(Some(e), eq, dirs) {
+                Some(EquationRange::EmptyRegion) => return Verdict::Independent,
+                Some(EquationRange::Range(r)) => {
+                    if r.min_positive(a) || r.max_negative(a) {
+                        return Verdict::Independent;
+                    }
+                    if !r.signs_known(a) {
+                        all_ranges_known = false;
+                    }
                 }
-                if !r.signs_known(a) {
-                    all_ranges_known = false;
-                }
+                None => all_ranges_known = false,
             }
-            None => all_ranges_known = false,
+        }
+        if all_ranges_known {
+            Verdict::maybe_dependent()
+        } else {
+            Verdict::Unknown
         }
     }
-    if all_ranges_known {
-        Verdict::maybe_dependent()
-    } else {
-        Verdict::Unknown
+
+    /// The range of `eq` under `dirs`, memoized under the problem's
+    /// equation `row` when there is one.
+    fn equation_range(
+        &self,
+        row: Option<usize>,
+        eq: &LinEq<C>,
+        dirs: &[Dir],
+    ) -> Option<EquationRange<C>> {
+        let problem = self.problem;
+        let a = problem.assumptions();
+        // Resolve the hybrid mode per equation.
+        let mode = match self.mode {
+            DirectionMode::Hybrid => {
+                if eq.num_active_vars() <= 2 {
+                    DirectionMode::IntegerSharp
+                } else {
+                    DirectionMode::Real
+                }
+            }
+            m => m,
+        };
+        let common = problem.common_loops();
+        let mut range = CandidateRange::point(eq.c0.clone());
+        for (level, &(x, y)) in common.iter().enumerate() {
+            let dir = dirs.get(level).copied().unwrap_or(Dir::Any);
+            let cx = &eq.coeffs[x];
+            let cy = &eq.coeffs[y];
+            if cx.is_zero() && cy.is_zero() && dir == Dir::Any {
+                continue;
+            }
+            let cell = row.zip(WALK_DIRS.iter().position(|d| *d == dir)).and_then(|(e, slot)| {
+                self.pairs.get((e * common.len() + level) * WALK_DIRS.len() + slot)
+            });
+            let mut fresh = None;
+            let pair = memo(cell, &mut fresh, || {
+                pair_range(cx, cy, &problem.vars()[x].upper, dir, mode, problem)
+            });
+            match pair.as_ref()? {
+                EquationRange::EmptyRegion => return Some(EquationRange::EmptyRegion),
+                EquationRange::Range(r) => range = range.add(r, a)?,
+            }
+        }
+        for (k, c) in eq.coeffs.iter().enumerate() {
+            if c.is_zero() || common.iter().any(|&(x, y)| x == k || y == k) {
+                continue;
+            }
+            let cell = row.and_then(|e| self.free.get(e * problem.num_vars() + k));
+            let mut fresh = None;
+            let contrib =
+                memo(cell, &mut fresh, || free_contribution(c, &problem.vars()[k].upper, a));
+            range = range.add(contrib.as_ref()?, a)?;
+        }
+        Some(EquationRange::Range(range))
+    }
+}
+
+/// The value of a memo `cell`, computed on first use; without a cell the
+/// value is computed into `fresh`.
+fn memo<'a, T>(
+    cell: Option<&'a OnceCell<T>>,
+    fresh: &'a mut Option<T>,
+    compute: impl FnOnce() -> T,
+) -> &'a T {
+    match cell {
+        Some(cell) => cell.get_or_init(compute),
+        None => fresh.insert(compute()),
     }
 }
 
@@ -355,7 +442,7 @@ impl<C: Coeff> DependenceTest<C> for BanerjeeTest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use delin_numeric::Assumptions;
+    use delin_numeric::{Assumptions, SymPoly};
 
     fn single(c0: i128, coeffs: Vec<i128>, uppers: Vec<i128>) -> DependenceProblem<i128> {
         DependenceProblem::single_equation(c0, coeffs, uppers)
@@ -483,5 +570,130 @@ mod tests {
     #[test]
     fn name() {
         assert_eq!(DependenceTest::<i128>::name(&BanerjeeTest), "banerjee");
+    }
+
+    const MODES: [DirectionMode; 3] =
+        [DirectionMode::IntegerSharp, DirectionMode::Real, DirectionMode::Hybrid];
+
+    /// A problem with `levels` common loops, `free` unpaired variables and
+    /// `eqs` equations, its numbers drawn from `raw` in turn. `coeff` and
+    /// `bound` turn two drawn numbers into a coefficient and a loop bound.
+    fn drawn_problem<C: Coeff>(
+        (levels, free, eqs): (usize, usize, usize),
+        raw: &[i128],
+        coeff: impl Fn(i128, i128) -> C,
+        bound: impl Fn(i128, i128) -> C,
+        assumptions: Assumptions,
+    ) -> DependenceProblem<C> {
+        let mut draws = raw.iter().copied().cycle();
+        let mut draw = || draws.next().expect("cycled");
+        let mut b = DependenceProblem::<C>::builder();
+        for l in 0..levels {
+            let z = bound(draw(), draw());
+            let x = b.var(format!("x{l}"), z.clone());
+            let y = b.var(format!("y{l}"), z);
+            b.common_pair(x, y);
+        }
+        for f in 0..free {
+            b.var(format!("f{f}"), bound(draw(), draw()));
+        }
+        for _ in 0..eqs {
+            let c0 = coeff(3 * draw(), draw());
+            let coeffs: Vec<C> = (0..2 * levels + free).map(|_| coeff(draw(), draw())).collect();
+            b.equation(c0, coeffs);
+        }
+        b.assumptions(assumptions);
+        b.build()
+    }
+
+    /// Concrete: small coefficients, bounds from −1 (a zero-trip loop) up.
+    fn concrete_problem(shape: (usize, usize, usize), raw: &[i128]) -> DependenceProblem<i128> {
+        drawn_problem(shape, raw, |a, _| a, |a, b| a.abs() + b.abs() - 1, Assumptions::new())
+    }
+
+    /// Symbolic: coefficients `a + b·N`, `a·M + N` or `a + N·M`, bounds
+    /// `N − k`, `N + k` or constants, under `N ≥ lb` and `M ≥ 1`.
+    fn symbolic_problem(
+        shape: (usize, usize, usize),
+        raw: &[i128],
+        lb: i128,
+    ) -> DependenceProblem<SymPoly> {
+        let (n, m) = (SymPoly::symbol("N"), SymPoly::symbol("M"));
+        let coeff = |a: i128, b: i128| match b {
+            4 => &(&SymPoly::constant(a) * &m) + &n,
+            -4 => &SymPoly::constant(a) + &(&n * &m),
+            _ => &SymPoly::constant(a) + &(&SymPoly::constant(b % 3) * &n),
+        };
+        let bound = |a: i128, b: i128| match b.rem_euclid(3) {
+            0 => &n - &SymPoly::constant(a.abs() % 3),
+            1 => SymPoly::constant(a.abs()),
+            _ => &n + &SymPoly::constant(a.abs()),
+        };
+        let mut assumptions = Assumptions::new();
+        assumptions.set_lower_bound("N", lb).set_lower_bound("M", 1);
+        drawn_problem(shape, raw, coeff, bound, assumptions)
+    }
+
+    /// Every direction vector over `levels` loops whose entries a walk
+    /// asks about.
+    fn walk_queries(levels: usize) -> Vec<Vec<Dir>> {
+        (0..WALK_DIRS.len().pow(levels as u32))
+            .map(|mut k| {
+                (0..levels)
+                    .map(|_| {
+                        let d = WALK_DIRS[k % WALK_DIRS.len()];
+                        k /= WALK_DIRS.len();
+                        d
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The memoized walk against fresh queries: the same atomic vectors
+    /// (queried in walk order), and the same range and verdict for every
+    /// equation and every query (queried in another order).
+    fn assert_walk_matches_fresh<C: Coeff>(p: &DependenceProblem<C>, mode: DirectionMode) {
+        let fresh =
+            |q: &DependenceProblem<C>, dirs: &[Dir]| test_with_directions_mode(q, dirs, mode);
+        assert_eq!(
+            crate::hierarchy::banerjee_atomic_vectors(p, mode),
+            crate::hierarchy::atomic_direction_vectors(p, &fresh),
+            "{p:?} {mode:?}"
+        );
+        let walk = BanerjeeWalk::new(p, mode);
+        for dirs in walk_queries(p.common_loops().len()) {
+            for (e, eq) in p.equations().iter().enumerate() {
+                assert_eq!(
+                    walk.equation_range(Some(e), eq, &dirs),
+                    equation_range_mode(p, eq, &dirs, mode),
+                    "{p:?} {mode:?} {dirs:?}"
+                );
+            }
+            assert_eq!(walk.test(&dirs), test_with_directions_mode(p, &dirs, mode));
+        }
+    }
+
+    proptest::proptest! {
+        /// One table per walk changes no range and no vector, on concrete
+        /// and symbolic problems with one to three common loops, in every
+        /// direction mode.
+        #[test]
+        fn walk_table_matches_fresh_queries(
+            levels in 1usize..4,
+            free in 0usize..3,
+            eqs in 1usize..3,
+            symbolic in 0u8..2,
+            mode in 0usize..3,
+            lb in 1i128..4,
+            raw in proptest::collection::vec(-4i128..5, 64..65),
+        ) {
+            let shape = (levels, free, eqs);
+            if symbolic == 1 {
+                assert_walk_matches_fresh(&symbolic_problem(shape, &raw, lb), MODES[mode]);
+            } else {
+                assert_walk_matches_fresh(&concrete_problem(shape, &raw), MODES[mode]);
+            }
+        }
     }
 }

@@ -12,6 +12,7 @@
 //! read off the per-loop difference `β − α`, and verify its constancy by
 //! asking for a solution with a different difference.
 
+use crate::banerjee::{BanerjeeWalk, DirectionMode};
 use crate::dirvec::{summarize, Dir, DirVec, DistDir, DistDirVec};
 use crate::exact::{ExactSolver, SolveOutcome, SubtreeStore};
 use crate::problem::DependenceProblem;
@@ -22,6 +23,10 @@ use delin_numeric::Coeff;
 /// predicates?".
 pub type DirOracle<'a, C> = dyn Fn(&DependenceProblem<C>, &[Dir]) -> Verdict + 'a;
 
+/// A whole walk: the atomic direction vectors of a problem, as
+/// [`atomic_direction_vectors`] or [`banerjee_atomic_vectors`] compute them.
+pub type AtomicWalk<'a, C> = dyn Fn(&DependenceProblem<C>) -> Vec<DirVec> + 'a;
+
 /// Enumerates the *atomic* direction vectors (every element `<`, `=`, or
 /// `>`) under which the oracle cannot disprove the dependence. An empty
 /// result means the references are independent.
@@ -29,21 +34,45 @@ pub fn atomic_direction_vectors<C: Coeff>(
     problem: &DependenceProblem<C>,
     oracle: &DirOracle<'_, C>,
 ) -> Vec<DirVec> {
-    let n = problem.common_loops().len();
-    let mut dirs = vec![Dir::Any; n];
+    walk(problem.common_loops().len(), &|dirs| oracle(problem, dirs))
+}
+
+/// [`atomic_direction_vectors`] under the Banerjee bounds in `mode`: the
+/// vectors `test_with_directions_mode` keeps, asked through one
+/// [`BanerjeeWalk`] so that each pair range is computed once per walk
+/// rather than once per query.
+pub fn banerjee_atomic_vectors<C: Coeff>(
+    problem: &DependenceProblem<C>,
+    mode: DirectionMode,
+) -> Vec<DirVec> {
+    let banerjee = BanerjeeWalk::new(problem, mode);
+    walk(problem.common_loops().len(), &|dirs| banerjee.test(dirs))
+}
+
+/// [`banerjee_atomic_vectors`], summarized.
+pub fn banerjee_direction_vectors<C: Coeff>(
+    problem: &DependenceProblem<C>,
+    mode: DirectionMode,
+) -> Vec<DirVec> {
+    summarize(banerjee_atomic_vectors(problem, mode))
+}
+
+/// Refines the all-`*` vector over `levels` common loops, asking `query`
+/// at every node.
+fn walk(levels: usize, query: &dyn Fn(&[Dir]) -> Verdict) -> Vec<DirVec> {
+    let mut dirs = vec![Dir::Any; levels];
     let mut out = Vec::new();
-    refine(problem, oracle, &mut dirs, 0, &mut out);
+    refine(query, &mut dirs, 0, &mut out);
     out
 }
 
-fn refine<C: Coeff>(
-    problem: &DependenceProblem<C>,
-    oracle: &DirOracle<'_, C>,
+fn refine(
+    query: &dyn Fn(&[Dir]) -> Verdict,
     dirs: &mut Vec<Dir>,
     level: usize,
     out: &mut Vec<DirVec>,
 ) {
-    match oracle(problem, dirs) {
+    match query(dirs) {
         Verdict::Independent => return,
         Verdict::Dependent { .. } | Verdict::Unknown => {}
     }
@@ -53,7 +82,7 @@ fn refine<C: Coeff>(
     }
     for d in [Dir::Lt, Dir::Eq, Dir::Gt] {
         dirs[level] = d;
-        refine(problem, oracle, dirs, level + 1, out);
+        refine(query, dirs, level + 1, out);
     }
     dirs[level] = Dir::Any;
 }
@@ -348,6 +377,47 @@ mod tests {
         let b = atomic_direction_vectors(&p, &ban);
         for v in &e {
             assert!(b.contains(v));
+        }
+    }
+
+    /// One table per walk: however many queries the walk makes, it computes
+    /// each `(equation, level, direction)` pair range at most once, where a
+    /// fresh test per query recomputes every level each time.
+    #[test]
+    fn banerjee_walk_computes_each_pair_range_once() {
+        use std::cell::Cell;
+        // Three common loops, two equations; every level's pair stays
+        // dependent under every direction, so the walk visits all 40 nodes.
+        let mut b = DependenceProblem::<i128>::builder();
+        for l in 0..3 {
+            let x = b.var(format!("x{l}"), 6);
+            let y = b.var(format!("y{l}"), 6);
+            b.common_pair(x, y);
+        }
+        b.equation(0, vec![1, -1, 2, -2, 4, -4]);
+        b.equation(-1, vec![1, 1, -1, -1, 1, 1]);
+        let p = b.build();
+        let (levels, equations) = (3, 2);
+        for mode in [DirectionMode::IntegerSharp, DirectionMode::Real, DirectionMode::Hybrid] {
+            let banerjee = BanerjeeWalk::new(&p, mode);
+            let (queries, fresh) = (Cell::new(0), Cell::new(0));
+            let atoms = walk(levels, &|dirs| {
+                let once = BanerjeeWalk::new(&p, mode);
+                let expect = once.test(dirs);
+                queries.set(queries.get() + 1);
+                fresh.set(fresh.get() + once.pair_ranges_computed());
+                let got = banerjee.test(dirs);
+                assert_eq!(got, expect, "{dirs:?}");
+                got
+            });
+            assert_eq!(atoms, banerjee_atomic_vectors(&p, mode));
+            assert_eq!(queries.get(), 40, "{mode:?}: the walk should visit every node");
+            let computed = banerjee.pair_ranges_computed();
+            assert!(
+                computed <= 4 * levels * equations,
+                "{mode:?}: {computed} pair ranges for {levels} levels and {equations} equations"
+            );
+            assert!(fresh.get() > 3 * computed, "{mode:?}: fresh {} vs {computed}", fresh.get());
         }
     }
 

@@ -11,6 +11,16 @@
 //! with remainder by a single-term divisor (`(N²+N) mod N = 0` in the
 //! paper's worked example), and sign determination under lower-bound
 //! [`Assumptions`] (`N−1 < N` holds "for any N", `N²−N < N²` likewise).
+//!
+//! The common path stays off the heap. A polynomial keeps up to four terms
+//! inline, and a [`Monomial`] that is `1` or a power of one symbol (`N`,
+//! `NX`, `N²`) keeps its factor inline. So building `N² + N`, taking a gcd
+//! or a remainder, and forming the difference `other − self` behind every
+//! [`Coeff::lt`](crate::Coeff::lt) and [`Coeff::le`](crate::Coeff::le)
+//! comparison allocate nothing. Only a product of two or more symbols
+//! (`KK*JJ`) or a polynomial of more than four terms uses a vector. The
+//! [`SymPoly::hash_into`] stream, which persisted cache keys depend on, is
+//! the one the `BTreeMap` monomials of earlier versions fed.
 
 use crate::assume::Assumptions;
 use crate::error::NumericError;
@@ -23,8 +33,47 @@ use std::hash::Hasher;
 use std::ops::{Add, Mul, Neg, Sub};
 
 /// A power product of symbols, e.g. `N²·KK`. The empty monomial is `1`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Monomial(BTreeMap<Sym, u32>);
+///
+/// Factors are kept sorted by symbol, with positive exponents. The unit
+/// monomial and a power of one symbol (`N`, `NX`, `N²`) are held inline;
+/// only a product of two or more symbols (`KK*JJ`) keeps a heap vector.
+/// Equality, hashing, ordering and display read the sorted factor slice,
+/// so the representation is unobservable.
+#[derive(Debug, Clone, Default)]
+pub struct Monomial(Factors);
+
+/// The factor store behind [`Monomial`]; `Power` and `Product` are never
+/// built with fewer factors than their names say.
+#[derive(Debug, Clone, Default)]
+enum Factors {
+    #[default]
+    Unit,
+    Power((Sym, u32)),
+    Product(Vec<(Sym, u32)>),
+}
+
+impl Factors {
+    #[inline]
+    fn as_slice(&self) -> &[(Sym, u32)] {
+        match self {
+            Factors::Unit => &[],
+            Factors::Power(f) => std::slice::from_ref(f),
+            Factors::Product(v) => v,
+        }
+    }
+
+    /// Appends a factor whose symbol sorts after every stored one.
+    fn push(&mut self, factor: (Sym, u32)) {
+        *self = match std::mem::take(self) {
+            Factors::Unit => Factors::Power(factor),
+            Factors::Power(first) => Factors::Product(vec![first, factor]),
+            Factors::Product(mut v) => {
+                v.push(factor);
+                Factors::Product(v)
+            }
+        };
+    }
+}
 
 impl Monomial {
     /// The unit monomial `1`.
@@ -34,36 +83,59 @@ impl Monomial {
 
     /// The monomial consisting of a single symbol.
     pub fn symbol(sym: impl Into<Sym>) -> Monomial {
-        let mut m = BTreeMap::new();
-        m.insert(sym.into(), 1);
-        Monomial(m)
+        Monomial(Factors::Power((sym.into(), 1)))
+    }
+
+    #[inline]
+    fn factors(&self) -> &[(Sym, u32)] {
+        self.0.as_slice()
     }
 
     /// Total degree (sum of exponents).
     pub fn degree(&self) -> u32 {
-        self.0.values().sum()
+        self.factors().iter().map(|(_, e)| e).sum()
     }
 
     /// `true` for the unit monomial.
     pub fn is_unit(&self) -> bool {
-        self.0.is_empty()
+        self.factors().is_empty()
     }
 
-    /// Product of two monomials.
+    /// Product of two monomials: one merge pass over the sorted factors.
     pub fn mul(&self, other: &Monomial) -> Monomial {
-        let mut out = self.0.clone();
-        for (s, &e) in &other.0 {
-            *out.entry(s.clone()).or_insert(0) += e;
+        use std::cmp::Ordering;
+        let (a, b) = (self.factors(), other.factors());
+        let mut out = Factors::Unit;
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    out.push(a[i].clone());
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    out.push(b[j].clone());
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    out.push((a[i].0.clone(), a[i].1 + b[j].1));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        for f in a[i..].iter().chain(&b[j..]) {
+            out.push(f.clone());
         }
         Monomial(out)
     }
 
     /// Componentwise minimum: the gcd of two monomials.
     pub fn gcd(&self, other: &Monomial) -> Monomial {
-        let mut out = BTreeMap::new();
-        for (s, &e) in &self.0 {
-            if let Some(&e2) = other.0.get(s) {
-                out.insert(s.clone(), e.min(e2));
+        let mut out = Factors::Unit;
+        for (s, e) in self.factors() {
+            if let Some((_, e2)) = other.factors().iter().find(|(t, _)| t == s) {
+                out.push((s.clone(), *e.min(e2)));
             }
         }
         Monomial(out)
@@ -71,39 +143,63 @@ impl Monomial {
 
     /// `self / other` when `other` divides `self`.
     pub fn try_div(&self, other: &Monomial) -> Option<Monomial> {
-        let mut out = self.0.clone();
-        for (s, &e) in &other.0 {
-            match out.get_mut(s) {
-                Some(cur) if *cur >= e => {
-                    *cur -= e;
-                    if *cur == 0 {
-                        out.remove(s);
+        use std::cmp::Ordering;
+        let mut rest = other.factors().iter().peekable();
+        let mut out = Factors::Unit;
+        for (s, e) in self.factors() {
+            let mut e = *e;
+            if let Some((t, d)) = rest.peek() {
+                match t.cmp(s) {
+                    Ordering::Less => return None, // `t` does not occur in `self`
+                    Ordering::Equal => {
+                        e = e.checked_sub(*d)?;
+                        rest.next();
                     }
+                    Ordering::Greater => {}
                 }
-                _ => return None,
+            }
+            if e > 0 {
+                out.push((s.clone(), e));
             }
         }
-        Some(Monomial(out))
+        match rest.next() {
+            Some(_) => None,
+            None => Some(Monomial(out)),
+        }
     }
 
     /// Iterates `(symbol, exponent)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&Sym, u32)> {
-        self.0.iter().map(|(s, &e)| (s, e))
+        self.factors().iter().map(|(s, e)| (s, *e))
     }
 
     /// Feeds the monomial's structure into `state` without rendering it:
-    /// the factor count, then every `(symbol name, exponent)` pair in the
-    /// map's (sorted) order. Two monomials feed identical streams iff they
+    /// the factor count, then every `(symbol name, exponent)` pair in
+    /// sorted symbol order. Two monomials feed identical streams iff they
     /// are equal, and the stream is length-prefixed at every level so
     /// adjacent monomials in a larger feed cannot alias across boundaries.
     pub fn hash_into<H: Hasher>(&self, state: &mut H) {
-        state.write_usize(self.0.len());
-        for (s, &e) in &self.0 {
+        state.write_usize(self.factors().len());
+        for (s, e) in self.factors() {
             let name = s.name().as_bytes();
             state.write_usize(name.len());
             state.write(name);
-            state.write_u32(e);
+            state.write_u32(*e);
         }
+    }
+}
+
+impl PartialEq for Monomial {
+    fn eq(&self, other: &Monomial) -> bool {
+        self.factors() == other.factors()
+    }
+}
+
+impl Eq for Monomial {}
+
+impl std::hash::Hash for Monomial {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.factors().hash(state);
     }
 }
 
@@ -112,7 +208,7 @@ impl Monomial {
 /// display and division.
 impl Ord for Monomial {
     fn cmp(&self, other: &Monomial) -> std::cmp::Ordering {
-        self.degree().cmp(&other.degree()).then_with(|| self.0.iter().cmp(other.0.iter()))
+        self.degree().cmp(&other.degree()).then_with(|| self.factors().cmp(other.factors()))
     }
 }
 
@@ -124,14 +220,14 @@ impl PartialOrd for Monomial {
 
 impl fmt::Display for Monomial {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.is_empty() {
+        if self.is_unit() {
             return write!(f, "1");
         }
-        for (i, (s, e)) in self.0.iter().enumerate() {
+        for (i, (s, e)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, "*")?;
             }
-            if *e == 1 {
+            if e == 1 {
                 write!(f, "{s}")?;
             } else {
                 write!(f, "{s}^{e}")?;
@@ -1235,6 +1331,162 @@ mod tests {
         assert_eq!(zero_acc, p);
     }
 
+    /// The `BTreeMap` monomial the inline factor store replaced: the
+    /// reference the differential tests below hold [`Monomial`] to.
+    #[derive(Debug, Clone, Default)]
+    struct RefMonomial(BTreeMap<Sym, u32>);
+
+    impl RefMonomial {
+        /// `Π name^e` over the listed factors, in any order and with
+        /// repeats.
+        fn of(factors: &[(&str, u32)]) -> RefMonomial {
+            let mut m = BTreeMap::new();
+            for (s, e) in factors {
+                *m.entry(Sym::new(s)).or_insert(0) += e;
+            }
+            RefMonomial(m)
+        }
+
+        fn degree(&self) -> u32 {
+            self.0.values().sum()
+        }
+
+        fn mul(&self, other: &RefMonomial) -> RefMonomial {
+            let mut out = self.0.clone();
+            for (s, &e) in &other.0 {
+                *out.entry(s.clone()).or_insert(0) += e;
+            }
+            RefMonomial(out)
+        }
+
+        fn gcd(&self, other: &RefMonomial) -> RefMonomial {
+            let mut out = BTreeMap::new();
+            for (s, &e) in &self.0 {
+                if let Some(&e2) = other.0.get(s) {
+                    out.insert(s.clone(), e.min(e2));
+                }
+            }
+            RefMonomial(out)
+        }
+
+        fn try_div(&self, other: &RefMonomial) -> Option<RefMonomial> {
+            let mut out = self.0.clone();
+            for (s, &e) in &other.0 {
+                match out.get_mut(s) {
+                    Some(cur) if *cur >= e => {
+                        *cur -= e;
+                        if *cur == 0 {
+                            out.remove(s);
+                        }
+                    }
+                    _ => return None,
+                }
+            }
+            Some(RefMonomial(out))
+        }
+
+        fn cmp(&self, other: &RefMonomial) -> std::cmp::Ordering {
+            self.degree().cmp(&other.degree()).then_with(|| self.0.iter().cmp(other.0.iter()))
+        }
+
+        fn render(&self) -> String {
+            if self.0.is_empty() {
+                return "1".to_string();
+            }
+            let parts: Vec<String> = self
+                .0
+                .iter()
+                .map(|(s, e)| if *e == 1 { s.to_string() } else { format!("{s}^{e}") })
+                .collect();
+            parts.join("*")
+        }
+
+        fn hash_into<H: Hasher>(&self, state: &mut H) {
+            state.write_usize(self.0.len());
+            for (s, &e) in &self.0 {
+                let name = s.name().as_bytes();
+                state.write_usize(name.len());
+                state.write(name);
+                state.write_u32(e);
+            }
+        }
+
+        /// The inline monomial with the same factors, built without the
+        /// arithmetic under test.
+        fn inline(&self) -> Monomial {
+            let mut f = Factors::Unit;
+            for (s, &e) in &self.0 {
+                f.push((s.clone(), e));
+            }
+            Monomial(f)
+        }
+    }
+
+    /// Records every `Hasher` call with its kind, so two feeds compare
+    /// call by call rather than digest by digest.
+    #[derive(Default)]
+    struct Recorder(Vec<u8>);
+
+    impl Hasher for Recorder {
+        fn finish(&self) -> u64 {
+            0
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.push(b'w');
+            self.0.extend(bytes.len().to_le_bytes());
+            self.0.extend_from_slice(bytes);
+        }
+        fn write_u32(&mut self, n: u32) {
+            self.0.push(b'u');
+            self.0.extend(n.to_le_bytes());
+        }
+        fn write_usize(&mut self, n: usize) {
+            self.0.push(b'z');
+            self.0.extend(n.to_le_bytes());
+        }
+    }
+
+    fn inline_stream(m: &Monomial) -> Vec<u8> {
+        let mut r = Recorder::default();
+        m.hash_into(&mut r);
+        r.0
+    }
+
+    fn ref_stream(m: &RefMonomial) -> Vec<u8> {
+        let mut r = Recorder::default();
+        m.hash_into(&mut r);
+        r.0
+    }
+
+    /// Symbols whose names sort in both orders against each other: `N`
+    /// against `NX` and `M`, `KK` against `JJ`, one-letter against
+    /// two-letter names.
+    const SYMBOL_POOL: [&str; 6] = ["N", "NX", "M", "KK", "JJ", "A"];
+
+    /// Zero to three factors drawn from [`SYMBOL_POOL`] in any order,
+    /// exponents 1 to 7.
+    fn arb_ref_monomial() -> impl Strategy<Value = RefMonomial> {
+        prop::collection::vec((0usize..SYMBOL_POOL.len(), 1u32..8), 0..4).prop_map(|fs| {
+            let named: Vec<(&str, u32)> = fs.iter().map(|&(k, e)| (SYMBOL_POOL[k], e)).collect();
+            RefMonomial::of(&named)
+        })
+    }
+
+    /// `1`, `N`, `NX` and `N²` hold no heap memory; `KK*JJ` does.
+    #[test]
+    fn one_symbol_monomials_stay_inline() {
+        let n = Monomial::symbol("N");
+        assert!(matches!(Monomial::unit().0, Factors::Unit));
+        assert!(matches!(n.0, Factors::Power(_)));
+        assert!(matches!(n.mul(&n).0, Factors::Power((_, 2))));
+        assert!(matches!(Monomial::symbol("NX").0, Factors::Power(_)));
+        let kk_jj = Monomial::symbol("KK").mul(&Monomial::symbol("JJ"));
+        assert!(matches!(&kk_jj.0, Factors::Product(v) if v.len() == 2));
+        // Dividing a product back down to one symbol leaves it inline.
+        assert!(matches!(kk_jj.try_div(&Monomial::symbol("JJ")).unwrap().0, Factors::Power(_)));
+        assert!(matches!(kk_jj.gcd(&Monomial::symbol("KK")).0, Factors::Power(_)));
+    }
+
     fn arb_poly() -> impl Strategy<Value = SymPoly> {
         prop::collection::vec((0u32..3, 0u32..3, -20i128..20), 0..5).prop_map(|terms| {
             let mut p = SymPoly::zero();
@@ -1364,6 +1616,50 @@ mod tests {
     }
 
     proptest! {
+        /// The inline monomial gives exactly what the `BTreeMap` one gave:
+        /// products, gcds, quotients, graded-lex order, degree, display and
+        /// the `hash_into` call stream.
+        #[test]
+        fn inline_monomial_matches_btree_reference(
+            a in arb_ref_monomial(),
+            b in arb_ref_monomial(),
+        ) {
+            let (ia, ib) = (a.inline(), b.inline());
+            for (r, m) in [(&a, &ia), (&b, &ib)] {
+                prop_assert_eq!(m.to_string(), r.render());
+                prop_assert_eq!(inline_stream(m), ref_stream(r));
+                prop_assert_eq!(m.degree(), r.degree());
+                prop_assert_eq!(m.is_unit(), r.0.is_empty());
+            }
+            prop_assert_eq!(ia.cmp(&ib), a.cmp(&b));
+            prop_assert_eq!(ia == ib, a.cmp(&b).is_eq());
+            let (prod, ref_prod) = (ia.mul(&ib), a.mul(&b));
+            prop_assert_eq!(&prod, &ref_prod.inline());
+            prop_assert_eq!(prod.to_string(), ref_prod.render());
+            prop_assert_eq!(inline_stream(&prod), ref_stream(&ref_prod));
+            let (g, ref_g) = (ia.gcd(&ib), a.gcd(&b));
+            prop_assert_eq!(g.to_string(), ref_g.render());
+            prop_assert_eq!(inline_stream(&g), ref_stream(&ref_g));
+            for (m, d, rm, rd) in [(&ia, &ib, &a, &b), (&prod, &ib, &ref_prod, &b), (&prod, &g, &ref_prod, &ref_g)] {
+                let (q, ref_q) = (m.try_div(d), rm.try_div(rd));
+                prop_assert_eq!(q.as_ref().map(Monomial::to_string), ref_q.as_ref().map(RefMonomial::render));
+                prop_assert_eq!(q.as_ref().map(inline_stream), ref_q.as_ref().map(ref_stream));
+            }
+            // Built through `symbol` and `mul` in the drawn order, the
+            // monomial is the same value, and the std hash agrees.
+            let built = ib.iter().fold(ia.clone(), |acc, (s, e)| {
+                (0..e).fold(acc, |acc, _| acc.mul(&Monomial::symbol(s.clone())))
+            });
+            prop_assert_eq!(&built, &prod);
+            let std_hash = |m: &Monomial| {
+                use std::hash::Hash;
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                m.hash(&mut h);
+                h.finish()
+            };
+            prop_assert_eq!(std_hash(&built), std_hash(&ib.mul(&ia)));
+        }
+
         /// The single-symbol buffer agrees with `shift_by_assumptions`
         /// exactly: same overflow, same coefficients, same answers.
         #[test]

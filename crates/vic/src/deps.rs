@@ -28,7 +28,7 @@ use crate::cache::{CacheLookup, CachedOutcome, KeyMode, VerdictCache};
 use crate::chaos::{ChaosCtx, FaultKind};
 use delin_core::DelinearizationTest;
 use delin_dep::acyclic::AcyclicTest;
-use delin_dep::banerjee::BanerjeeTest;
+use delin_dep::banerjee::{BanerjeeTest, DirectionMode};
 use delin_dep::budget::{BudgetSpec, DegradeReason, ResourceBudget};
 use delin_dep::dirvec::{summarize, Dir, DirVec};
 use delin_dep::exact::SubtreeStore;
@@ -591,7 +591,7 @@ pub fn build_dependence_graph_in(
         if task.pair == k {
             graph.stats.absorb_class(&outcomes[t], task.members, &mut seen_keys);
         }
-        plans[t].stamp(&sites[i], &sites[j], &mut graph.edges);
+        plans[t].stamp(&sites[i], &sites[j], i == j, &mut graph.edges);
     }
     let mut charged: Vec<u64> = seen_keys.into_iter().collect();
     charged.sort_unstable();
@@ -1084,8 +1084,7 @@ fn decide(
             // classical mode: exact on single-index equations, real-valued
             // (the paper's reading) on coupled multi-index equations.
             attempts.push("dir-vectors");
-            let oracle = hierarchy::banerjee_oracle_classical();
-            let dirs = hierarchy::direction_vectors(c, &oracle);
+            let dirs = hierarchy::banerjee_direction_vectors(c, DirectionMode::Hybrid);
             if dirs.is_empty() {
                 return (Verdict::Independent, "banerjee");
             }
@@ -1100,8 +1099,7 @@ fn decide(
                 return (Verdict::Unknown, "degraded");
             }
             attempts.push("dir-vectors");
-            let oracle = hierarchy::banerjee_oracle_classical();
-            let dirs = hierarchy::direction_vectors(&sym, &oracle);
+            let dirs = hierarchy::banerjee_direction_vectors(&sym, DirectionMode::Hybrid);
             if dirs.is_empty() {
                 return (Verdict::Independent, "banerjee");
             }
@@ -1153,6 +1151,10 @@ struct EdgePlan {
 /// loop-independent edge (`level: None`) follows textual order.
 struct PlannedEdge {
     backward: bool,
+    /// A backward edge with the level and vectors of a forward edge. A
+    /// same-site pair (a write with itself) stamps both as the same edge,
+    /// so it skips this one.
+    mirrors_forward: bool,
     level: Option<usize>,
     dir_vecs: Arc<[DirVec]>,
 }
@@ -1195,13 +1197,23 @@ impl EdgePlan {
             }
             edges.extend(by_level.into_iter().map(|(level, vs)| PlannedEdge {
                 backward: is_backward,
+                mirrors_forward: false,
                 level: Some(level),
                 dir_vecs: summarize(vs).into(),
             }));
         }
+        for k in 0..edges.len() {
+            let e = &edges[k];
+            let mirrors = e.backward
+                && edges
+                    .iter()
+                    .any(|f| !f.backward && f.level == e.level && f.dir_vecs == e.dir_vecs);
+            edges[k].mirrors_forward = mirrors;
+        }
         if loop_independent {
             edges.push(PlannedEdge {
                 backward: false,
+                mirrors_forward: false,
                 level: None,
                 dir_vecs: summarize(vec![DirVec(vec![Dir::Eq; common])]).into(),
             });
@@ -1210,10 +1222,14 @@ impl EdgePlan {
     }
 
     /// Emits the planned edges for the member pair `(a, b)`, classified
-    /// by its own reference kinds. Allocates nothing: the array name and
-    /// the vectors are reference-counted copies.
-    fn stamp(&self, a: &AccessSite, b: &AccessSite, out: &mut Vec<DepEdge>) {
+    /// by its own reference kinds; `same_site` when `a` and `b` are one
+    /// access. Allocates nothing: the array name and the vectors are
+    /// reference-counted copies.
+    fn stamp(&self, a: &AccessSite, b: &AccessSite, same_site: bool, out: &mut Vec<DepEdge>) {
         for edge in &self.edges {
+            if same_site && edge.mirrors_forward {
+                continue; // the forward twin already stamped this edge
+            }
             let (src, dst) = match edge.level {
                 Some(_) if edge.backward => (b, a),
                 Some(_) => (a, b),
@@ -1272,6 +1288,34 @@ mod tests {
         // i1 + 1 = i2 + 1 with i1 != i2 impossible... actually i1 = i2 is
         // the only solution: loop-independent self-output-dep is dropped.
         assert!(g.edges.iter().all(|e| !(e.kind == DepKind::Output && e.src == e.dst)));
+    }
+
+    /// A write paired with itself stamps each carried edge once: the
+    /// reversed backward twin of `(<, =)` is the same `S0 → S0` edge. A
+    /// class that mixes self pairs and distinct-site pairs still gives the
+    /// distinct-site pairs both directions.
+    #[test]
+    fn same_site_pairs_stamp_each_edge_once() {
+        let g = graph(
+            "
+            REAL B(0:9)
+            DO 1 i = 0, 9
+            DO 1 j = 0, 9
+            B(j) = i
+        1   B(j) = j
+            END
+        ",
+        );
+        for s in 0..2 {
+            let own: Vec<_> = g.edges.iter().filter(|e| e.src.0 == s && e.dst.0 == s).collect();
+            assert_eq!(own.len(), 1, "{own:?}");
+            assert_eq!((own[0].kind, own[0].level), (DepKind::Output, Some(1)));
+            assert_eq!(*own[0].dir_vecs, [DirVec(vec![Dir::Lt, Dir::Eq])]);
+        }
+        let across = |a: u32, b: u32| {
+            g.edges.iter().filter(|e| (e.src.0, e.dst.0) == (a, b) && e.level == Some(1)).count()
+        };
+        assert_eq!((across(0, 1), across(1, 0)), (1, 1), "{:?}", g.edges);
     }
 
     #[test]

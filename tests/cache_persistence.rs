@@ -58,6 +58,41 @@ fn warm_run_is_byte_identical_and_hits_the_tier() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// `tests/golden/persist_v3_generated.bin` was written by `BatchRunner`
+/// over `generated_units(12, 7)` (four of them symbolic) when monomials
+/// were still `BTreeMap`s. Symbolic verdict-cache keys hash their
+/// polynomials through `SymPoly::hash_into`, so a monomial representation
+/// that fed another byte stream would load the file and then miss on
+/// every symbolic pair.
+#[test]
+fn cache_file_from_an_earlier_monomial_store_still_hits() {
+    use delinearization::vic::cache::VerdictCache;
+    use delinearization::vic::persist::{load, LoadReport};
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/persist_v3_generated.bin");
+    let units: Vec<BatchUnit> = generated_units(12, 7).collect();
+    assert!(units.iter().any(|u| u.source.contains("NX")), "the corpus has symbolic units");
+    let path = temp_cache("fixture");
+    std::fs::copy(&fixture, &path).expect("fixture copies");
+    assert_eq!(load(&VerdictCache::shared(), &path), LoadReport { loaded: 22, rejected: 0 });
+    let config = BatchConfig {
+        workers: 1,
+        cache_file: Some(path.clone()),
+        budget: full_budget(),
+        ..BatchConfig::default()
+    };
+    let warm = BatchRunner::new(config).run(units.clone());
+    assert_eq!(warm.persistent_loaded, 22);
+    assert_eq!(warm.persistent_hits, warm.totals.pairs_tested as u64);
+    assert_eq!(warm.render(), run_cold(units).render());
+    let _ = std::fs::remove_file(&path);
+}
+
+fn run_cold(units: Vec<BatchUnit>) -> BatchStats {
+    let config = BatchConfig { workers: 1, budget: full_budget(), ..BatchConfig::default() };
+    BatchRunner::new(config).run(units)
+}
+
 #[test]
 fn invalid_cache_files_degrade_to_a_cold_start() {
     let path = temp_cache("invalid");

@@ -9,6 +9,7 @@
 //! solvers) fails the build. One `#[test]` per file — the allocator
 //! counter is global.
 
+use delinearization::frontend::affine::infer_bound_assumptions;
 use delinearization::frontend::parse_program;
 use delinearization::numeric::Assumptions;
 use delinearization::vic::cache::{CachedOutcome, VerdictCache};
@@ -63,11 +64,11 @@ const FIG3: &str = "
     ";
 
 /// The pinned ceiling for one cold graph build of [`FIG3`] (serial,
-/// caching on, incremental on). Measured at 981 on x86_64 Linux, rustc
+/// caching on, incremental on). Measured at 912 on x86_64 Linux, rustc
 /// 1.95, with about 30% headroom; headroom absorbs allocator-library
 /// drift, not design regressions — a per-pair allocation leak blows
 /// straight past it.
-const ARENA_COLD_BUDGET: u64 = 1275;
+const ARENA_COLD_BUDGET: u64 = 1185;
 
 /// Forty copies of one statement in one loop: 2,420 reference pairs in
 /// three pair classes, which emit 2,380 edges (780 loop-independent
@@ -78,9 +79,31 @@ fn stamped_source() -> String {
     format!("REAL A(0:100)\nDO i = 0, 98\n{body}ENDDO\n")
 }
 
+/// The shape of perfbench's symbolic miss-cold units: a run-time
+/// dimensioned nest whose row stride is the symbol `NX`, so every pair is
+/// decided by symbolic delinearization (Section 4) and its Banerjee walk.
+const MISS_COLD_SYMBOLIC: &str = "
+    REAL W(0:9999999)
+    DO 1 J = 0, 40
+    DO 1 I = 0, NX - 4
+    W(I + NX*J + 5) = W(I + NX*J + 17) + 1
+    1 W(I + NX*J + 30) = W(I + NX*J + 2) + 1
+    END
+    ";
+
+/// The pinned ceiling for one cold build of [`MISS_COLD_SYMBOLIC`] under
+/// `NX ≥ 8` and the loop-bound assumptions. Measured at 1,192 with inline
+/// monomials and one Banerjee table per walk (3,148 with `BTreeMap`
+/// monomials and a fresh Banerjee test per query), with about 30%
+/// headroom.
+const SYMBOLIC_COLD_BUDGET: u64 = 1550;
+
 fn cold_build(source: &str) -> (DepGraph, u64) {
+    cold_build_under(source, &Assumptions::new())
+}
+
+fn cold_build_under(source: &str, assumptions: &Assumptions) -> (DepGraph, u64) {
     let program = parse_program(source).expect("test program parses");
-    let assumptions = Assumptions::new();
     let config = EngineConfig {
         choice: TestChoice::DelinearizationFirst,
         workers: 1,
@@ -88,7 +111,7 @@ fn cold_build(source: &str) -> (DepGraph, u64) {
         ..EngineConfig::default()
     };
     let before = ALLOCS.load(Ordering::Relaxed);
-    let graph = build_dependence_graph_with(&program, &assumptions, &config);
+    let graph = build_dependence_graph_with(&program, assumptions, &config);
     let after = ALLOCS.load(Ordering::Relaxed);
     (graph, after - before)
 }
@@ -122,6 +145,23 @@ fn arena_miss_path_allocates_under_budget() {
         "a cold build emitting {} edges allocated {allocs} times; \
          stamping allocates per member pair again",
         graph.edges.len()
+    );
+
+    // A symbolic decision allocates about as little as a concrete one:
+    // the polynomials behind every sign query stay inline, and each walk
+    // computes a pair range once.
+    let mut nx = Assumptions::new();
+    nx.set_lower_bound("NX", 8);
+    let program = parse_program(MISS_COLD_SYMBOLIC).expect("test program parses");
+    let nx = infer_bound_assumptions(&program, &nx);
+    let (graph, _) = cold_build_under(MISS_COLD_SYMBOLIC, &nx);
+    assert!(!graph.edges.is_empty(), "the symbolic nest has dependences");
+    let allocs =
+        (0..3).map(|_| cold_build_under(MISS_COLD_SYMBOLIC, &nx).1).min().expect("three builds");
+    assert!(
+        allocs <= SYMBOLIC_COLD_BUDGET,
+        "symbolic cold build allocated {allocs} times (budget {SYMBOLIC_COLD_BUDGET}); \
+         a symbolic decision allocates per monomial or per walk query again"
     );
 
     // And the hit side of the same problems stays allocation-free: the
