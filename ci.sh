@@ -9,16 +9,18 @@ cargo build --release
 # scheduling-dependent output fails one of the two runs.
 DELIN_WORKERS=1 cargo test -q
 DELIN_WORKERS=4 cargo test -q
-# The engine's own unit tests (pair-class soundness among them) live in
-# the vic crate, which the root test run does not cover.
-cargo test -q -p delin-vic --lib
+# Every crate's unit tests (pair-class soundness, the reference proptests
+# for the sign buffer, inline monomials and the Banerjee walk table among
+# them): the root test run builds only the root package's targets.
+cargo test -q --workspace --lib
 # Deeper differential-oracle sweep in release mode (1024 cases/property),
 # including the direction/distance-vector properties, at both fixed worker
-# counts so the incremental solver's env-read defaults get both shapes.
+# counts so code that reads the worker count from the environment gets
+# both shapes.
 PROPTEST_CASES=1024 DELIN_WORKERS=1 cargo test -q --release --test oracle_differential
 PROPTEST_CASES=1024 DELIN_WORKERS=4 cargo test -q --release --test oracle_differential
 # The batch engine's corpus-wide determinism matrix (workers x orderings)
-# plus the incremental and warm-start A/B legs, at both fixed worker counts.
+# plus the warm-start A/B leg, at both fixed worker counts.
 DELIN_WORKERS=1 cargo run --release -q -p delin-bench --bin batch_corpus -- --verify --units 18 > /dev/null
 DELIN_WORKERS=4 cargo run --release -q -p delin-bench --bin batch_corpus -- --verify --units 18 > /dev/null
 cargo build --release -q -p delin-bench
@@ -133,8 +135,8 @@ done
 # and =4 above, as part of the whole-suite runs). The env scrub keeps
 # ambient DELIN_* knobs from perturbing the pinned bytes.
 serve_env() {
-  env -u DELIN_DEADLINE_MS -u DELIN_INCREMENTAL -u DELIN_CACHE_CAP \
-      -u DELIN_CHAOS_SEED DELIN_WORKERS=1 "$@"
+  env -u DELIN_DEADLINE_MS -u DELIN_CACHE_CAP -u DELIN_CHAOS_SEED \
+      DELIN_WORKERS=1 "$@"
 }
 serve_tmp="$(mktemp -d)"
 serve_env "$repo_root/target/release/delin_serve" --workers 1 \
@@ -181,8 +183,7 @@ loadgen_tmp="$(mktemp -d)"
 # function call forks a subshell, so $! would be the subshell — which does
 # not forward SIGINT — and the shutdown wait below would hang. A simple
 # backgrounded `env` execs straight into the daemon, keeping the pid.
-env -u DELIN_DEADLINE_MS -u DELIN_INCREMENTAL -u DELIN_CACHE_CAP \
-    -u DELIN_CHAOS_SEED DELIN_WORKERS=1 \
+env -u DELIN_DEADLINE_MS -u DELIN_CACHE_CAP -u DELIN_CHAOS_SEED DELIN_WORKERS=1 \
   "$repo_root/target/release/delin_serve" --workers 4 \
   --socket "$loadgen_tmp/delin.sock" 2> "$loadgen_tmp/serve.err" &
 serve_pid=$!
@@ -204,9 +205,9 @@ rm -rf "$loadgen_tmp"
 # Fault-injection suite: seeded chaos (panics, zero-node budgets, expired
 # deadlines) must leave reports byte-identical across worker counts.
 cargo test -q --features chaos --test chaos_suite
-# Incremental-vs-fresh equivalence matrix under fault injection: budget
-# starvation must degrade refinements conservatively, never to a wrong
-# direction vector.
+# Starvation soundness under fault injection: every unit a faulted batch
+# still analyzes keeps every dependence and direction vector of the clean
+# run, for any worker count.
 cargo test -q --features chaos --test incremental_equivalence
 # Chaos faults must reach every pair of a pair class, not only the pair
 # that represents it.

@@ -9,11 +9,8 @@
 //! * `--units N` — number of generated workload units (default 24);
 //! * `--verify` — instead of one run, execute the determinism matrix
 //!   (workers ∈ {1, 4, auto} × {forward, reversed} arrival order) and fail
-//!   unless every run renders byte-identically; then run the incremental
-//!   A/B (same corpus with incremental solving disabled) and fail unless
-//!   edges and verdicts are identical, subtrees were actually reused, and
-//!   the incremental run spent strictly fewer solver nodes; then run the
-//!   warm-start A/B (a cold run that writes the persistent tier, a warm
+//!   unless every run renders byte-identically; then run the warm-start
+//!   A/B (a cold run that writes the persistent tier, a warm
 //!   run that loads it) and fail unless the two reports are byte-identical
 //!   and the warm run actually hit disk-seeded entries;
 //! * `--cache-file PATH` — persistent verdict cache: seed the shared cache
@@ -23,8 +20,6 @@
 //!   stdout byte-identical between cold and warm runs;
 //! * `--cache-cap N` — bound the verdict caches to `N` entries with LRU
 //!   eviction (default: `DELIN_CACHE_CAP`, 0 = unbounded);
-//! * `--no-incremental` — disable incremental exact solving (the A/B
-//!   baseline; equivalent to `DELIN_INCREMENTAL=0`);
 //! * `--chaos` — inject deterministic faults (panics, zero-node budgets,
 //!   expired deadlines) from the seed in `DELIN_CHAOS_SEED` (default 42).
 //!   Requires building with `--features chaos`. Because every injection is
@@ -75,8 +70,8 @@ const GENERATED_SEED: u64 = 20260805;
 const DEFAULT_TRAJECTORY_PATH: &str = "BENCH_9.json";
 const DEFAULT_SAMPLED_SUITE: &str = "benchmarks/verify/config.json";
 
-const USAGE: &str = "usage: batch_corpus [--full] [--verify] [--chaos] [--no-incremental] \
-[--sampled] [--sampled-check] [--trajectory] [--units N] [--workers N] [--cache-cap N] \
+const USAGE: &str = "usage: batch_corpus [--full] [--verify] [--chaos] [--sampled] \
+[--sampled-check] [--trajectory] [--units N] [--workers N] [--cache-cap N] \
 [--cache-file PATH] [--bench-out PATH] [--suite PATH] [--label S]";
 
 fn corpus(spec: &RunSpec) -> Vec<BatchUnit> {
@@ -99,7 +94,6 @@ struct RunSpec {
     gen_units: usize,
     suite: Option<SuiteConfig>,
     chaos: Option<ChaosPlan>,
-    incremental: bool,
     cache_cap: usize,
     cache_file: Option<PathBuf>,
     cancel: CancelToken,
@@ -110,7 +104,6 @@ impl RunSpec {
         BatchConfig {
             workers: self.workers,
             chaos: self.chaos,
-            incremental: self.incremental,
             cache_cap: self.cache_cap,
             cache_file: self.cache_file.clone(),
             budget: BudgetSpec { cancel: Some(self.cancel.clone()), ..BudgetSpec::default() },
@@ -136,15 +129,7 @@ fn run(spec: &RunSpec) -> String {
 fn main() {
     let cli = Cli::from_env("batch_corpus", USAGE);
     cli.validate_or_exit(
-        &[
-            "--full",
-            "--verify",
-            "--chaos",
-            "--no-incremental",
-            "--sampled",
-            "--sampled-check",
-            "--trajectory",
-        ],
+        &["--full", "--verify", "--chaos", "--sampled", "--sampled-check", "--trajectory"],
         &[
             "--units",
             "--workers",
@@ -163,8 +148,6 @@ fn main() {
     let gen_units = cli.count_or_exit("--units").unwrap_or(24);
     let workers = cli.count_or_exit("--workers").unwrap_or_else(delin_vic::deps::workers_from_env);
     let cache_cap = cli.count_or_exit("--cache-cap").unwrap_or_else(cache_cap_from_env);
-    let incremental =
-        if cli.flag("--no-incremental") { false } else { delin_vic::deps::incremental_from_env() };
     let suite_path = cli.string("--suite").map(PathBuf::from).or_else(|| {
         // Sampled modes are suite-driven by definition; without an explicit
         // suite they measure the fidelity corpus the trajectory gates pin.
@@ -186,7 +169,6 @@ fn main() {
         gen_units,
         suite,
         chaos,
-        incremental,
         cache_cap,
         cache_file: cli.string("--cache-file").map(PathBuf::from),
         cancel,
@@ -241,10 +223,6 @@ fn main() {
             eprintln!("{failures} determinism violation(s)");
             std::process::exit(1);
         }
-        if let Err(msg) = verify_incremental_ab(&spec) {
-            eprintln!("FAIL incremental A/B: {msg}");
-            std::process::exit(1);
-        }
         if let Err(msg) = verify_persistence_ab(&spec) {
             eprintln!("FAIL warm-start A/B: {msg}");
             std::process::exit(1);
@@ -291,67 +269,6 @@ fn finish(cancel: &CancelToken) -> ! {
         std::process::exit(130);
     }
     std::process::exit(0);
-}
-
-/// A nest whose rows overlap (`A(i + 5*j)` with `i` in `0..=7`), so
-/// delinearization cannot separate them and its direction walk needs the
-/// exact solver. The generated units decide without search, and under
-/// `--chaos` every RiCEPS unit fails, so the incremental A/B leg decides
-/// [`OVERLAPPING_COPIES`] copies of this unit beside the corpus to keep
-/// solver work to compare when injected faults degrade some of them.
-const OVERLAPPING_UNIT: &str =
-    "REAL A(0:99)\nDO 1 j = 0, 3\nDO 1 i = 0, 7\n1   A(i + 5*j) = A(i + 5*j + 2)\nEND\n";
-const OVERLAPPING_COPIES: usize = 8;
-
-/// The incremental A/B leg of `--verify`: the same corpus (plus the
-/// [`OVERLAPPING_UNIT`] copies) with incremental solving on and off must
-/// produce identical units, edges, and verdicts, while the incremental run
-/// actually reuses subtrees and spends strictly fewer exact-solver nodes.
-fn verify_incremental_ab(spec: &RunSpec) -> Result<(), String> {
-    let run = |incremental| {
-        let mut units = corpus(spec);
-        units.extend(
-            (0..OVERLAPPING_COPIES)
-                .map(|k| BatchUnit::new(format!("ab/overlapping-{k}"), OVERLAPPING_UNIT)),
-        );
-        BatchRunner::new(RunSpec { incremental, ..spec.clone() }.config()).run(units)
-    };
-    let (on, off) = (run(true), run(false));
-    if on.units.len() != off.units.len() {
-        return Err(format!("unit counts differ: {} vs {}", on.units.len(), off.units.len()));
-    }
-    for (a, b) in on.units.iter().zip(&off.units) {
-        let va = a.stats.verdict_stats();
-        let vb = b.stats.verdict_stats();
-        if a.name != b.name
-            || a.edges != b.edges
-            || a.edges_fp != b.edges_fp
-            || a.vectorized_statements != b.vectorized_statements
-            || va.pairs_tested != vb.pairs_tested
-            || va.proven_independent != vb.proven_independent
-            || va.conservative_pairs != vb.conservative_pairs
-            || va.decided_by != vb.decided_by
-        {
-            return Err(format!("unit {} differs between incremental on/off", a.name));
-        }
-    }
-    let on_t = on.totals.verdict_stats();
-    let off_t = off.totals.verdict_stats();
-    if on_t.subtree_reuses == 0 {
-        return Err("incremental run reused no subtrees".into());
-    }
-    if on_t.solver_nodes >= off_t.solver_nodes {
-        return Err(format!(
-            "incremental run must spend strictly fewer solver nodes ({} vs {})",
-            on_t.solver_nodes, off_t.solver_nodes
-        ));
-    }
-    println!(
-        "OK   incremental A/B: edges/verdicts identical, {} subtree reuses, \
-         nodes {} -> {} ({} saved)",
-        on_t.subtree_reuses, off_t.solver_nodes, on_t.solver_nodes, on_t.nodes_saved
-    );
-    Ok(())
 }
 
 /// The warm-start A/B leg of `--verify`: a cold run writes the persistent

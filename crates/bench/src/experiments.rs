@@ -436,21 +436,14 @@ pub fn vectorizer_rows(lines: usize) -> Vec<Vec<String>> {
         "vectorized (battery)".to_string(),
         "vector dims (battery)".to_string(),
     ]];
+    let config = |choice| PipelineConfig {
+        engine: EngineConfig { choice, ..EngineConfig::default() },
+        ..PipelineConfig::default()
+    };
     for spec in all_benchmarks() {
         let src = generate_scaled(&spec, lines);
-        let with = run_pipeline(
-            &src,
-            &PipelineConfig {
-                choice: TestChoice::DelinearizationFirst,
-                ..PipelineConfig::default()
-            },
-        )
-        .expect("pipeline");
-        let without = run_pipeline(
-            &src,
-            &PipelineConfig { choice: TestChoice::BatteryOnly, ..PipelineConfig::default() },
-        )
-        .expect("pipeline");
+        let with = run_pipeline(&src, &config(TestChoice::DelinearizationFirst)).expect("pipeline");
+        let without = run_pipeline(&src, &config(TestChoice::BatteryOnly)).expect("pipeline");
         rows.push(vec![
             spec.name.to_string(),
             with.vectorization.total_statements.to_string(),

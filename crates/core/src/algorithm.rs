@@ -30,31 +30,27 @@ use delin_numeric::{Coeff, Trilean};
 pub struct DelinConfig {
     /// Record a [`TraceRow`] per iteration (the Fig. 5 table).
     pub collect_trace: bool,
-    /// Node budget for the exact per-dimension solvers used downstream.
-    pub dimension_node_limit: u64,
-    /// Optional full resource budget (deadline + cancellation on top of the
-    /// node limit) threaded into the per-dimension exact solvers. When set
-    /// it *replaces* `dimension_node_limit`, and any exhaustion is recorded
-    /// in its shared trip flag so callers can tell that the verdict
-    /// degraded. `None` keeps the node-only historical behaviour.
+    /// Optional full resource budget (node limit, deadline, cancellation)
+    /// threaded into the per-dimension exact solvers. Any exhaustion is
+    /// recorded in its shared trip flag so callers can tell that the
+    /// verdict degraded. `None` runs them under the default node limit
+    /// ([`delin_dep::budget::DEFAULT_NODE_LIMIT`]).
     pub budget: Option<delin_dep::budget::ResourceBudget>,
     /// Return early with [`DelinOutcome::Independent`] when the on-the-fly
     /// GCD/Banerjee check fires (the Fig. 4 behaviour). Source-level
     /// delinearization of a single *address expression* turns this off: it
     /// wants the full separation even when a "dimension" excludes zero.
     pub stop_on_independence: bool,
-    /// Memoize per-dimension refinement subtrees in a
-    /// [`delin_dep::exact::SubtreeStore`] so each tighter direction query
-    /// of the hierarchy walk replays the solves of the looser ones it
-    /// refines (and `DelinearizationTest::test_with_distances` replays the
-    /// walk's leaf proofs). Off reproduces the fresh-solve engine node for
-    /// node; verdicts are identical either way.
+    /// No effect (refinements always replay through a
+    /// [`delin_dep::exact::SubtreeStore`]); kept only because perfbench names it.
     pub incremental: bool,
     /// An externally owned [`delin_dep::exact::SubtreeStore`] to refine
-    /// through instead of a per-call private one. The verdict cache hands
-    /// the same store to every decision of a canonical problem, so sibling
-    /// refinements across a unit (and across units) share subtrees. Ignored
-    /// when `incremental` is off; `None` uses a fresh per-call store.
+    /// through instead of a per-call private one. Each tighter direction
+    /// query of the hierarchy walk replays the solves of the looser ones it
+    /// refines (and `DelinearizationTest::test_with_distances` replays the
+    /// walk's leaf proofs). The engine passes a store it then memoizes
+    /// beside the verdict (`CachedOutcome::solver_state` in `delin_vic`).
+    /// `None` uses a fresh per-call store.
     pub solve_store: Option<std::sync::Arc<delin_dep::exact::SubtreeStore>>,
     /// No effect (solvers always reuse scratch); kept only because perfbench names it.
     pub arena: bool,
@@ -64,7 +60,6 @@ impl Default for DelinConfig {
     fn default() -> Self {
         DelinConfig {
             collect_trace: false,
-            dimension_node_limit: 1_000_000,
             budget: None,
             stop_on_independence: true,
             incremental: true,

@@ -36,24 +36,13 @@ pub struct DelinearizationTest {
 }
 
 impl DelinearizationTest {
-    /// A test with the given per-dimension solver budget.
-    pub fn with_node_limit(limit: u64) -> DelinearizationTest {
-        DelinearizationTest {
-            config: DelinConfig { dimension_node_limit: limit, ..DelinConfig::default() },
-        }
-    }
-
     /// A test whose per-dimension solvers run under `budget` (node limit,
     /// deadline, and cancellation; exhaustion degrades the verdict to a
     /// conservative, never-exact answer and records the reason in the
     /// budget's trip flag).
     pub fn with_budget(budget: ResourceBudget) -> DelinearizationTest {
         DelinearizationTest {
-            config: DelinConfig {
-                dimension_node_limit: budget.node_limit(),
-                budget: Some(budget),
-                ..DelinConfig::default()
-            },
+            config: DelinConfig { budget: Some(budget), ..DelinConfig::default() },
         }
     }
 }
@@ -152,26 +141,18 @@ impl DelinearizationTest {
     }
 
     fn decide_concrete(&self, problem: &DependenceProblem<i128>, distances: bool) -> Verdict {
-        let budget =
-            self.config.budget.clone().unwrap_or_else(|| {
-                ResourceBudget::with_node_limit(self.config.dimension_node_limit)
-            });
+        let budget = self.config.budget.clone().unwrap_or_default();
         let solver = ExactSolver::with_budget(budget.clone());
         // One subtree store spans the whole decision: the distance
         // extraction queries the same per-dimension subproblems as the
         // hierarchy walk, so its witness solves replay the walk's leaf
-        // proofs instead of re-enumerating. A caller (the verdict cache)
-        // may hand in a longer-lived store instead, so repeated decisions
-        // of one canonical problem share subtrees too.
+        // proofs instead of re-enumerating. A caller (the engine) may hand
+        // in its own store instead, to keep it beside the verdict.
         let owned;
         let store: &SubtreeStore = match &self.config.solve_store {
-            Some(shared) if self.config.incremental => shared,
-            _ => {
-                owned = if self.config.incremental {
-                    SubtreeStore::new()
-                } else {
-                    SubtreeStore::disabled()
-                };
+            Some(shared) => shared,
+            None => {
+                owned = SubtreeStore::new();
                 &owned
             }
         };
@@ -496,31 +477,37 @@ mod tests {
         }
     }
 
+    /// A shared solve store changes what a decision costs, never what it
+    /// decides: deciding a problem again through a store that already
+    /// decided it replays its subtrees and spends fewer nodes than a
+    /// decision with a private store. (The fresh-solve reference, a
+    /// disabled store, is compared in `delin_dep::hierarchy`'s tests.)
     #[test]
-    fn incremental_config_changes_cost_but_not_verdicts() {
+    fn shared_solve_store_changes_cost_but_not_verdicts() {
         use delin_dep::exact::{
             peek_thread_nodes, reset_thread_nodes, reset_thread_refine, take_thread_refine,
         };
-        let incremental = DelinearizationTest::default();
-        let fresh = DelinearizationTest {
-            config: DelinConfig { incremental: false, ..DelinConfig::default() },
+        let private = DelinearizationTest::default();
+        let shared = DelinearizationTest {
+            config: DelinConfig {
+                solve_store: Some(std::sync::Arc::new(SubtreeStore::new())),
+                ..DelinConfig::default()
+            },
         };
-        let problems = vec![motivating(), overlapping()];
-        for p in &problems {
+        for p in &[motivating(), overlapping()] {
+            reset_thread_nodes();
+            let v_private = private.test(p);
+            let private_nodes = peek_thread_nodes();
+            let _ = shared.test(p);
             reset_thread_nodes();
             reset_thread_refine();
-            let v_fresh = fresh.test(p);
-            let fresh_nodes = peek_thread_nodes();
-            let c_fresh = take_thread_refine();
-            assert_eq!(c_fresh.subtree_reuses, 0, "disabled store must never reuse");
-            reset_thread_nodes();
-            let v_incr = incremental.test(p);
-            let incr_nodes = peek_thread_nodes();
-            let c_incr = take_thread_refine();
-            assert_eq!(format!("{v_fresh:?}"), format!("{v_incr:?}"));
-            if v_incr.is_dependent() {
-                assert!(c_incr.subtree_reuses > 0, "dependent pairs must share subtrees");
-                assert!(incr_nodes < fresh_nodes, "{incr_nodes} vs {fresh_nodes}");
+            let v_shared = shared.test(p);
+            let shared_nodes = peek_thread_nodes();
+            let counters = take_thread_refine();
+            assert_eq!(format!("{v_private:?}"), format!("{v_shared:?}"));
+            if v_shared.is_dependent() {
+                assert!(counters.subtree_reuses > 0, "a warmed store must replay subtrees");
+                assert!(shared_nodes < private_nodes, "{shared_nodes} vs {private_nodes}");
             }
             reset_thread_nodes();
         }

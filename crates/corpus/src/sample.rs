@@ -38,7 +38,6 @@
 //! unit sequence, so two runs (or two worker counts: the sampler never
 //! threads) produce identical subsets.
 
-use crate::census;
 use delin_frontend::access::{collect_accesses, Subscript};
 use delin_frontend::induction::substitute_inductions;
 use delin_frontend::parse_program;
@@ -410,19 +409,6 @@ impl WeightedEstimate {
         }
         worst * 100.0
     }
-}
-
-/// Cheap corpus-level census sanity used by the bench layer's sampled
-/// reports: how many units the census would call linearized at all.
-pub fn linearized_unit_count(units: &[BatchUnit]) -> usize {
-    units
-        .iter()
-        .filter(|u| {
-            parse_program(&u.source)
-                .map(|p| census::census(&p, &u.assumptions).linearized_refs > 0)
-                .unwrap_or(false)
-        })
-        .count()
 }
 
 #[cfg(test)]

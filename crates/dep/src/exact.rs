@@ -78,7 +78,7 @@ pub struct RefineCounters {
     /// Queries answered from a memoized subtree instead of a fresh solve.
     pub subtree_reuses: u64,
     /// Search nodes the reused subtrees cost when first solved — the work
-    /// a non-incremental engine would have repeated.
+    /// fresh solves would have repeated.
     pub nodes_saved: u64,
 }
 
@@ -326,8 +326,9 @@ pub struct SolveTree {
 /// canonical problem — share subtrees instead of re-solving.
 ///
 /// A disabled store (see [`SubtreeStore::disabled`]) still counts
-/// refinement queries but answers every one with a fresh solve; it exists
-/// so the incremental path can be A/B-tested without touching call sites.
+/// refinement queries but answers every one with a fresh solve: the
+/// reference the store is tested against (`hierarchy::exact_oracle`, and
+/// the differential tests that compare the two).
 #[derive(Debug, Default)]
 pub struct SubtreeStore {
     enabled: bool,
@@ -346,8 +347,8 @@ impl SubtreeStore {
         SubtreeStore { enabled: true, trees: Mutex::new(HashMap::default()) }
     }
 
-    /// A store that never memoizes: every query is a fresh solve, matching
-    /// the non-incremental engine node for node.
+    /// A store that never memoizes: every query is a fresh solve. Tests
+    /// compare the memoizing store against it.
     pub fn disabled() -> SubtreeStore {
         SubtreeStore { enabled: false, trees: Mutex::new(HashMap::default()) }
     }

@@ -200,16 +200,6 @@ impl<C: Coeff> Affine<C> {
         self.constant.as_i128().is_some() && self.terms.values().all(|c| c.as_i128().is_some())
     }
 
-    /// The definite sign of the form when it is a constant, under
-    /// assumptions.
-    pub fn constant_sign(&self, a: &Assumptions) -> Option<crate::sign::Sign> {
-        if self.is_constant() {
-            self.constant.sign(a)
-        } else {
-            None
-        }
-    }
-
     /// Renders the form using a caller-supplied variable namer.
     pub fn display_with<'a>(
         &'a self,

@@ -10,13 +10,10 @@
 //!
 //! # Worker budgeting
 //!
-//! [`BatchConfig::workers`] is the *total* thread budget. It is split
-//! between unit-level parallelism (how many units are in flight) and the
-//! per-unit dependence-pair worklist so the two levels never oversubscribe:
-//! `unit_parallelism × per-unit engine workers ≤ workers`. With the default
-//! auto split, each in-flight unit runs its worklist serially — for corpora
-//! of many small units that is the efficient shape. `workers = 1` is the
-//! fully serial reference path.
+//! [`BatchConfig::workers`] is the thread budget, spent at one level: that
+//! many units are in flight at once, and each runs its dependence-pair
+//! worklist serially — for corpora of many small units that is the
+//! efficient shape. `workers = 1` is the fully serial reference path.
 //!
 //! # Determinism contract
 //!
@@ -70,7 +67,7 @@
 use crate::cache::{cache_cap_from_env, KeyMode, VerdictCache};
 use crate::chaos::{ChaosCtx, ChaosPlan, FaultKind};
 use crate::deps::{
-    incremental_from_env, workers_from_env, DepEdge, DepKind, DepStats, TestChoice, VerdictStats,
+    workers_from_env, DepEdge, DepKind, DepStats, EngineConfig, TestChoice, VerdictStats,
 };
 use crate::persist;
 use crate::pipeline::{run_pipeline_in, PipelineConfig};
@@ -162,25 +159,17 @@ impl From<BatchUnit> for BatchJob {
 pub struct BatchConfig {
     /// Which dependence tests drive the analysis.
     pub choice: TestChoice,
-    /// Total worker-thread budget across both scheduling levels; `0` means
-    /// one per available CPU (or `DELIN_WORKERS` when set), `1` is fully
-    /// serial.
+    /// Units in flight at once, each running its pair worklist serially;
+    /// `0` means one per available CPU (or `DELIN_WORKERS` when set), `1`
+    /// is fully serial.
     pub workers: usize,
-    /// Units in flight at once; `0` (auto) uses the whole budget at the
-    /// unit level with serial per-unit worklists. Clamped to `workers`.
-    pub unit_parallelism: usize,
     /// Share one verdict cache across all units (cross-unit memoization).
     pub shared_cache: bool,
     /// With `shared_cache` off, still memoize within each unit.
     pub cache: bool,
     /// No effect (see [`KeyMode`]); kept only because perfbench names it.
     pub keying: KeyMode,
-    /// Incremental exact solving (see
-    /// [`crate::deps::EngineConfig::incremental`]): refinement queries
-    /// replay memoized solve subtrees, and cached verdicts carry their
-    /// solver state across units. A pure perf knob — edges and verdicts
-    /// are identical either way. The default reads `DELIN_INCREMENTAL`
-    /// (`0` disables, the A/B baseline).
+    /// No effect (incremental solving is always on); kept only because perfbench names it.
     pub incremental: bool,
     /// No effect (the miss path always recycles); kept only because perfbench names it.
     pub arena: bool,
@@ -220,11 +209,10 @@ impl Default for BatchConfig {
         BatchConfig {
             choice: TestChoice::default(),
             workers: workers_from_env(),
-            unit_parallelism: 0,
             shared_cache: true,
             cache: true,
             keying: KeyMode::Fp,
-            incremental: incremental_from_env(),
+            incremental: true,
             arena: true,
             induction: true,
             linearize: true,
@@ -253,18 +241,6 @@ impl Default for RetryPolicy {
     /// One retry under a 4× budget.
     fn default() -> Self {
         RetryPolicy { max_retries: 1, escalation: 4 }
-    }
-}
-
-impl BatchConfig {
-    /// Resolves the two-level worker split: `(unit workers, engine workers
-    /// per unit)`, with `unit × engine ≤ total budget`.
-    pub fn worker_split(&self) -> (usize, usize) {
-        let auto = || std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let total = if self.workers == 0 { auto() } else { self.workers }.max(1);
-        let units = if self.unit_parallelism == 0 { total } else { self.unit_parallelism };
-        let units = units.clamp(1, total);
-        (units, (total / units).max(1))
     }
 }
 
@@ -334,13 +310,10 @@ impl UnitReport {
             UnitOutcome::Analyzed => {}
         }
         let v = self.stats.verdict_stats();
-        // `degraded=` is appended only when something degraded, so clean
-        // runs keep the historical byte-identical row.
-        let mut tail = String::new();
         // `saved=` appears only when the incremental solver replayed a
         // subtree, and `degraded=` only when something degraded, so
-        // incremental-off, reuse-free, clean rows keep the historical
-        // byte-identical shape.
+        // reuse-free, clean rows keep the historical byte-identical shape.
+        let mut tail = String::new();
         if v.subtree_reuses > 0 {
             tail.push_str(&format!(" saved={}/{}", v.nodes_saved, v.subtree_reuses));
         }
@@ -514,15 +487,39 @@ impl BatchStats {
 }
 
 /// Streams program units through the pipeline under a [`BatchConfig`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct BatchRunner {
     config: BatchConfig,
+    /// The per-unit pipeline configuration, built once from `config`; each
+    /// unit attempt fills in its assumptions, budget and fault context.
+    pipeline: PipelineConfig,
+}
+
+impl Default for BatchRunner {
+    fn default() -> Self {
+        BatchRunner::new(BatchConfig::default())
+    }
 }
 
 impl BatchRunner {
     /// A runner with the given configuration.
     pub fn new(config: BatchConfig) -> BatchRunner {
-        BatchRunner { config }
+        let engine = EngineConfig {
+            choice: config.choice,
+            // Units run in parallel; each unit's pair loop runs serially.
+            workers: 1,
+            cache: config.cache,
+            cache_cap: config.cache_cap,
+            ..EngineConfig::default()
+        };
+        let pipeline = PipelineConfig {
+            engine,
+            induction: config.induction,
+            linearize: config.linearize,
+            assumptions: Assumptions::new(),
+            infer_loop_assumptions: config.infer_loop_assumptions,
+        };
+        BatchRunner { config, pipeline }
     }
 
     /// The active configuration.
@@ -592,7 +589,10 @@ impl BatchRunner {
     {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
-        let (unit_workers, engine_workers) = self.config.worker_split();
+        let unit_workers = match self.config.workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
         let owned = (external.is_none() && self.config.shared_cache)
             .then(|| VerdictCache::bounded(self.config.cache_cap));
         let shared = external.or(owned.as_ref());
@@ -615,7 +615,7 @@ impl BatchRunner {
             loop {
                 match catch_unwind(AssertUnwindSafe(|| it.next())) {
                     Ok(Some(job)) => {
-                        let report = self.run_unit(&job, engine_workers, shared);
+                        let report = self.run_unit(&job, shared);
                         sink(job.tag, &report);
                         agg.absorb(report);
                     }
@@ -653,7 +653,7 @@ impl BatchRunner {
                             }
                         };
                         let Some(job) = job else { break };
-                        let report = self.run_unit(&job, engine_workers, shared);
+                        let report = self.run_unit(&job, shared);
                         sink(job.tag, &report);
                         lock_recover(&agg).absorb(report);
                     });
@@ -707,12 +707,7 @@ impl BatchRunner {
     /// budget, and always return a report. The job's own budget (when set)
     /// replaces the config budget as the base of the escalation ladder, so
     /// per-request allowances are honored exactly when retries are off.
-    fn run_unit(
-        &self,
-        job: &BatchJob,
-        engine_workers: usize,
-        shared: Option<&VerdictCache>,
-    ) -> UnitReport {
+    fn run_unit(&self, job: &BatchJob, shared: Option<&VerdictCache>) -> UnitReport {
         let unit = &job.unit;
         let base_budget = job.budget.as_ref().unwrap_or(&self.config.budget);
         let attempts = self.config.retry.max_retries.saturating_add(1);
@@ -742,7 +737,7 @@ impl BatchRunner {
                 if unit_fault == Some(FaultKind::Panic) {
                     panic!("{}", crate::chaos::CHAOS_PANIC_MSG);
                 }
-                self.process_unit_attempt(job, engine_workers, attempt_shared, budget, chaos)
+                self.process_unit_attempt(job, attempt_shared, budget, chaos)
             }));
             // Drain the thread-local solver node and refinement counters
             // unconditionally: a panic mid-solve would otherwise leak this
@@ -777,25 +772,15 @@ impl BatchRunner {
     fn process_unit_attempt(
         &self,
         job: &BatchJob,
-        engine_workers: usize,
         shared: Option<&VerdictCache>,
         budget: BudgetSpec,
         chaos: Option<ChaosCtx>,
     ) -> UnitReport {
         let unit = &job.unit;
-        let config = PipelineConfig {
-            choice: self.config.choice,
-            induction: self.config.induction,
-            linearize: self.config.linearize,
-            assumptions: unit.assumptions.clone(),
-            infer_loop_assumptions: self.config.infer_loop_assumptions,
-            workers: engine_workers,
-            cache: self.config.cache,
-            incremental: self.config.incremental,
-            cache_cap: self.config.cache_cap,
-            budget,
-            chaos,
-        };
+        let mut config = self.pipeline.clone();
+        config.assumptions = unit.assumptions.clone();
+        config.engine.budget = budget;
+        config.engine.chaos = chaos;
         match run_pipeline_in(&unit.source, &config, shared) {
             Ok(report) => UnitReport {
                 name: unit.name.clone(),
@@ -803,9 +788,9 @@ impl BatchRunner {
                 edges: report.graph.edges.len(),
                 edges_fp: fingerprint_edges(&report.graph.edges),
                 vectorized_statements: report.vectorization.vectorized_statements,
-                stats: report.stats,
-                charged_keys: report.graph.charged_keys.clone(),
+                charged_keys: report.graph.charged_keys,
                 dep_edges: if job.want_edges { report.graph.edges } else { Vec::new() },
+                stats: report.graph.stats,
             },
             Err(e) => UnitReport {
                 name: unit.name.clone(),
@@ -1084,18 +1069,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn worker_split_never_oversubscribes() {
-        for workers in 1..=8 {
-            for unit_parallelism in 0..=8 {
-                let c = BatchConfig { workers, unit_parallelism, ..BatchConfig::default() };
-                let (u, e) = c.worker_split();
-                assert!(u * e <= workers, "{workers}/{unit_parallelism} -> {u}x{e}");
-                assert!(u >= 1 && e >= 1);
-            }
-        }
-    }
-
     /// A panicking unit stream must truncate the batch, not wedge or kill
     /// it: units pulled before the panic are still fully processed and the
     /// failure is counted.
@@ -1288,8 +1261,8 @@ mod tests {
         let mut edges = 0;
         for unit in units.chain(dense_units(4, 7)) {
             let config = PipelineConfig {
+                engine: EngineConfig { workers: 1, ..EngineConfig::default() },
                 assumptions: unit.assumptions.clone(),
-                workers: 1,
                 ..PipelineConfig::default()
             };
             let graph = run_pipeline_in(&unit.source, &config, None).expect("corpus parses").graph;

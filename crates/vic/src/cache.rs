@@ -140,8 +140,9 @@ pub struct CachedOutcome {
     /// while refining this problem's direction hierarchy). Memoized
     /// alongside the verdict so sibling refinements across a unit — and
     /// across units sharing this cache — reach the already-built subtrees
-    /// through a cache hit instead of rebuilding them. `None` when
-    /// incremental solving is disabled or the decision never refined.
+    /// through a cache hit instead of rebuilding them. `None` for an
+    /// outcome that carries no state: a lost pair's stand-in, or a
+    /// persisted record saved without one.
     pub solver_state: Option<Arc<SubtreeStore>>,
     /// `Some(reason)` when the verdict was reached under an exhausted
     /// resource budget. Degraded outcomes are conservative (`Unknown`, or
@@ -307,16 +308,11 @@ type Shard = RwLock<HashMap<u128, Slot, FxBuildHasher>>;
 
 /// A verdict cache keyed by canonicalized dependence problems.
 ///
-/// Construct with [`VerdictCache::new`] for a single graph construction
-/// under one assumption environment, or with [`VerdictCache::shared`] for a
-/// cache shared across program units with *different* environments (every
-/// lookup then goes through [`VerdictCache::lookup`], which keys on the
-/// per-unit assumptions).
+/// Every lookup ([`VerdictCache::lookup`]) carries the assumption
+/// environment it runs under, so one cache may serve program units with
+/// *different* environments.
 pub struct VerdictCache {
     shards: Vec<Shard>,
-    /// The environment baked in by [`VerdictCache::new`]; `None` for shared
-    /// caches, whose lookups carry their environment explicitly.
-    env: Option<Assumptions>,
     /// Total entry capacity; `0` = unbounded (the historical behavior).
     capacity: usize,
     /// Per-shard entry cap derived from `capacity` (`0` = unbounded).
@@ -332,12 +328,6 @@ pub struct VerdictCache {
 }
 
 impl VerdictCache {
-    /// An empty cache for one run under the given assumptions, bounded per
-    /// [`cache_cap_from_env`].
-    pub fn new(assumptions: &Assumptions) -> VerdictCache {
-        VerdictCache::with_parts(Some(assumptions.clone()), cache_cap_from_env())
-    }
-
     /// An empty cache safe to share across program units analyzed under
     /// different assumption environments, bounded per [`cache_cap_from_env`].
     pub fn shared() -> VerdictCache {
@@ -347,18 +337,8 @@ impl VerdictCache {
     /// An empty shareable cache holding at most `capacity` entries (`0` =
     /// unbounded).
     pub fn bounded(capacity: usize) -> VerdictCache {
-        VerdictCache::with_parts(None, capacity)
-    }
-
-    /// [`VerdictCache::bounded`]; the [`KeyMode`] is kept only because perfbench names it.
-    pub fn shared_with_cap(_mode: KeyMode, capacity: usize) -> VerdictCache {
-        VerdictCache::bounded(capacity)
-    }
-
-    fn with_parts(env: Option<Assumptions>, capacity: usize) -> VerdictCache {
         VerdictCache {
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect(),
-            env,
             capacity,
             shard_cap: capacity.div_ceil(SHARDS),
             clock: AtomicU64::new(0),
@@ -366,6 +346,11 @@ impl VerdictCache {
             persistent_hits: AtomicU64::new(0),
             persistent_seeded: AtomicU64::new(0),
         }
+    }
+
+    /// [`VerdictCache::bounded`]; the [`KeyMode`] is kept only because perfbench names it.
+    pub fn shared_with_cap(_mode: KeyMode, capacity: usize) -> VerdictCache {
+        VerdictCache::bounded(capacity)
     }
 
     /// The entry capacity this cache enforces (`0` = unbounded). Capacity
@@ -411,31 +396,6 @@ impl VerdictCache {
     /// `true` when no problem has been memoized yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Looks up the canonical form of `problem` under the environment baked
-    /// in at construction, running `compute` on it on the first sighting.
-    /// Returns the outcome and whether it was a hit.
-    ///
-    /// On a cache built with [`VerdictCache::shared`] — no baked-in
-    /// environment — this degrades to a conservative no-memoize path: the
-    /// canonical problem is computed and the outcome returned, but nothing
-    /// is stored or reused, because without an environment the entry's key
-    /// would be wrong for symbolic problems. Shared lookups that want
-    /// memoization must pass their environment to [`VerdictCache::lookup`].
-    /// (This misuse used to panic, which poisoned the calling worker; see
-    /// `envless_get_or_compute_degrades_to_no_memoize`.)
-    pub fn get_or_compute(
-        &self,
-        problem: &DependenceProblem<SymPoly>,
-        compute: impl FnOnce(&DependenceProblem<SymPoly>) -> CachedOutcome,
-    ) -> (Arc<CachedOutcome>, bool) {
-        let Some(env) = self.env.as_ref() else {
-            let (_, canonical) = canonicalize(problem, "");
-            return (Arc::new(compute(&canonical)), false);
-        };
-        let l = self.lookup(env, problem, compute);
-        (l.outcome, !l.computed)
     }
 
     /// Looks up the canonical form of `problem` under `assumptions`,
@@ -1076,16 +1036,17 @@ mod tests {
 
     #[test]
     fn cache_computes_each_canonical_form_once() {
-        let cache = VerdictCache::new(&Assumptions::new());
+        let cache = VerdictCache::bounded(0);
+        let env = Assumptions::new();
         let mut runs = 0;
         for order in [[0, 1], [1, 0], [0, 1]] {
             let p = two_eq_problem(order);
-            let (out, _) = cache.get_or_compute(&p, |_| {
+            let out = cache.lookup(&env, &p, |_| {
                 runs += 1;
                 outcome(11)
             });
-            assert!(out.verdict.is_independent());
-            assert_eq!(out.solver_nodes, 11);
+            assert!(out.outcome.verdict.is_independent());
+            assert_eq!(out.outcome.solver_nodes, 11);
         }
         assert_eq!(runs, 1, "equation order must not defeat the cache");
         assert_eq!(cache.len(), 1);
@@ -1094,14 +1055,12 @@ mod tests {
 
     #[test]
     fn cache_reports_hits_and_stable_fingerprints() {
-        let cache = VerdictCache::new(&Assumptions::new());
-        let p = two_eq_problem([0, 1]);
-        let (_, hit) = cache.get_or_compute(&p, |_| outcome(0));
-        assert!(!hit);
-        let (_, hit) = cache.get_or_compute(&p, |_| outcome(0));
-        assert!(hit);
-        // The two equation orders share one key fingerprint.
+        let cache = VerdictCache::bounded(0);
         let env = Assumptions::new();
+        let p = two_eq_problem([0, 1]);
+        assert!(cache.lookup(&env, &p, |_| outcome(0)).computed);
+        assert!(!cache.lookup(&env, &p, |_| outcome(0)).computed);
+        // The two equation orders share one key fingerprint.
         let a = cache.lookup(&env, &two_eq_problem([0, 1]), |_| outcome(0));
         let b = cache.lookup(&env, &two_eq_problem([1, 0]), |_| outcome(0));
         assert_eq!(a.key_fp, b.key_fp);
@@ -1111,34 +1070,13 @@ mod tests {
     /// A hit hands back the cache's own `Arc`, not a payload clone.
     #[test]
     fn hits_share_the_memoized_allocation() {
-        let cache = VerdictCache::new(&Assumptions::new());
+        let cache = VerdictCache::bounded(0);
+        let env = Assumptions::new();
         let p = two_eq_problem([0, 1]);
-        let (first, _) = cache.get_or_compute(&p, |_| outcome(1));
-        let (second, hit) = cache.get_or_compute(&p, |_| outcome(2));
-        assert!(hit);
-        assert!(Arc::ptr_eq(&first, &second), "hit must share the stored Arc");
-    }
-
-    /// Regression: an envless `get_or_compute` on a shared cache used to
-    /// panic (`expect("shared caches must use lookup()")`), turning an API
-    /// misuse into a poisoned worker. It now degrades to a conservative
-    /// no-memoize path: the canonical problem is computed and returned on
-    /// every call, and nothing is ever stored.
-    #[test]
-    fn envless_get_or_compute_degrades_to_no_memoize() {
-        let cache = VerdictCache::shared();
-        let mut runs = 0;
-        for _ in 0..2 {
-            let (out, hit) = cache.get_or_compute(&two_eq_problem([0, 1]), |canon| {
-                assert_eq!(canon.equations().len(), 2, "compute still sees the canonical form");
-                runs += 1;
-                outcome(runs)
-            });
-            assert!(!hit, "the no-memoize path can never report a hit");
-            assert_eq!(out.solver_nodes, runs);
-        }
-        assert_eq!(runs, 2, "every envless call recomputes");
-        assert!(cache.is_empty(), "nothing may be memoized without an environment");
+        let first = cache.lookup(&env, &p, |_| outcome(1));
+        let second = cache.lookup(&env, &p, |_| outcome(2));
+        assert!(!second.computed);
+        assert!(Arc::ptr_eq(&first.outcome, &second.outcome), "hit must share the stored Arc");
     }
 
     /// A bounded cache evicts least-recently-touched entries once a shard
@@ -1215,41 +1153,43 @@ mod tests {
     /// lands it is the one memoized.
     #[test]
     fn degraded_outcomes_are_not_memoized() {
-        let cache = VerdictCache::new(&Assumptions::new());
+        let cache = VerdictCache::bounded(0);
+        let env = Assumptions::new();
         let p = two_eq_problem([0, 1]);
         let degraded = CachedOutcome {
             verdict: Verdict::Unknown,
             degraded: Some(delin_dep::budget::DegradeReason::Nodes),
             ..outcome(7)
         };
-        let (out, hit) = cache.get_or_compute(&p, |_| degraded.clone());
-        assert!(!hit);
-        assert!(out.degraded.is_some());
+        let out = cache.lookup(&env, &p, |_| degraded.clone());
+        assert!(out.computed);
+        assert!(out.outcome.degraded.is_some());
         assert_eq!(cache.len(), 0, "degraded outcome must not be stored");
         // Recompute with a full budget: stored this time.
-        let (out, hit) = cache.get_or_compute(&p, |_| outcome(9));
-        assert!(!hit, "idle cell must recompute, not replay the degraded run");
-        assert_eq!(out.solver_nodes, 9);
+        let out = cache.lookup(&env, &p, |_| outcome(9));
+        assert!(out.computed, "idle cell must recompute, not replay the degraded run");
+        assert_eq!(out.outcome.solver_nodes, 9);
         assert_eq!(cache.len(), 1);
-        let (out, hit) = cache.get_or_compute(&p, |_| outcome(99));
-        assert!(hit);
-        assert_eq!(out.solver_nodes, 9, "full-budget outcome is the memoized one");
+        let out = cache.lookup(&env, &p, |_| outcome(99));
+        assert!(!out.computed);
+        assert_eq!(out.outcome.solver_nodes, 9, "full-budget outcome is the memoized one");
     }
 
     /// A panic inside the compute closure leaves the cell (and its shard
     /// lock) usable: the same key can be looked up again and computed.
     #[test]
     fn panicking_compute_leaves_cache_usable() {
-        let cache = VerdictCache::new(&Assumptions::new());
+        let cache = VerdictCache::bounded(0);
+        let env = Assumptions::new();
         let p = two_eq_problem([0, 1]);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.get_or_compute(&p, |_| panic!("injected solver fault"))
+            cache.lookup(&env, &p, |_| panic!("injected solver fault"))
         }));
         assert!(unwound.is_err());
         assert_eq!(cache.len(), 0);
-        let (out, hit) = cache.get_or_compute(&p, |_| outcome(5));
-        assert!(!hit, "post-panic lookup must recompute");
-        assert_eq!(out.solver_nodes, 5);
+        let out = cache.lookup(&env, &p, |_| outcome(5));
+        assert!(out.computed, "post-panic lookup must recompute");
+        assert_eq!(out.outcome.solver_nodes, 5);
         assert_eq!(cache.len(), 1);
     }
 
@@ -1259,26 +1199,28 @@ mod tests {
     /// instead of rebuilding them.
     #[test]
     fn cache_hits_carry_the_stored_solver_state() {
-        let cache = VerdictCache::new(&Assumptions::new());
+        let cache = VerdictCache::bounded(0);
+        let env = Assumptions::new();
         let store = Arc::new(SubtreeStore::new());
-        let miss = cache.get_or_compute(&two_eq_problem([0, 1]), |_| CachedOutcome {
+        let miss = cache.lookup(&env, &two_eq_problem([0, 1]), |_| CachedOutcome {
             solver_state: Some(Arc::clone(&store)),
             ..outcome(3)
         });
         // Equation order must not defeat the state either.
-        let (hit, was_hit) = cache.get_or_compute(&two_eq_problem([1, 0]), |_| outcome(0));
-        assert!(was_hit);
-        let carried = hit.solver_state.clone().expect("hit must carry the stored solver state");
+        let hit = cache.lookup(&env, &two_eq_problem([1, 0]), |_| outcome(0));
+        assert!(!hit.computed);
+        let carried =
+            hit.outcome.solver_state.clone().expect("hit must carry the stored solver state");
         assert!(Arc::ptr_eq(&carried, &store));
-        let first = miss.0.solver_state.clone().expect("miss returns the state it stored");
+        let first = miss.outcome.solver_state.clone().expect("miss returns the state it stored");
         assert!(Arc::ptr_eq(&first, &store));
     }
 
     #[test]
     fn compute_sees_the_canonical_problem() {
-        let cache = VerdictCache::new(&Assumptions::new());
+        let cache = VerdictCache::bounded(0);
         let p = two_eq_problem([1, 0]); // reversed order on purpose
-        cache.get_or_compute(&p, |canon| {
+        cache.lookup(&Assumptions::new(), &p, |canon| {
             // Sorted structural order puts the -5 equation first (its
             // rendition sorts before the "3|2,0," one).
             assert_eq!(canon.equations().len(), 2);

@@ -120,7 +120,7 @@ pub struct DepStats {
     /// its first reference in source-pair order).
     pub refine_queries: u64,
     /// Refinement queries answered by replaying a memoized subtree instead
-    /// of re-enumerating. Zero when incremental solving is disabled.
+    /// of re-enumerating.
     pub subtree_reuses: u64,
     /// Exact-solver nodes the subtree replays avoided re-spending (the
     /// incremental win; compare against [`DepStats::solver_nodes`]).
@@ -231,8 +231,7 @@ impl DepStats {
             self.test_nanos as f64 / 1.0e6
         );
         // Only rendered when the incremental solver actually refined, so
-        // battery-only (and incremental-off, reuse-free) runs keep the
-        // historical summary shape.
+        // battery-only runs keep the historical summary shape.
         if self.refine_queries > 0 {
             let _ = writeln!(
                 out,
@@ -381,8 +380,6 @@ pub enum TestChoice {
     /// configuration).
     #[default]
     DelinearizationFirst,
-    /// Delinearization only.
-    DelinearizationOnly,
     /// Classical battery only (the ablation baseline: GCD + Banerjee +
     /// exact single-index tests + SVPC + Acyclic + Loop Residue).
     BatteryOnly,
@@ -402,13 +399,7 @@ pub struct EngineConfig {
     pub cache: bool,
     /// No effect (see [`KeyMode`]); kept only because perfbench names it.
     pub keying: KeyMode,
-    /// Incremental exact solving: direction-refinement queries replay
-    /// memoized solve subtrees (see [`delin_dep::exact::SubtreeStore`])
-    /// instead of re-enumerating, and the verdict cache stores each
-    /// problem's solver state alongside its verdict. Off reproduces the
-    /// fresh-solve engine node for node — the A/B baseline; verdicts and
-    /// edges are identical either way. Defaults to
-    /// [`incremental_from_env`].
+    /// No effect (incremental solving is always on); kept only because perfbench names it.
     pub incremental: bool,
     /// Entry capacity for the private verdict cache (`0` = unbounded; see
     /// [`crate::cache::cache_cap_from_env`] / `DELIN_CACHE_CAP`). Bounded
@@ -437,7 +428,7 @@ impl Default for EngineConfig {
             workers: workers_from_env(),
             cache: true,
             keying: KeyMode::Fp,
-            incremental: incremental_from_env(),
+            incremental: true,
             arena: true,
             cache_cap: crate::cache::cache_cap_from_env(),
             budget: BudgetSpec::default(),
@@ -454,16 +445,6 @@ impl Default for EngineConfig {
 /// default configurations fails the determinism gate.
 pub fn workers_from_env() -> usize {
     std::env::var("DELIN_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
-}
-
-/// The default incremental-solving switch: on, unless the
-/// `DELIN_INCREMENTAL` environment variable is set to `0`.
-///
-/// The bench binaries and CI use `DELIN_INCREMENTAL=0` as the A/B baseline:
-/// it must produce byte-identical edges and verdicts, spending strictly
-/// more solver nodes on any workload with reusable refinements.
-pub fn incremental_from_env() -> bool {
-    std::env::var("DELIN_INCREMENTAL").map(|v| v != "0").unwrap_or(true)
 }
 
 impl EngineConfig {
@@ -553,13 +534,7 @@ pub fn build_dependence_graph_in(
     // Arm once: the deadline clock covers the whole construction. Pairs
     // derive per-pair trip flags from this via `ResourceBudget::fresh`.
     let budget = config.budget.arm();
-    let ctx = PairCtx {
-        assumptions,
-        choice: config.choice,
-        cache,
-        incremental: config.incremental,
-        budget: &budget,
-    };
+    let ctx = PairCtx { assumptions, choice: config.choice, cache, budget: &budget };
 
     let chaos = config.chaos.as_ref();
     let mut classes =
@@ -626,7 +601,6 @@ struct PairCtx<'a> {
     assumptions: &'a Assumptions,
     choice: TestChoice,
     cache: Option<&'a VerdictCache>,
-    incremental: bool,
     /// The run-armed budget; pairs observe it via `fresh()`.
     budget: &'a ResourceBudget,
 }
@@ -834,8 +808,7 @@ fn test_pair(a: &AccessSite, b: &AccessSite, task: &Task, ctx: &PairCtx<'_>) -> 
             let spec =
                 ChaosCtx::faulted_spec(fault, &BudgetSpec::nodes_only(ctx.budget.node_limit()));
             let problem = pair_problem(a, b);
-            let computed =
-                decide_counted(&problem, ctx.assumptions, ctx.choice, &spec.arm(), ctx.incremental);
+            let computed = decide_counted(&problem, ctx.assumptions, ctx.choice, &spec.arm());
             return PairOutcome {
                 outcome: Arc::new(computed),
                 nanos: started.elapsed().as_nanos(),
@@ -852,25 +825,14 @@ fn test_pair(a: &AccessSite, b: &AccessSite, task: &Task, ctx: &PairCtx<'_>) -> 
                     // The per-pair budget is armed inside the compute slot:
                     // only a miss spends solver effort, so a hit never pays
                     // for the tracker.
-                    decide_counted(
-                        canonical,
-                        ctx.assumptions,
-                        ctx.choice,
-                        &ctx.budget.fresh(),
-                        ctx.incremental,
-                    )
+                    decide_counted(canonical, ctx.assumptions, ctx.choice, &ctx.budget.fresh())
                 });
             // A hit shares the cache entry's `Arc` — no payload clone.
             PairOutcome { outcome, nanos: 0, key_fp: Some(key_fp) }
         }
         None => {
-            let computed = decide_counted(
-                &problem,
-                ctx.assumptions,
-                ctx.choice,
-                &ctx.budget.fresh(),
-                ctx.incremental,
-            );
+            let computed =
+                decide_counted(&problem, ctx.assumptions, ctx.choice, &ctx.budget.fresh());
             PairOutcome { outcome: Arc::new(computed), nanos: 0, key_fp: None }
         }
     };
@@ -881,24 +843,22 @@ fn test_pair(a: &AccessSite, b: &AccessSite, task: &Task, ctx: &PairCtx<'_>) -> 
 /// Runs [`decide`] with exact-solver node and refinement accounting
 /// around it.
 ///
-/// When `incremental` is on the decision refines through a private
-/// [`SubtreeStore`] created here — private, so the counters stay pure
-/// functions of the canonical problem regardless of scheduling — and the
-/// store is stowed in the returned outcome: the verdict cache memoizes it
-/// alongside the verdict, which is how sibling refinements across a unit
-/// (and across units sharing one cache) reach the same subtrees.
+/// The decision refines through a private [`SubtreeStore`] created here —
+/// private, so the counters stay pure functions of the canonical problem
+/// regardless of scheduling — and the store is stowed in the returned
+/// outcome: the verdict cache memoizes it alongside the verdict, which is
+/// how sibling refinements across a unit (and across units sharing one
+/// cache) reach the same subtrees.
 fn decide_counted(
     problem: &DependenceProblem<SymPoly>,
     assumptions: &Assumptions,
     choice: TestChoice,
     budget: &ResourceBudget,
-    incremental: bool,
 ) -> CachedOutcome {
     let _ = delin_dep::exact::take_thread_nodes();
     delin_dep::exact::reset_thread_refine();
-    let store = incremental.then(|| Arc::new(SubtreeStore::new()));
-    let (verdict, tested_by, attempts) =
-        decide(problem, assumptions, choice, budget, incremental, store.as_ref());
+    let store = Arc::new(SubtreeStore::new());
+    let (verdict, tested_by, attempts) = decide(problem, assumptions, choice, budget, &store);
     let refine = delin_dep::exact::take_thread_refine();
     CachedOutcome {
         verdict,
@@ -908,7 +868,7 @@ fn decide_counted(
         refine_queries: refine.refine_queries,
         subtree_reuses: refine.subtree_reuses,
         nodes_saved: refine.nodes_saved,
-        solver_state: store,
+        solver_state: Some(store),
         degraded: budget.tripped(),
     }
 }
@@ -1035,8 +995,7 @@ fn decide(
     assumptions: &Assumptions,
     choice: TestChoice,
     budget: &ResourceBudget,
-    incremental: bool,
-    store: Option<&Arc<SubtreeStore>>,
+    store: &Arc<SubtreeStore>,
 ) -> (Verdict, &'static str, Vec<&'static str>) {
     if budget.exhausted().is_some() {
         return (Verdict::Unknown, "degraded", Vec::new());
@@ -1047,18 +1006,6 @@ fn decide(
     sym.set_assumptions(assumptions.clone());
     let concrete = concretize(&sym);
 
-    let mut delin = DelinearizationTest::with_budget(budget.clone());
-    delin.config.incremental = incremental;
-    delin.config.solve_store = store.map(Arc::clone);
-    let delin = delin;
-    let run_delin =
-        |name: &'static str, attempts: &mut Vec<&'static str>| -> (Verdict, &'static str) {
-            attempts.push(name);
-            match &concrete {
-                Some(c) => (DependenceTest::<i128>::test(&delin, c), name),
-                None => (DependenceTest::<SymPoly>::test(&delin, &sym), name),
-            }
-        };
     let run_battery = |attempts: &mut Vec<&'static str>| -> (Verdict, &'static str) {
         if let Some(c) = &concrete {
             let tests: Vec<(&'static str, Verdict)> = vec![
@@ -1109,18 +1056,21 @@ fn decide(
 
     let mut attempts: Vec<&'static str> = Vec::new();
     let (verdict, tested_by) = match choice {
-        TestChoice::DelinearizationOnly => run_delin("delinearization", &mut attempts),
         TestChoice::BatteryOnly => run_battery(&mut attempts),
         TestChoice::DelinearizationFirst => {
-            let (v, name) = run_delin("delinearization", &mut attempts);
-            if v.is_unknown() {
-                if budget.exhausted().is_some() {
-                    (Verdict::Unknown, "degraded")
-                } else {
-                    run_battery(&mut attempts)
-                }
+            let mut delin = DelinearizationTest::with_budget(budget.clone());
+            delin.config.solve_store = Some(Arc::clone(store));
+            attempts.push("delinearization");
+            let v = match &concrete {
+                Some(c) => DependenceTest::<i128>::test(&delin, c),
+                None => DependenceTest::<SymPoly>::test(&delin, &sym),
+            };
+            if !v.is_unknown() {
+                (v, "delinearization")
+            } else if budget.exhausted().is_some() {
+                (Verdict::Unknown, "degraded")
             } else {
-                (v, name)
+                run_battery(&mut attempts)
             }
         }
     };
@@ -1560,7 +1510,7 @@ mod tests {
         // pure verdict-cache hits.
         let doubled = parse_program(OVERLAPPING_TWICE).unwrap();
         let single = parse_program(OVERLAPPING).unwrap();
-        let config = EngineConfig { workers: 1, incremental: true, ..EngineConfig::default() };
+        let config = EngineConfig { workers: 1, ..EngineConfig::default() };
         let g2 = build_dependence_graph_with(&doubled, &Assumptions::new(), &config);
         let g1 = build_dependence_graph_with(&single, &Assumptions::new(), &config);
 
@@ -1577,30 +1527,8 @@ mod tests {
         assert_eq!(g2.stats.nodes_saved, g1.stats.nodes_saved);
         assert_eq!(g2.stats.solver_nodes, g1.stats.solver_nodes);
         assert_eq!(g2.stats.attempts_by, g1.stats.attempts_by);
-    }
-
-    /// The incremental toggle is a pure perf knob: identical edges and
-    /// verdicts, strictly fewer solver nodes when refinements reuse.
-    #[test]
-    fn incremental_toggle_preserves_graphs_and_saves_nodes() {
-        let p = parse_program(OVERLAPPING).unwrap();
-        let run = |incremental: bool| {
-            let config = EngineConfig { workers: 1, incremental, ..EngineConfig::default() };
-            build_dependence_graph_with(&p, &Assumptions::new(), &config)
-        };
-        let on = run(true);
-        let off = run(false);
-        assert_eq!(on.edges, off.edges);
-        assert_eq!(on.stats.proven_independent, off.stats.proven_independent);
-        assert_eq!(on.stats.conservative_pairs, off.stats.conservative_pairs);
-        assert_eq!(on.stats.decided_by, off.stats.decided_by);
-        assert_eq!(on.stats.refine_queries, off.stats.refine_queries);
-        assert_eq!(off.stats.subtree_reuses, 0);
-        assert_eq!(off.stats.nodes_saved, 0);
-        assert!(on.stats.subtree_reuses > 0, "{:?}", on.stats);
-        assert!(on.stats.nodes_saved > 0, "{:?}", on.stats);
-        assert!(on.stats.solver_nodes < off.stats.solver_nodes, "{:?}", (on.stats, off.stats));
-        let rendered = on.stats.render_summary();
+        assert!(g1.stats.nodes_saved > 0, "{:?}", g1.stats);
+        let rendered = g1.stats.render_summary();
         assert!(rendered.contains("refines:"), "{rendered}");
     }
 

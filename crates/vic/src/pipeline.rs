@@ -4,25 +4,24 @@
 //! `EQUIVALENCE`-aliased arrays → dependence analysis → Allen–Kennedy
 //! vectorization → FORTRAN-90-style output.
 
-use crate::cache::{KeyMode, VerdictCache};
-use crate::chaos::ChaosCtx;
+use crate::cache::VerdictCache;
 use crate::codegen::{vectorize, VectorizeResult};
-use crate::deps::{
-    build_dependence_graph_in, incremental_from_env, workers_from_env, DepGraph, DepStats,
-    EngineConfig, TestChoice,
-};
-use delin_dep::budget::BudgetSpec;
+use crate::deps::{build_dependence_graph_in, DepGraph, EngineConfig};
 use delin_frontend::induction::{substitute_inductions, InductionReport};
 use delin_frontend::linearize::{linearize_aliased, LinearizeReport};
 use delin_frontend::parser::{parse_program, ParseError};
 use delin_numeric::Assumptions;
 use std::fmt;
 
-/// Pipeline configuration.
+/// Pipeline configuration: the dependence engine's configuration plus
+/// the frontend switches and the unit's assumptions.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Which dependence tests run.
-    pub choice: TestChoice,
+    /// The dependence engine: which tests run, worker threads, the
+    /// verdict cache and its capacity, the resource budget and fault
+    /// injection. Its defaults read `DELIN_WORKERS`, `DELIN_CACHE_CAP` and
+    /// `DELIN_DEADLINE_MS`.
+    pub engine: EngineConfig,
     /// Apply induction-variable substitution.
     pub induction: bool,
     /// Linearize `EQUIVALENCE`-aliased arrays first.
@@ -32,42 +31,16 @@ pub struct PipelineConfig {
     /// Derive additional symbol bounds from loop bounds under the premise
     /// that loops execute at least once (safe for vectorization).
     pub infer_loop_assumptions: bool,
-    /// Worker threads for the dependence-pair worklist; `0` means one per
-    /// available CPU, `1` forces the serial path. Any count produces
-    /// identical edges and verdict statistics.
-    pub workers: usize,
-    /// Memoize verdicts of canonicalized dependence problems.
-    pub cache: bool,
-    /// Incremental exact solving (see [`EngineConfig::incremental`]): a
-    /// pure perf knob, identical edges and verdicts either way. The
-    /// default reads `DELIN_INCREMENTAL` (`0` disables).
-    pub incremental: bool,
-    /// Verdict-cache entry capacity (see [`EngineConfig::cache_cap`]);
-    /// `0` = unbounded. The default reads `DELIN_CACHE_CAP`. Ignored when
-    /// a shared cache is passed in.
-    pub cache_cap: usize,
-    /// Resource budget for dependence analysis (armed once per run; see
-    /// [`EngineConfig::budget`]). The default reads `DELIN_DEADLINE_MS`.
-    pub budget: BudgetSpec,
-    /// Deterministic fault injection (see [`crate::chaos`]); `None` unless
-    /// the `chaos` feature is on and a plan was requested.
-    pub chaos: Option<ChaosCtx>,
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
-            choice: TestChoice::DelinearizationFirst,
+            engine: EngineConfig::default(),
             induction: true,
             linearize: true,
             assumptions: Assumptions::new(),
             infer_loop_assumptions: true,
-            workers: workers_from_env(),
-            cache: true,
-            incremental: incremental_from_env(),
-            cache_cap: crate::cache::cache_cap_from_env(),
-            budget: BudgetSpec::default(),
-            chaos: None,
         }
     }
 }
@@ -100,16 +73,14 @@ impl From<ParseError> for PipelineError {
 pub struct PipelineReport {
     /// Rendered vector output.
     pub vector_code: String,
-    /// Dependence statistics.
-    pub stats: DepStats,
     /// Vectorization result (counts and code tree).
     pub vectorization: VectorizeResult,
     /// Induction variables substituted.
     pub inductions: Vec<InductionReport>,
     /// Linearizations performed.
     pub linearizations: Vec<LinearizeReport>,
-    /// The dependence graph the vectorizer ran on (its `stats` field equals
-    /// [`PipelineReport::stats`]).
+    /// The dependence graph the vectorizer ran on, with its construction
+    /// statistics.
     pub graph: DepGraph,
 }
 
@@ -127,7 +98,7 @@ pub fn run_pipeline(src: &str, config: &PipelineConfig) -> Result<PipelineReport
 /// Like [`run_pipeline`], but dependence verdicts may be memoized in a
 /// `shared` cross-unit cache (see [`crate::batch`]). With `shared: None`
 /// the pipeline behaves exactly as before, using a private per-run cache
-/// when `config.cache` is set.
+/// when `config.engine.cache` is set.
 ///
 /// # Errors
 ///
@@ -160,22 +131,10 @@ pub fn run_pipeline_in(
     } else {
         config.assumptions.clone()
     };
-    let engine = EngineConfig {
-        choice: config.choice,
-        workers: config.workers,
-        cache: config.cache,
-        keying: KeyMode::Fp,
-        incremental: config.incremental,
-        arena: true,
-        cache_cap: config.cache_cap,
-        budget: config.budget.clone(),
-        chaos: config.chaos.clone(),
-    };
-    let graph = build_dependence_graph_in(&program, &assumptions, &engine, shared);
+    let graph = build_dependence_graph_in(&program, &assumptions, &config.engine, shared);
     let vectorization = vectorize(&program, &graph);
     Ok(PipelineReport {
         vector_code: vectorization.render(),
-        stats: graph.stats.clone(),
         vectorization,
         inductions,
         linearizations,
@@ -186,6 +145,7 @@ pub fn run_pipeline_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deps::TestChoice;
 
     #[test]
     fn full_pipeline_on_motivating_example() {
@@ -201,7 +161,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.vectorization.vectorized_statements, 1);
-        assert!(report.stats.proven_independent >= 1);
+        assert!(report.graph.stats.proven_independent >= 1);
     }
 
     #[test]
@@ -268,11 +228,10 @@ mod tests {
             END
         ";
         let with = run_pipeline(src, &PipelineConfig::default()).unwrap();
-        let without = run_pipeline(
-            src,
-            &PipelineConfig { choice: TestChoice::BatteryOnly, ..PipelineConfig::default() },
-        )
-        .unwrap();
+        let battery = EngineConfig { choice: TestChoice::BatteryOnly, ..EngineConfig::default() };
+        let without =
+            run_pipeline(src, &PipelineConfig { engine: battery, ..PipelineConfig::default() })
+                .unwrap();
         assert!(
             with.vectorization.vectorized_statements > without.vectorization.vectorized_statements
         );

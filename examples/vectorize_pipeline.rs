@@ -4,7 +4,7 @@
 //! Run with `cargo run --example vectorize_pipeline`.
 
 use delinearization::vic::pipeline::{run_pipeline, PipelineConfig};
-use delinearization::vic::TestChoice;
+use delinearization::vic::{EngineConfig, TestChoice};
 
 fn main() {
     let src = "
@@ -28,11 +28,10 @@ fn main() {
         with.vectorization.vector_dimensions,
     );
 
-    let without = run_pipeline(
-        src,
-        &PipelineConfig { choice: TestChoice::BatteryOnly, ..PipelineConfig::default() },
-    )
-    .expect("pipeline");
+    let battery = EngineConfig { choice: TestChoice::BatteryOnly, ..EngineConfig::default() };
+    let without =
+        run_pipeline(src, &PipelineConfig { engine: battery, ..PipelineConfig::default() })
+            .expect("pipeline");
     println!("\n== classical battery only ==");
     println!("{}", without.vector_code);
     println!(

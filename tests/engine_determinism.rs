@@ -112,18 +112,17 @@ fn pipeline_knobs_reach_the_engine() {
     1   C(i + 10*j) = C(i + 10*j + 5)
         END
     ";
-    let cached =
-        run_pipeline(src, &PipelineConfig { workers: 2, cache: true, ..PipelineConfig::default() })
-            .expect("pipeline");
-    let uncached = run_pipeline(
-        src,
-        &PipelineConfig { workers: 1, cache: false, ..PipelineConfig::default() },
-    )
-    .expect("pipeline");
+    let run = |workers, cache| {
+        let engine = EngineConfig { workers, cache, ..EngineConfig::default() };
+        run_pipeline(src, &PipelineConfig { engine, ..PipelineConfig::default() })
+            .expect("pipeline")
+    };
+    let (cached, uncached) = (run(2, true), run(1, false));
     assert_eq!(
         cached.vectorization.vectorized_statements,
         uncached.vectorization.vectorized_statements
     );
-    assert_eq!(cached.stats.cache_hits + cached.stats.cache_misses, cached.stats.pairs_tested);
-    assert_eq!(uncached.stats.cache_hits + uncached.stats.cache_misses, 0);
+    let (cached, uncached) = (&cached.graph.stats, &uncached.graph.stats);
+    assert_eq!(cached.cache_hits + cached.cache_misses, cached.pairs_tested);
+    assert_eq!(uncached.cache_hits + uncached.cache_misses, 0);
 }

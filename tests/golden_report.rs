@@ -16,7 +16,7 @@ use delinearization::numeric::Assumptions;
 use delinearization::vic::batch::{BatchConfig, BatchRunner, BatchUnit, RetryPolicy};
 use delinearization::vic::cache::KeyMode;
 use delinearization::vic::codegen::VectorStmt;
-use delinearization::vic::deps::TestChoice;
+use delinearization::vic::deps::{EngineConfig, TestChoice};
 use delinearization::vic::pipeline::{run_pipeline_in, PipelineConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -24,16 +24,15 @@ use rand::{Rng, SeedableRng};
 const GOLDEN_PATH: &str = "tests/golden/riceps_batch_report.txt";
 
 /// The pinned run: every knob explicit so no environment variable
-/// (`DELIN_WORKERS`, `DELIN_INCREMENTAL`, `DELIN_DEADLINE_MS`,
+/// (`DELIN_WORKERS`, `DELIN_CACHE_CAP`, `DELIN_DEADLINE_MS`,
 /// `DELIN_CHAOS_SEED`) can leak into the golden bytes. This is the
 /// `batch_corpus` default corpus shape (size-reduced RiCEPS) minus the
-/// generated units, serial, incremental solving on.
+/// generated units, serial.
 fn pinned_report() -> String {
     let units: Vec<BatchUnit> = riceps_units(Some(400)).collect();
     let config = BatchConfig {
         choice: TestChoice::DelinearizationFirst,
         workers: 1,
-        unit_parallelism: 0,
         shared_cache: true,
         cache: true,
         keying: KeyMode::Fp,
@@ -155,17 +154,21 @@ fn serial_shapes(code: &[VectorStmt]) -> (usize, usize) {
 #[test]
 fn vector_code_matches_golden() {
     let config = PipelineConfig {
-        choice: TestChoice::DelinearizationFirst,
+        engine: EngineConfig {
+            choice: TestChoice::DelinearizationFirst,
+            workers: 1,
+            cache: true,
+            keying: KeyMode::Fp,
+            incremental: true,
+            cache_cap: 0,
+            arena: true,
+            budget: BudgetSpec::nodes_only(1_000_000),
+            chaos: None,
+        },
         induction: true,
         linearize: true,
         assumptions: Assumptions::new(),
         infer_loop_assumptions: true,
-        workers: 1,
-        cache: true,
-        incremental: true,
-        cache_cap: 0,
-        budget: BudgetSpec::nodes_only(1_000_000),
-        chaos: None,
     };
     let mut inputs: Vec<BatchUnit> = riceps_units(Some(200)).collect();
     inputs.extend((0..64).map(|s| BatchUnit::new(format!("seeded/{s:02}"), seeded_program(s))));

@@ -72,21 +72,21 @@ fn outcome() -> CachedOutcome {
 
 #[test]
 fn fp_mode_concrete_hit_allocates_nothing() {
-    let cache = VerdictCache::new(&Assumptions::new());
+    let cache = VerdictCache::bounded(0);
+    let env = Assumptions::new();
     let problem = concrete_problem();
-    let (_, hit) = cache.get_or_compute(&problem, |_| outcome());
-    assert!(!hit, "first lookup must miss");
+    assert!(cache.lookup(&env, &problem, |_| outcome()).computed, "first lookup must miss");
 
     // Min over several measured hits: the first may still touch lazy
     // runtime state (e.g. thread-locals); the steady state must be zero.
     let mut min_allocs = u64::MAX;
     for _ in 0..10 {
         let before = ALLOCS.load(Ordering::Relaxed);
-        let (shared, hit) = cache.get_or_compute(&problem, |_| outcome());
+        let hit = cache.lookup(&env, &problem, |_| outcome());
         let after = ALLOCS.load(Ordering::Relaxed);
-        assert!(hit, "steady-state lookup must hit");
-        assert_eq!(shared.tested_by, "pin");
-        drop(shared);
+        assert!(!hit.computed, "steady-state lookup must hit");
+        assert_eq!(hit.outcome.tested_by, "pin");
+        drop(hit);
         min_allocs = min_allocs.min(after - before);
     }
     assert_eq!(

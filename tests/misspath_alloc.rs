@@ -166,11 +166,12 @@ fn arena_miss_path_allocates_under_budget() {
 
     // And the hit side of the same problems stays allocation-free: the
     // pools only own miss-path storage, never the hit path.
-    let cache = VerdictCache::new(&Assumptions::new());
+    let cache = VerdictCache::bounded(0);
+    let env = Assumptions::new();
     let program = parse_program(FIG3).expect("test program parses");
-    let sites = delinearization::frontend::collect_accesses(&program, &Assumptions::new());
+    let sites = delinearization::frontend::collect_accesses(&program, &env);
     let problem = pair_problem(&sites[0], &sites[0]);
-    let (_, hit) = cache.get_or_compute(&problem, |_| CachedOutcome {
+    let miss = cache.lookup(&env, &problem, |_| CachedOutcome {
         verdict: delinearization::dep::verdict::Verdict::Independent,
         tested_by: "pin",
         attempts: vec!["pin"],
@@ -181,14 +182,14 @@ fn arena_miss_path_allocates_under_budget() {
         solver_state: None,
         degraded: None,
     });
-    assert!(!hit, "first lookup must miss");
+    assert!(miss.computed, "first lookup must miss");
     let mut min_hit_allocs = u64::MAX;
     for _ in 0..10 {
         let before = ALLOCS.load(Ordering::Relaxed);
-        let (shared, hit) = cache.get_or_compute(&problem, |_| unreachable!("must hit"));
+        let hit = cache.lookup(&env, &problem, |_| unreachable!("must hit"));
         let after = ALLOCS.load(Ordering::Relaxed);
-        assert!(hit, "steady-state lookup must hit");
-        drop(shared);
+        assert!(!hit.computed, "steady-state lookup must hit");
+        drop(hit);
         min_hit_allocs = min_hit_allocs.min(after - before);
     }
     assert_eq!(min_hit_allocs, 0, "a fingerprint-keyed concrete cache hit must not allocate");

@@ -14,7 +14,7 @@ use delinearization::dep::svpc::SvpcTest;
 use delinearization::dep::verdict::DependenceTest;
 use delinearization::frontend::parse_program;
 use delinearization::numeric::Assumptions;
-use delinearization::vic::deps::{build_dependence_graph, DepKind, TestChoice};
+use delinearization::vic::deps::{build_dependence_graph, DepKind, EngineConfig, TestChoice};
 use delinearization::vic::pipeline::{run_pipeline, PipelineConfig};
 
 fn motivating() -> DependenceProblem<i128> {
@@ -90,11 +90,10 @@ fn motivating_program_end_to_end() {
     let with = run_pipeline(src, &PipelineConfig::default()).unwrap();
     assert_eq!(with.vectorization.vectorized_statements, 1);
     assert_eq!(with.vectorization.vector_dimensions, 2);
-    let without = run_pipeline(
-        src,
-        &PipelineConfig { choice: TestChoice::BatteryOnly, ..PipelineConfig::default() },
-    )
-    .unwrap();
+    let battery = EngineConfig { choice: TestChoice::BatteryOnly, ..EngineConfig::default() };
+    let without =
+        run_pipeline(src, &PipelineConfig { engine: battery, ..PipelineConfig::default() })
+            .unwrap();
     assert_eq!(without.vectorization.vectorized_statements, 0);
 }
 

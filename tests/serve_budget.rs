@@ -27,7 +27,6 @@ fn config_with(cache_file: Option<PathBuf>) -> ServeConfig {
         batch: BatchConfig {
             choice: TestChoice::DelinearizationFirst,
             workers: 1,
-            unit_parallelism: 0,
             shared_cache: true,
             cache: true,
             keying: KeyMode::Fp,

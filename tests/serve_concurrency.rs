@@ -30,7 +30,6 @@ fn pinned_serve(workers: usize) -> ServeConfig {
         batch: BatchConfig {
             choice: TestChoice::DelinearizationFirst,
             workers,
-            unit_parallelism: 0,
             shared_cache: true,
             cache: true,
             keying: KeyMode::Fp,

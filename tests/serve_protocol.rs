@@ -22,8 +22,8 @@ use std::io::Cursor;
 #[path = "util/serve_io.rs"]
 mod serve_io;
 use serve_io::{
-    analyze_request, parse_response, response_id, response_type, Session, DELINEARIZED,
-    OVERLAPPING, RECURRENCE,
+    analyze_request, analyze_request_with, parse_response, response_id, response_type, Session,
+    DELINEARIZED, OVERLAPPING, RECURRENCE,
 };
 
 /// Every knob explicit (mirroring `golden_report.rs`) so no environment
@@ -33,7 +33,6 @@ fn pinned_config(workers: usize) -> ServeConfig {
         batch: BatchConfig {
             choice: TestChoice::DelinearizationFirst,
             workers,
-            unit_parallelism: 0,
             shared_cache: true,
             cache: true,
             keying: KeyMode::Fp,
@@ -259,19 +258,35 @@ fn single_stream_is_capped_only_by_max_in_flight() {
     assert_eq!(summary.connections, 1);
 }
 
-/// Cancelling an in-flight request acknowledges with `cancel_ok`. The
-/// rendezvous transport holds r1 in flight (its result write is blocked on
-/// the test), so the cancel deterministically finds it.
+/// A unit whose analysis cannot finish before its cancel token trips:
+/// `1000000000000001*i1 = 1000000000000000*i2 + 999999999999999` has no
+/// solution with `i ≤ 10^14` (every solution has `i1 ≡ -1` modulo `10^15`),
+/// but neither the GCD test nor any bound refutes it, so the exact solver
+/// tries `i1` one value at a time: about 10^14 nodes per refinement query,
+/// months at tens of nanoseconds a node. Under a budget that large, only
+/// the cancel token ends the search.
+const UNENDING: &str = "REAL A(0:9)\nDO 1 i = 0, 100000000000000\n\
+    1   A(1000000000000001*i) = A(1000000000000000*i + 999999999999999)\nEND\n";
+
+/// Cancelling an in-flight request acknowledges with `cancel_ok`, then the
+/// request answers with its degraded result. The order follows from the
+/// request, not from thread timing: r1's search cannot end before its
+/// cancel token trips, and the reader trips it while handling the cancel
+/// line, so r1 is still registered in flight when the reader looks it up
+/// (the writer unregisters a request only after writing its result). The
+/// two lines may reach the wire in either order.
 #[test]
 fn cancel_of_in_flight_request_acknowledges() {
     let mut session = Session::spawn_rendezvous(pinned_config(1));
-    session.send(&analyze_request("r1", RECURRENCE));
+    let budget = "{\"nodes\":1000000000000000000}";
+    session.send(&analyze_request_with("r1", UNENDING, budget, ""));
     session.send("{\"cancel\":\"r1\"}");
     let mut lines = [session.recv(), session.recv()];
     lines.sort_by_key(|l| response_type(l));
     assert_eq!(response_type(&lines[0]), "cancel_ok");
     assert_eq!(response_id(&lines[0]).as_deref(), Some("r1"));
     assert_eq!(response_type(&lines[1]), "result");
+    assert!(lines[1].contains("\"degraded_by\":{\"cancelled\""), "{}", lines[1]);
     let summary = session.close();
     assert_eq!(summary.cancel_requests, 1);
     assert_eq!(summary.protocol_errors, 0);
