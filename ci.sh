@@ -68,60 +68,12 @@ fi
 grep -q 'checksum mismatch' "$trace_tmp/corrupt.err" \
   || { echo "corrupt trace did not fail with the checksum error:" >&2; cat "$trace_tmp/corrupt.err" >&2; exit 1; }
 rm -rf "$trace_tmp"
-# Sampled-bench gate: the SimPoint-style weighted subset of the fidelity
-# suite must extrapolate the full-corpus verdict mix within the suite's
-# pinned tolerance (the binary exits 1 on a breach). Finishes in seconds —
-# this is the gate that lets the benched corpora keep growing.
-sampled_tmp="$(mktemp -d)"
-"$repo_root/target/release/batch_corpus" --sampled-check \
-  --suite benchmarks/verify/config.json > "$sampled_tmp/sampled.out" \
-  || { echo "sampled-check gate failed:" >&2; cat "$sampled_tmp/sampled.out" >&2; exit 1; }
-grep -q 'OK   sampled-check' "$sampled_tmp/sampled.out" \
-  || { echo "sampled-check did not report its verdict:" >&2; cat "$sampled_tmp/sampled.out" >&2; exit 1; }
-# Trajectory smoke: a --trajectory run appends a schema-valid BENCH_9 row.
-"$repo_root/target/release/batch_corpus" --trajectory --label ci-smoke \
-  --bench-out "$sampled_tmp/bench9.json" > /dev/null \
-  || { echo "trajectory gate failed" >&2; exit 1; }
-for key in '"schema": "delin-trajectory"' '"bench_id": 9' '"label": "ci-smoke"' \
-           '"mix_error_pct"' '"tolerance_pct"' '"within_tolerance": true' \
-           '"hit_rate_pct"' '"pairs_est"' '"speedup"'; do
-  grep -qF "$key" "$sampled_tmp/bench9.json" \
-    || { echo "bench9.json missing $key" >&2; cat "$sampled_tmp/bench9.json" >&2; exit 1; }
-done
-# Trajectory labels are JSON-escaped: two appends to one file with a label
-# holding a quote and a non-ASCII letter both succeed, and the file parses
-# with both labels intact.
-for _ in 1 2; do
-  "$repo_root/target/release/batch_corpus" --trajectory --label "it's-é" \
-    --bench-out "$sampled_tmp/labels.json" > /dev/null \
-    || { echo "trajectory append with an escaped label failed" >&2; exit 1; }
-done
-python3 - "$sampled_tmp/labels.json" <<'EOF'
-import json, sys
-rows = json.load(open(sys.argv[1], encoding="utf-8"))["rows"]
-assert [r["label"] for r in rows] == ["it's-é", "it's-é"], rows
-EOF
-rm -rf "$sampled_tmp"
-# Committed trajectory: BENCH_9.json must carry the pr10, pr13, pr15, pr17,
-# pr18 and pr19 rows, in tolerance.
-for label in pr10 pr13 pr15 pr17 pr18 pr19; do
-  grep -qF "\"label\": \"$label\"" BENCH_9.json \
-    || { echo "BENCH_9.json is missing the $label trajectory row" >&2; exit 1; }
-done
-grep -qF '"within_tolerance": true' BENCH_9.json \
-  || { echo "BENCH_9.json has no in-tolerance row" >&2; exit 1; }
-# Miss-path bench schema smoke: the committed BENCH_10.json must stay
-# schema-valid (wall-clock fields vary by machine and are not checked).
-for key in '"schema": "delin-bench-misspath"' '"bench_id": 10' '"legs": ["legacy", "arena"]' \
-           '"pairs_tested"' '"solver_nodes"' '"cache_misses"' '"dep_test_nanos"' \
-           '"dep_nanos_reduction_pct"' '"reports_identical": true'; do
-  grep -qF "$key" BENCH_10.json \
-    || { echo "BENCH_10.json missing $key" >&2; exit 1; }
-done
 # Malformed-flag gate: every corpus binary rejects a non-numeric count with
-# exit code 2 via the shared strict parser (delin_bench::cli).
+# exit code 2 via the shared strict parser (delin_bench::cli), and
+# batch_corpus rejects the retired sampler flags as unknown.
 for bad in "batch_corpus --workers four" "delin_serve --cache-cap many" \
-           "delin_loadgen --clients x" "delin_trace replay --workers x"; do
+           "delin_loadgen --clients x" "delin_trace replay --workers x" \
+           "batch_corpus --trajectory" "batch_corpus --sampled-check"; do
   set +e
   # shellcheck disable=SC2086
   "$repo_root/target/release/"$bad > /dev/null 2>&1

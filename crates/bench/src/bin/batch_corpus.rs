@@ -1,5 +1,8 @@
 //! The batch engine over the full corpus: RiCEPS plus generated workloads
 //! streamed through one shared verdict cache, with the corpus-level table.
+//! It checks the engine's contracts (determinism, persistence,
+//! cancellation, fault isolation) and measures nothing: wall-clock numbers
+//! come from perfbench (`BENCHMARK.json`), the repository's one benchmark.
 //!
 //! Flags:
 //!
@@ -29,22 +32,7 @@
 //! * `--suite PATH` — replace the hardcoded corpus with a config-driven
 //!   suite (`benchmarks/<suite>/config.json`, see `delin_bench::suite`).
 //!   Composes with `--verify`: the determinism matrix then runs over the
-//!   suite's corpus;
-//! * `--sampled` — SimPoint-style sampled run: cluster the suite's units
-//!   by structural feature vector (`delin_corpus::sample`), analyze only
-//!   the weighted representatives, and print the extrapolated full-corpus
-//!   estimate. Defaults to `benchmarks/verify/config.json` when `--suite`
-//!   is not given;
-//! * `--sampled-check` — `--sampled` plus the measured full corpus: fails
-//!   (exit 1) unless the weighted-vs-full verdict-mix error is within the
-//!   suite's pinned `tolerance_pct`;
-//! * `--trajectory` — `--sampled-check` plus a machine-readable row
-//!   appended to the trajectory report (default `BENCH_9.json`; see the
-//!   README's Corpus traces & sampling section for the schema). Rows
-//!   accumulate across PRs, so the file is the repo's perf history;
-//! * `--bench-out PATH` — where `--trajectory` appends its row (so a trial
-//!   run never touches the committed history);
-//! * `--label S` — the row label `--trajectory` writes (default `dev`).
+//!   suite's corpus.
 //!
 //! Ctrl-C requests cooperative cancellation through the run's
 //! [`CancelToken`]: in-flight dependence decisions degrade to the sound
@@ -53,26 +41,18 @@
 
 use delin_bench::cli::Cli;
 use delin_bench::suite::SuiteConfig;
-use delin_corpus::sample::{sample_units, WeightedEstimate};
 use delin_corpus::stream::{generated_units, riceps_units};
 use delin_dep::budget::{BudgetSpec, CancelToken};
 use delin_vic::batch::{BatchConfig, BatchRunner, BatchStats, BatchUnit};
 use delin_vic::cache::cache_cap_from_env;
 use delin_vic::chaos::ChaosPlan;
-use delin_vic::deps::VerdictStats;
-use delin_vic::json::str_token;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 const GENERATED_SEED: u64 = 20260805;
-const DEFAULT_TRAJECTORY_PATH: &str = "BENCH_9.json";
-const DEFAULT_SAMPLED_SUITE: &str = "benchmarks/verify/config.json";
 
-const USAGE: &str = "usage: batch_corpus [--full] [--verify] [--chaos] [--sampled] \
-[--sampled-check] [--trajectory] [--units N] [--workers N] [--cache-cap N] \
-[--cache-file PATH] [--bench-out PATH] [--suite PATH] [--label S]";
+const USAGE: &str = "usage: batch_corpus [--full] [--verify] [--chaos] [--units N] \
+[--workers N] [--cache-cap N] [--cache-file PATH] [--suite PATH]";
 
 fn corpus(spec: &RunSpec) -> Vec<BatchUnit> {
     match &spec.suite {
@@ -129,31 +109,15 @@ fn run(spec: &RunSpec) -> String {
 fn main() {
     let cli = Cli::from_env("batch_corpus", USAGE);
     cli.validate_or_exit(
-        &["--full", "--verify", "--chaos", "--sampled", "--sampled-check", "--trajectory"],
-        &[
-            "--units",
-            "--workers",
-            "--cache-cap",
-            "--cache-file",
-            "--bench-out",
-            "--suite",
-            "--label",
-        ],
+        &["--full", "--verify", "--chaos"],
+        &["--units", "--workers", "--cache-cap", "--cache-file", "--suite"],
     );
     let full = cli.flag("--full");
     let verify = cli.flag("--verify");
-    let trajectory = cli.flag("--trajectory");
-    let sampled_check = cli.flag("--sampled-check") || trajectory;
-    let sampled = cli.flag("--sampled") || sampled_check;
     let gen_units = cli.count_or_exit("--units").unwrap_or(24);
     let workers = cli.count_or_exit("--workers").unwrap_or_else(delin_vic::deps::workers_from_env);
     let cache_cap = cli.count_or_exit("--cache-cap").unwrap_or_else(cache_cap_from_env);
-    let suite_path = cli.string("--suite").map(PathBuf::from).or_else(|| {
-        // Sampled modes are suite-driven by definition; without an explicit
-        // suite they measure the fidelity corpus the trajectory gates pin.
-        sampled.then(|| PathBuf::from(DEFAULT_SAMPLED_SUITE))
-    });
-    let suite = suite_path.map(|path| match SuiteConfig::load(&path) {
+    let suite = cli.string("--suite").map(|path| match SuiteConfig::load(Path::new(&path)) {
         Ok(suite) => suite,
         Err(e) => {
             eprintln!("batch_corpus: {e}");
@@ -173,14 +137,6 @@ fn main() {
         cache_file: cli.string("--cache-file").map(PathBuf::from),
         cancel,
     };
-
-    if sampled {
-        let label = cli.string("--label").unwrap_or_else(|| "dev".into());
-        let out = trajectory.then(|| {
-            PathBuf::from(cli.string("--bench-out").unwrap_or(DEFAULT_TRAJECTORY_PATH.into()))
-        });
-        std::process::exit(run_sampled(&spec, sampled_check, out.as_deref(), &label));
-    }
 
     match &spec.suite {
         Some(suite) => println!(
@@ -366,231 +322,4 @@ fn install_ctrl_c() -> CancelToken {
         signal(SIGINT, on_sigint);
     }
     token
-}
-
-// ---------------------------------------------------------------------------
-// `--sampled` / `--sampled-check` / `--trajectory`: the SimPoint-style
-// weighted subset over a config-driven suite.
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.0".into()
-    }
-}
-
-/// One timed leg of a sampled run.
-struct TimedRun {
-    stats: BatchStats,
-    wall_nanos: u128,
-}
-
-fn timed_run(spec: &RunSpec, units: Vec<BatchUnit>) -> TimedRun {
-    let started = Instant::now();
-    let stats = BatchRunner::new(spec.config()).run(units);
-    TimedRun { stats, wall_nanos: started.elapsed().as_nanos() }
-}
-
-/// Runs the weighted representative subset of the suite's corpus,
-/// extrapolates the full-corpus verdict mix, and — in check mode — measures
-/// the full corpus and holds the estimate to the suite's pinned tolerance.
-/// With `trajectory_out`, appends the machine-readable row.
-fn run_sampled(spec: &RunSpec, check: bool, trajectory_out: Option<&Path>, label: &str) -> i32 {
-    let suite = spec.suite.as_ref().expect("sampled modes always carry a suite");
-    let units: Vec<BatchUnit> = suite.units().collect();
-    let plan = sample_units(&units, &suite.sample);
-    let reps: Vec<BatchUnit> =
-        plan.representatives.iter().map(|r| units[r.index].clone()).collect();
-    println!(
-        "sampled run: suite {} — {} units -> {} representatives ({:.1}% of corpus, \
-         clusters={}, seed={})",
-        suite.name,
-        plan.total_units,
-        plan.representatives.len(),
-        plan.sampled_fraction() * 100.0,
-        suite.sample.clusters,
-        suite.sample.seed
-    );
-    let sampled = timed_run(spec, reps);
-    if spec.cancel.is_cancelled() {
-        eprintln!("interrupted: sampled run aborted");
-        return 130;
-    }
-    let rep_stats: Vec<VerdictStats> = plan
-        .representatives
-        .iter()
-        .map(|r| {
-            sampled
-                .stats
-                .units
-                .iter()
-                .find(|u| u.name == units[r.index].name)
-                .expect("every representative gets a report")
-                .stats
-                .verdict_stats()
-        })
-        .collect();
-    let est = WeightedEstimate::from_stats(&plan, &rep_stats);
-    println!(
-        "  estimated: pairs={:.0} independent={:.0} conservative={:.0} solver-nodes={:.0}",
-        est.pairs_tested, est.proven_independent, est.conservative_pairs, est.solver_nodes
-    );
-    let mix: Vec<String> = est.decided_by.iter().map(|(k, v)| format!("{k}={v:.0}")).collect();
-    println!("  estimated decided-by: {}", mix.join(" "));
-    println!(
-        "  sampled wall: {:.1} ms ({} pairs analyzed)",
-        sampled.wall_nanos as f64 / 1.0e6,
-        sampled.stats.totals.verdict_stats().pairs_tested
-    );
-    if !check {
-        return 0;
-    }
-
-    let full = timed_run(spec, units);
-    if spec.cancel.is_cancelled() {
-        eprintln!("interrupted: sampled-check aborted");
-        return 130;
-    }
-    let full_totals = full.stats.totals.verdict_stats();
-    let error_pct = est.mix_error_pct(&full_totals);
-    let within = error_pct <= suite.tolerance_pct;
-    println!(
-        "  measured:  pairs={} independent={} conservative={} solver-nodes={}",
-        full_totals.pairs_tested,
-        full_totals.proven_independent,
-        full_totals.conservative_pairs,
-        full_totals.solver_nodes
-    );
-    println!(
-        "  full wall: {:.1} ms ({:.1}x the sampled run)",
-        full.wall_nanos as f64 / 1.0e6,
-        full.wall_nanos as f64 / sampled.wall_nanos.max(1) as f64
-    );
-    println!(
-        "{} sampled-check: weighted-vs-full verdict-mix error {error_pct:.2}% \
-         (tolerance {:.0}%)",
-        if within { "OK  " } else { "FAIL" },
-        suite.tolerance_pct
-    );
-    if let Some(out) = trajectory_out {
-        let row = render_trajectory_row(
-            spec, suite, label, &plan, &est, &sampled, &full, error_pct, within,
-        );
-        match append_trajectory_row(out, &row) {
-            Ok(rows) => println!("trajectory: {} now holds {rows} row(s)", out.display()),
-            Err(e) => {
-                eprintln!("batch_corpus: cannot append trajectory row: {e}");
-                return 1;
-            }
-        }
-    }
-    i32::from(!within)
-}
-
-/// Renders one trajectory row (the element appended to `rows` in the
-/// `delin-trajectory` file; schema documented in the README).
-#[allow(clippy::too_many_arguments)]
-fn render_trajectory_row(
-    spec: &RunSpec,
-    suite: &SuiteConfig,
-    label: &str,
-    plan: &delin_corpus::sample::SamplePlan,
-    est: &WeightedEstimate,
-    sampled: &TimedRun,
-    full: &TimedRun,
-    error_pct: f64,
-    within: bool,
-) -> String {
-    let full_totals = full.stats.totals.verdict_stats();
-    let sampled_totals = sampled.stats.totals.verdict_stats();
-    let lookups = full_totals.cache_hits + full_totals.cache_misses;
-    let hit_rate_pct =
-        if lookups == 0 { 0.0 } else { full_totals.cache_hits as f64 * 100.0 / lookups as f64 };
-    let mut out = String::new();
-    let _ = writeln!(out, "    {{");
-    let _ = writeln!(out, "      \"label\": {},", str_token(label));
-    let _ = writeln!(out, "      \"suite\": {},", str_token(&suite.name));
-    let _ = writeln!(out, "      \"units\": {},", plan.total_units);
-    let _ = writeln!(out, "      \"sampled_units\": {},", plan.representatives.len());
-    let _ = writeln!(out, "      \"workers\": {},", spec.workers);
-    let _ = writeln!(out, "      \"full\": {{");
-    let _ = writeln!(out, "        \"wall_ms\": {},", json_f64(full.wall_nanos as f64 / 1.0e6));
-    let _ = writeln!(out, "        \"dep_test_nanos\": {},", full.stats.totals.test_nanos);
-    let _ = writeln!(out, "        \"pairs_tested\": {},", full_totals.pairs_tested);
-    let _ = writeln!(out, "        \"proven_independent\": {},", full_totals.proven_independent);
-    let _ = writeln!(out, "        \"conservative_pairs\": {},", full_totals.conservative_pairs);
-    let _ = writeln!(out, "        \"solver_nodes\": {},", full_totals.solver_nodes);
-    let _ = writeln!(out, "        \"cache_hits\": {},", full_totals.cache_hits);
-    let _ = writeln!(out, "        \"cache_misses\": {},", full_totals.cache_misses);
-    let _ = writeln!(out, "        \"hit_rate_pct\": {}", json_f64(hit_rate_pct));
-    let _ = writeln!(out, "      }},");
-    let _ = writeln!(out, "      \"sampled\": {{");
-    let _ = writeln!(out, "        \"wall_ms\": {},", json_f64(sampled.wall_nanos as f64 / 1.0e6));
-    let _ = writeln!(out, "        \"dep_test_nanos\": {},", sampled.stats.totals.test_nanos);
-    let _ = writeln!(out, "        \"pairs_analyzed\": {},", sampled_totals.pairs_tested);
-    let _ = writeln!(out, "        \"pairs_est\": {},", json_f64(est.pairs_tested));
-    let _ = writeln!(out, "        \"independent_est\": {},", json_f64(est.proven_independent));
-    let _ = writeln!(out, "        \"solver_nodes_est\": {}", json_f64(est.solver_nodes));
-    let _ = writeln!(out, "      }},");
-    let _ = writeln!(
-        out,
-        "      \"speedup\": {},",
-        json_f64(full.wall_nanos as f64 / sampled.wall_nanos.max(1) as f64)
-    );
-    let _ = writeln!(out, "      \"mix_error_pct\": {},", json_f64(error_pct));
-    let _ = writeln!(out, "      \"tolerance_pct\": {},", json_f64(suite.tolerance_pct));
-    let _ = writeln!(out, "      \"within_tolerance\": {within}");
-    let _ = write!(out, "    }}");
-    out
-}
-
-/// Appends `row` to the `rows` array of the trajectory file at `path`,
-/// creating the file when absent. Returns the resulting row count.
-///
-/// Existing files are validated (strict JSON parse + schema marker) before
-/// the textual splice, so a hand-damaged history fails loudly instead of
-/// accumulating garbage.
-fn append_trajectory_row(path: &Path, row: &str) -> Result<usize, String> {
-    let fresh = |row: &str| {
-        format!(
-            "{{\n  \"schema\": \"delin-trajectory\",\n  \"bench_id\": 9,\n  \"rows\": [\n{row}\n  ]\n}}\n"
-        )
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            std::fs::write(path, fresh(row)).map_err(|e| format!("{}: {e}", path.display()))?;
-            return Ok(1);
-        }
-        Err(e) => return Err(format!("{}: {e}", path.display())),
-    };
-    let parsed = delin_vic::json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let obj = parsed.as_obj().ok_or_else(|| format!("{}: not a JSON object", path.display()))?;
-    let schema = obj.get("schema").and_then(delin_vic::json::Json::as_str).unwrap_or_default();
-    if schema != "delin-trajectory" {
-        return Err(format!(
-            "{}: schema is {schema:?}, expected \"delin-trajectory\" — refusing to append",
-            path.display()
-        ));
-    }
-    let rows = match obj.get("rows") {
-        Some(delin_vic::json::Json::Arr(rows)) => rows.len(),
-        _ => return Err(format!("{}: \"rows\" is not an array", path.display())),
-    };
-    // The file is machine-written with a fixed layout; splice the new row
-    // in front of the closing "  ]".
-    let close = text
-        .rfind("\n  ]")
-        .ok_or_else(|| format!("{}: cannot find the rows terminator", path.display()))?;
-    let mut next = String::with_capacity(text.len() + row.len() + 8);
-    next.push_str(&text[..close]);
-    if rows > 0 {
-        next.push(',');
-    }
-    next.push('\n');
-    next.push_str(row);
-    next.push_str(&text[close..]);
-    std::fs::write(path, next).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(rows + 1)
 }

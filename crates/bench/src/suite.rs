@@ -1,27 +1,29 @@
-//! Config-driven benchmark suites (`benchmarks/<suite>/config.json`).
+//! Config-driven corpus suites (`benchmarks/<suite>/config.json`).
 //!
-//! A suite names a corpus declaratively — which unit streams, at what
-//! sizes and seeds — plus the sampling parameters and the fidelity
-//! tolerance that CI holds the sampler to. The corpus binaries load a
-//! suite instead of hardcoding workloads, so growing the benched corpus is
-//! a config edit reviewed like one, not a code change to every binary.
+//! A suite names a corpus declaratively: which unit streams, at what sizes
+//! and seeds. `batch_corpus --suite` and `delin_trace` load a suite instead
+//! of hardcoding workloads, so growing a corpus is a config edit reviewed
+//! like one, not a code change to every binary.
 //!
 //! The format is the workspace's hand-rolled strict JSON
-//! (`delin_vic::json` — no serde): a `delin-suite` schema marker, a
-//! `streams` array of generator invocations, a `sample` object, and an
-//! integer `tolerance_pct`. Unknown stream kinds, missing fields, and
-//! non-integer sizes are structured load errors naming the offending
-//! field, never defaults — a suite that CI gates on must not silently
-//! shrink because of a typo.
+//! (`delin_vic::json` — no serde): a `delin-suite` schema marker, an
+//! optional `name` and `description`, and a `streams` array of generator
+//! invocations. Unknown keys (top-level or inside a stream), unknown
+//! stream kinds, missing fields, and non-integer sizes are structured load
+//! errors naming the offending key or field, never defaults — a suite that
+//! CI gates on must not silently shrink or grow because of a typo.
 
-use delin_corpus::sample::SampleConfig;
 use delin_corpus::stream::{dense_units, generated_units, refinement_units, riceps_units};
 use delin_vic::batch::BatchUnit;
 use delin_vic::json::{self, Json};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// The `schema` marker every suite config must carry.
 pub const SUITE_SCHEMA: &str = "delin-suite";
+
+/// The top-level keys a suite config may carry.
+const SUITE_KEYS: [&str; 4] = ["schema", "name", "description", "streams"];
 
 /// One generator invocation inside a suite.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,11 +88,6 @@ pub struct SuiteConfig {
     pub path: PathBuf,
     /// The corpus, as an ordered list of generator invocations.
     pub streams: Vec<StreamSpec>,
-    /// Sampling parameters for `--sampled` runs.
-    pub sample: SampleConfig,
-    /// The weighted-vs-full verdict-mix error bound, in percent, that
-    /// sampled-fidelity gates hold this suite to.
-    pub tolerance_pct: f64,
 }
 
 impl SuiteConfig {
@@ -107,6 +104,7 @@ impl SuiteConfig {
         let at = |field: &str| format!("{}: {field}", path.display());
         let root = json::parse(text).map_err(|e| format!("{}: {e}", path.display()))?;
         let obj = root.as_obj().ok_or_else(|| at("config must be a JSON object"))?;
+        only_keys(obj, &SUITE_KEYS).map_err(|e| at(&e))?;
         let schema = obj.get("schema").and_then(Json::as_str).unwrap_or_default();
         if schema != SUITE_SCHEMA {
             return Err(at(&format!("schema must be \"{SUITE_SCHEMA}\", got {schema:?}")));
@@ -129,18 +127,7 @@ impl SuiteConfig {
         for (i, raw) in raw_streams.iter().enumerate() {
             streams.push(parse_stream(raw).map_err(|e| at(&format!("streams[{i}]: {e}")))?);
         }
-        let sample = match obj.get("sample") {
-            None => SampleConfig::default(),
-            Some(raw) => parse_sample(raw).map_err(|e| at(&format!("sample: {e}")))?,
-        };
-        let tolerance_pct = match obj.get("tolerance_pct") {
-            None => 10.0,
-            Some(v) => {
-                v.as_u64().ok_or_else(|| at("\"tolerance_pct\" must be a non-negative integer"))?
-                    as f64
-            }
-        };
-        Ok(SuiteConfig { name, path: path.to_path_buf(), streams, sample, tolerance_pct })
+        Ok(SuiteConfig { name, path: path.to_path_buf(), streams })
     }
 
     /// The whole corpus as one lazy stream, in config order.
@@ -158,17 +145,22 @@ impl SuiteConfig {
     }
 }
 
-fn field_usize(
-    obj: &std::collections::BTreeMap<String, Json>,
-    name: &str,
-) -> Result<usize, String> {
+/// Rejects the first key of `obj` outside `allowed`, naming it.
+fn only_keys(obj: &BTreeMap<String, Json>, allowed: &[&str]) -> Result<(), String> {
+    match obj.keys().find(|k| !allowed.contains(&k.as_str())) {
+        Some(key) => Err(format!("unknown key {key:?}")),
+        None => Ok(()),
+    }
+}
+
+fn field_usize(obj: &BTreeMap<String, Json>, name: &str) -> Result<usize, String> {
     obj.get(name)
         .and_then(Json::as_u64)
         .map(|v| v as usize)
         .ok_or_else(|| format!("\"{name}\" must be a non-negative integer"))
 }
 
-fn field_u64(obj: &std::collections::BTreeMap<String, Json>, name: &str) -> Result<u64, String> {
+fn field_u64(obj: &BTreeMap<String, Json>, name: &str) -> Result<u64, String> {
     obj.get(name)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("\"{name}\" must be a non-negative integer"))
@@ -177,6 +169,7 @@ fn field_u64(obj: &std::collections::BTreeMap<String, Json>, name: &str) -> Resu
 fn parse_stream(raw: &Json) -> Result<StreamSpec, String> {
     let obj = raw.as_obj().ok_or("stream must be an object")?;
     let kind = obj.get("kind").and_then(Json::as_str).ok_or("\"kind\" must be a string")?;
+    only_keys(obj, if kind == "riceps" { &["kind", "lines"] } else { &["kind", "units", "seed"] })?;
     match kind {
         "riceps" => {
             let lines = match obj.get("lines") {
@@ -204,21 +197,6 @@ fn parse_stream(raw: &Json) -> Result<StreamSpec, String> {
     }
 }
 
-fn parse_sample(raw: &Json) -> Result<SampleConfig, String> {
-    let obj = raw.as_obj().ok_or("must be an object")?;
-    let mut config = SampleConfig::default();
-    if obj.get("clusters").is_some() {
-        config.clusters = field_usize(obj, "clusters")?;
-    }
-    if obj.get("seed").is_some() {
-        config.seed = field_u64(obj, "seed")?;
-    }
-    if obj.get("iterations").is_some() {
-        config.iterations = field_usize(obj, "iterations")?;
-    }
-    Ok(config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,22 +211,19 @@ mod tests {
             r#"{
                 "schema": "delin-suite",
                 "name": "demo",
+                "description": "every stream kind once",
                 "streams": [
                     {"kind": "riceps", "lines": 120},
                     {"kind": "generated", "units": 3, "seed": 7},
                     {"kind": "refinement", "units": 2, "seed": 7},
                     {"kind": "dense", "units": 2, "seed": 9}
-                ],
-                "sample": {"clusters": 4, "seed": 11, "iterations": 32},
-                "tolerance_pct": 7
+                ]
             }"#,
         )
         .unwrap();
         assert_eq!(suite.name, "demo");
         assert_eq!(suite.streams.len(), 4);
         assert_eq!(suite.declared_units(), 8 + 3 + 2 + 2);
-        assert_eq!(suite.sample, SampleConfig { clusters: 4, seed: 11, iterations: 32 });
-        assert_eq!(suite.tolerance_pct, 7.0);
         let units: Vec<BatchUnit> = suite.units().collect();
         assert_eq!(units.len(), suite.declared_units());
         // Config order is corpus order.
@@ -278,6 +253,21 @@ mod tests {
         )
         .unwrap_err();
         assert!(bad_units.contains("units"), "{bad_units}");
+
+        // A typo or a retired key is an error naming it, not an ignored key.
+        for key in ["stream", "sample", "tolerance_pct"] {
+            let text = format!(
+                r#"{{"schema": "delin-suite", "streams": [{{"kind": "riceps"}}], "{key}": 1}}"#
+            );
+            let unknown_key = parse(&text).unwrap_err();
+            assert!(unknown_key.contains(&format!("unknown key \"{key}\"")), "{unknown_key}");
+        }
+        // Inside a stream too: a misspelled `lines` must not load the
+        // full-size programs.
+        let stream_typo =
+            parse(r#"{"schema": "delin-suite", "streams": [{"kind": "riceps", "line": 120}]}"#)
+                .unwrap_err();
+        assert!(stream_typo.contains("streams[0]: unknown key \"line\""), "{stream_typo}");
 
         let empty = parse(r#"{"schema": "delin-suite", "streams": []}"#).unwrap_err();
         assert!(empty.contains("must not be empty"), "{empty}");

@@ -38,6 +38,20 @@ fn unknown_flags_and_missing_values_exit_two() {
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("--wrokers"), "{stderr}");
 
+    // The retired sampler and trajectory flags are unknown flags now.
+    let retired: &[&[&str]] = &[
+        &["--sampled"],
+        &["--sampled-check"],
+        &["--trajectory"],
+        &["--bench-out", "x"],
+        &["--label", "x"],
+    ];
+    for args in retired {
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_batch_corpus"), args);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(stderr.contains(args[0]), "{args:?}: {stderr}");
+    }
+
     let (code, stderr) = run(env!("CARGO_BIN_EXE_delin_serve"), &["--workers"]);
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("needs a value"), "{stderr}");

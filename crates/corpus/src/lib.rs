@@ -8,25 +8,23 @@
 //! those counts (reproducing Fig. 1 as experiment E1). [`workload`]
 //! generates the random linearized dependence problems used by the
 //! precision (E8) and scaling (E7) experiments. [`stream`] adapts the
-//! RiCEPS programs and a generated nest family into lazy
-//! `delin_vic::batch::BatchUnit` streams for the batch engine. [`trace`]
-//! records and replays unit streams as compact checksummed binary traces,
-//! and [`sample`] picks SimPoint-style weighted representative subsets of
-//! a corpus so CI measures seconds while full runs measure millions.
+//! RiCEPS programs and three generated nest families (mixed, refinement,
+//! pair-dense) into lazy `delin_vic::batch::BatchUnit` streams for the
+//! batch engine; the `benchmarks/<suite>` configs compose them. [`trace`]
+//! records and replays unit streams as compact checksummed binary traces;
+//! perfbench records its workloads with it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod census;
 pub mod riceps;
-pub mod sample;
 pub mod stream;
 pub mod trace;
 pub mod workload;
 
 pub use census::{census, CensusResult};
 pub use riceps::{all_benchmarks, BenchmarkSpec, ExpectedCount};
-pub use sample::{sample_units, SampleConfig, SamplePlan, WeightedEstimate};
 pub use stream::{dense_units, generated_unit, generated_units, riceps_units};
 pub use trace::{TraceError, TraceReader, TraceWriter};
 pub use workload::{linearized_problem, scaling_problem, LinearizedSpec};

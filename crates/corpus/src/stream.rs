@@ -84,13 +84,15 @@ pub fn generated_unit(seed: u64, index: usize) -> BatchUnit {
 /// `count` refinement-heavy units for `seed`.
 ///
 /// Every nest carries a *real* loop-carried dependence: the read trails the
-/// write by a small offset inside the same row, so no test can disprove the
-/// pair. The rows do not overlap, so delinearization separates the three
-/// dimensions and reads the direction vector `(=, =, <)` off them without
-/// the exact solver (each `ref/` unit reports `nodes=0`). Strides and
-/// offsets are drawn from small pools, so a corpus repeats canonical
-/// problems heavily — a hit-dominated workload of dependent pairs whose
-/// edges carry direction vectors.
+/// write by a small offset, so no test can disprove the pair. The innermost
+/// range runs `offset + 1` elements past the row end into the next row, so
+/// `I` and `J` do not separate: delinearization splits off only the plane
+/// index `K` (its stride still exceeds everything a plane covers), and the
+/// exact solver refines the `(J, I)` remainder to the direction vectors
+/// `(=, =, <)` and `(=, <, >)`, spending solver nodes and reusing stored
+/// subtrees. Strides and offsets are drawn from small pools, so a corpus
+/// repeats canonical problems heavily — a hit-dominated workload of
+/// dependent pairs whose edges carry refined direction vectors.
 pub fn refinement_units(count: usize, seed: u64) -> impl Iterator<Item = BatchUnit> {
     (0..count).map(move |index| refinement_unit(seed, index))
 }
@@ -103,11 +105,13 @@ pub fn refinement_unit(seed: u64, index: usize) -> BatchUnit {
     );
     let stride = [8i128, 12, 16, 20][rng.gen_range(0..4)];
     let offset = 1 + rng.gen_range(0..3) as i128;
-    let plane = stride * 10;
-    let upper = stride - 1;
-    // W(x) = W(x - offset) with I ≥ offset keeps the read in the same row:
-    // iteration (K, J, I) reads the value written at (K, J, I - offset) —
-    // a dependence carried by the innermost loop, direction (=, =, <).
+    let plane = stride * 12;
+    let upper = stride + offset;
+    // W(x) = W(x - offset) with I ≥ offset: iteration (K, J, I) reads the
+    // value written at (K, J, I - offset), and a read near the start of a
+    // row reaches the overlapping tail of the row before it. Within a plane
+    // the subscripts stay in [0, 10 * stride + offset], below the plane
+    // stride, so K stays separable.
     let source = format!(
         "REAL W(0:99999)\n\
          DO 1 K = 0, 3\n\
@@ -195,21 +199,24 @@ mod tests {
             assert_eq!(a.name, b.name);
             assert_eq!(a.source, b.source);
         }
+        // The workload's premise: every nest is dependent, and its rows
+        // overlap, so delinearization cannot read the direction vectors off
+        // separated dimensions and the exact solver refines them.
         for u in &units {
-            delin_frontend::parse_program(&u.source).unwrap_or_else(|e| panic!("{}: {e}", u.name));
+            let report = delin_vic::pipeline::run_pipeline(
+                &u.source,
+                &delin_vic::pipeline::PipelineConfig::default(),
+            )
+            .unwrap_or_else(|e| panic!("{}: {e}", u.name));
+            let graph = &report.graph;
+            assert!(!graph.edges.is_empty(), "{} must be dependent", u.name);
+            assert!(
+                graph.edges.iter().any(|e| !e.dir_vecs.is_empty()),
+                "{}: dependence must carry refined direction vectors",
+                u.name
+            );
+            assert!(graph.stats.solver_nodes > 0, "{} never reached the exact solver", u.name);
         }
-        // The workload's premise: the nest is dependent, so the engine
-        // refines direction vectors rather than proving independence.
-        let report = delin_vic::pipeline::run_pipeline(
-            &units[0].source,
-            &delin_vic::pipeline::PipelineConfig::default(),
-        )
-        .unwrap();
-        assert!(!report.graph.edges.is_empty(), "refinement unit must be dependent");
-        assert!(
-            report.graph.edges.iter().any(|e| !e.dir_vecs.is_empty()),
-            "dependence must carry refined direction vectors"
-        );
     }
 
     #[test]

@@ -46,21 +46,6 @@ impl Rational {
         Rational { num: n, den: 1 }
     }
 
-    /// The numerator (sign-carrying).
-    pub fn numer(&self) -> i128 {
-        self.num
-    }
-
-    /// The (positive) denominator.
-    pub fn denom(&self) -> i128 {
-        self.den
-    }
-
-    /// `true` when the value is an integer.
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
-    }
-
     /// The sign of the value.
     pub fn sign(&self) -> Sign {
         Sign::of(self.num)

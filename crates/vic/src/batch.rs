@@ -292,14 +292,6 @@ pub struct UnitReport {
 }
 
 impl UnitReport {
-    /// The parse failure, if the unit was rejected.
-    pub fn parse_error(&self) -> Option<&str> {
-        match &self.outcome {
-            UnitOutcome::ParseError(e) => Some(e),
-            _ => None,
-        }
-    }
-
     /// The deterministic one-line table row for this unit.
     pub fn render_row(&self) -> String {
         match &self.outcome {

@@ -323,8 +323,6 @@ pub struct VerdictCache {
     evictions: AtomicU64,
     /// Lookups answered by an entry seeded from the persistent tier.
     persistent_hits: AtomicU64,
-    /// Entries seeded from the persistent tier at load time.
-    persistent_seeded: AtomicU64,
 }
 
 impl VerdictCache {
@@ -344,7 +342,6 @@ impl VerdictCache {
             clock: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             persistent_hits: AtomicU64::new(0),
-            persistent_seeded: AtomicU64::new(0),
         }
     }
 
@@ -373,11 +370,6 @@ impl VerdictCache {
     /// pairs counts many times).
     pub fn persistent_hits(&self) -> u64 {
         self.persistent_hits.load(Ordering::Relaxed)
-    }
-
-    /// Entries seeded from the persistent tier at load time.
-    pub fn persistent_seeded(&self) -> u64 {
-        self.persistent_seeded.load(Ordering::Relaxed)
     }
 
     /// Number of memoized outcomes across all shards (distinct canonical
@@ -533,7 +525,6 @@ impl VerdictCache {
         let cell = Arc::new(ComputeCell::seeded(outcome));
         write.insert(fp, self.new_slot(cell));
         self.evict_over_cap(&mut write, fp);
-        self.persistent_seeded.fetch_add(1, Ordering::Relaxed);
         true
     }
 
