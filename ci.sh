@@ -25,6 +25,15 @@ DELIN_WORKERS=1 cargo run --release -q -p delin-bench --bin batch_corpus -- --ve
 DELIN_WORKERS=4 cargo run --release -q -p delin-bench --bin batch_corpus -- --verify --units 18 > /dev/null
 cargo build --release -q -p delin-bench
 repo_root="$(pwd)"
+# Paper-table gate: the deterministic figures and tables (each prints in
+# well under 100 ms) must regenerate byte for byte. E5's distances and
+# E8's ground truth run on the exact solver, so a verdict drift or a stale
+# committed table fails here.
+for table in fig3_dependence_table fig5_trace table_distance_vectors \
+             table_symbolic_delinearization table_technique_comparison table_precision; do
+  "$repo_root/target/release/$table" | diff "results/$table.txt" - \
+    || { echo "$table differs from results/$table.txt" >&2; exit 1; }
+done
 # Warm-start gate: a cold run writes the persistent verdict cache, a warm
 # rerun loads it; stdout must be byte-identical and the warm run must
 # report nonzero persistent hits on stderr.

@@ -45,12 +45,12 @@ pub struct DelinConfig {
     /// [`delin_dep::exact::SubtreeStore`]); kept only because perfbench names it.
     pub incremental: bool,
     /// An externally owned [`delin_dep::exact::SubtreeStore`] to refine
-    /// through instead of a per-call private one. Each tighter direction
-    /// query of the hierarchy walk replays the solves of the looser ones it
-    /// refines (and `DelinearizationTest::test_with_distances` replays the
-    /// walk's leaf proofs). The engine passes a store it then memoizes
-    /// beside the verdict (`CachedOutcome::solver_state` in `delin_vic`).
-    /// `None` uses a fresh per-call store.
+    /// through instead of a per-call private one. Either way one store
+    /// spans the call: each tighter direction query of the hierarchy walk
+    /// replays the solves of the looser ones it refines (and
+    /// `DelinearizationTest::test_with_distances` replays the walk's leaf
+    /// proofs). `None` (what the engine uses) gives each call a fresh
+    /// store, dropped with the call.
     pub solve_store: Option<std::sync::Arc<delin_dep::exact::SubtreeStore>>,
     /// No effect (solvers always reuse scratch); kept only because perfbench names it.
     pub arena: bool,

@@ -156,9 +156,8 @@ impl DelinearizationTest {
                 &owned
             }
         };
-        let oracle = hierarchy::exact_oracle_in(solver.clone(), store);
         let walk =
-            |sub: &DependenceProblem<i128>| hierarchy::atomic_direction_vectors(sub, &oracle);
+            |sub: &DependenceProblem<i128>| hierarchy::exact_atomic_vectors(sub, &solver, store);
         let mut verdict = run(self, problem, &walk, true);
         if distances {
             if let Verdict::Dependent { info, .. } = &mut verdict {

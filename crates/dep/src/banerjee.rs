@@ -16,7 +16,7 @@ use crate::dirvec::Dir;
 use crate::problem::{DependenceProblem, LinEq};
 use crate::verdict::{DependenceTest, Verdict};
 use delin_numeric::{Assumptions, Coeff, NumericError};
-use std::cell::OnceCell;
+use std::cell::{OnceCell, RefCell};
 
 /// The Banerjee-inequalities dependence test (all directions `*`).
 #[derive(Debug, Clone, Copy, Default)]
@@ -43,23 +43,19 @@ impl<C: Coeff> CandidateRange<C> {
         CandidateRange { min: vec![c.clone()], max: vec![c] }
     }
 
-    /// Minkowski sum of two candidate ranges (pairwise sums, reduced).
-    fn add(&self, other: &CandidateRange<C>, a: &Assumptions) -> Option<CandidateRange<C>> {
-        let sum = |xs: &[C], ys: &[C], keep_min: bool| -> Option<Vec<C>> {
-            let mut out = Vec::new();
-            for x in xs {
-                for y in ys {
-                    out.push(x.checked_add(y).ok()?);
-                }
-            }
-            Some(reduce_candidates(out, keep_min, a))
-        };
-        let min = sum(&self.min, &other.min, true)?;
-        let max = sum(&self.max, &other.max, false)?;
-        if min.len() > MAX_CANDIDATES || max.len() > MAX_CANDIDATES {
-            return None;
-        }
-        Some(CandidateRange { min, max })
+    /// Writes the Minkowski sum of `self` and `other` (pairwise sums,
+    /// reduced) into `out`, reusing its buffers. `None` when a sum
+    /// overflows or a reduced end keeps more than [`MAX_CANDIDATES`]; `out`
+    /// then holds no meaningful range.
+    fn add_into(
+        &self,
+        other: &CandidateRange<C>,
+        a: &Assumptions,
+        out: &mut CandidateRange<C>,
+    ) -> Option<()> {
+        sum_into(&self.min, &other.min, true, a, &mut out.min)?;
+        sum_into(&self.max, &other.max, false, a, &mut out.max)?;
+        (out.min.len() <= MAX_CANDIDATES && out.max.len() <= MAX_CANDIDATES).then_some(())
     }
 
     /// Every minimum candidate is provably `> 0`.
@@ -83,21 +79,44 @@ impl<C: Coeff> CandidateRange<C> {
 /// provably `≥` a kept one is redundant; for MAX: provably `≤`).
 fn reduce_candidates<C: Coeff>(vals: Vec<C>, keep_min: bool, a: &Assumptions) -> Vec<C> {
     let mut kept: Vec<C> = Vec::new();
-    'next: for v in vals {
-        for u in &kept {
-            let dominated = if keep_min { u.le(&v, a) } else { v.le(u, a) };
-            if dominated.is_true() {
-                continue 'next; // v is redundant
-            }
-        }
-        // v survives; drop previously-kept values it dominates.
-        kept.retain(|u| {
-            let dominated = if keep_min { v.le(u, a) } else { u.le(&v, a) };
-            !dominated.is_true()
-        });
-        kept.push(v);
+    for v in vals {
+        keep_candidate(&mut kept, v, keep_min, a);
     }
     kept
+}
+
+/// One step of [`reduce_candidates`]: offers `v` to the reduced set `kept`.
+fn keep_candidate<C: Coeff>(kept: &mut Vec<C>, v: C, keep_min: bool, a: &Assumptions) {
+    for u in kept.iter() {
+        let dominated = if keep_min { u.le(&v, a) } else { v.le(u, a) };
+        if dominated.is_true() {
+            return; // v is redundant
+        }
+    }
+    // v survives; drop previously-kept values it dominates.
+    kept.retain(|u| {
+        let dominated = if keep_min { v.le(u, a) } else { u.le(&v, a) };
+        !dominated.is_true()
+    });
+    kept.push(v);
+}
+
+/// The pairwise sums of `xs` and `ys`, reduced into `out` in the order
+/// [`reduce_candidates`] would reduce them. `None` when a sum overflows.
+fn sum_into<C: Coeff>(
+    xs: &[C],
+    ys: &[C],
+    keep_min: bool,
+    a: &Assumptions,
+    out: &mut Vec<C>,
+) -> Option<()> {
+    out.clear();
+    for x in xs {
+        for y in ys {
+            keep_candidate(out, x.checked_add(y).ok()?, keep_min, a);
+        }
+    }
+    Some(())
 }
 
 /// Outcome of a range computation for one equation.
@@ -274,10 +293,14 @@ const WALK_DIRS: [Dir; 4] = [Dir::Any, Dir::Lt, Dir::Eq, Dir::Gt];
 /// A walk asks about many direction vectors, and each one differs from
 /// the last in a level or two. The walk therefore computes each
 /// `(equation, common level, direction)` pair range, and each free
-/// variable's contribution, at most once, on first use. Every query still
-/// sums its ranges in the order [`test_with_directions_mode`] does (the
-/// point `c0`, then the levels ascending, then the free variables), so
-/// every candidate range and verdict equals a fresh call's.
+/// variable's contribution, at most once, on first use. It also keeps each
+/// equation's running sums over the levels of the last query, so a query
+/// starts from the sum of the longest direction prefix it shares with that
+/// query (a child of the hierarchy shares its parent's fixed levels).
+/// Every query still sums its ranges in the order
+/// [`test_with_directions_mode`] does (the point `c0`, then the levels
+/// ascending, then the free variables), so every candidate range and
+/// verdict equals a fresh call's.
 pub struct BanerjeeWalk<'p, C> {
     problem: &'p DependenceProblem<C>,
     mode: DirectionMode,
@@ -289,6 +312,53 @@ pub struct BanerjeeWalk<'p, C> {
     /// Free-variable contributions at `equation × vars + var`; empty for a
     /// one-shot query.
     free: Vec<OnceCell<Option<CandidateRange<C>>>>,
+    /// Per equation, the running sums of the last query; empty for a
+    /// one-shot query.
+    prefixes: Vec<RefCell<PrefixSums<C>>>,
+}
+
+/// One equation's running sums over the levels of the last query that
+/// summed it: `sums[0]` is the point `c0`, and `sums[l + 1]` adds level
+/// `l`'s pair range under `dirs[l]` to `sums[l]`. Entries past
+/// `dirs.len() + 1` are stale buffers kept for reuse.
+struct PrefixSums<C> {
+    dirs: Vec<Dir>,
+    sums: Vec<Running<C>>,
+    /// The buffers the free-variable terms are summed through, in turn.
+    tail: [CandidateRange<C>; 2],
+}
+
+impl<C> Default for PrefixSums<C> {
+    fn default() -> Self {
+        PrefixSums { dirs: Vec::new(), sums: Vec::new(), tail: [empty_range(), empty_range()] }
+    }
+}
+
+fn empty_range<C>() -> CandidateRange<C> {
+    CandidateRange { min: Vec::new(), max: Vec::new() }
+}
+
+/// A running sum: `range` is meaningful while `status` is
+/// [`Status::Range`]; a level that empties the region or cannot be summed
+/// decides every longer prefix.
+struct Running<C> {
+    status: Status,
+    range: CandidateRange<C>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Status {
+    Range,
+    EmptyRegion,
+    /// A symbolic comparison was undecidable or a sum overflowed.
+    Undecided,
+}
+
+/// An equation's summed range, borrowed from its [`PrefixSums`].
+enum Summed<'s, C> {
+    Range(&'s CandidateRange<C>),
+    EmptyRegion,
+    Undecided,
 }
 
 impl<'p, C: Coeff> BanerjeeWalk<'p, C> {
@@ -299,13 +369,21 @@ impl<'p, C: Coeff> BanerjeeWalk<'p, C> {
         BanerjeeWalk {
             pairs: (0..pairs).map(|_| OnceCell::new()).collect(),
             free: (0..eqs * problem.num_vars()).map(|_| OnceCell::new()).collect(),
+            prefixes: (0..eqs).map(|_| RefCell::default()).collect(),
             ..BanerjeeWalk::once(problem, mode)
         }
     }
 
     /// A single query's walk: nothing is memoized.
     fn once(problem: &'p DependenceProblem<C>, mode: DirectionMode) -> BanerjeeWalk<'p, C> {
-        BanerjeeWalk { problem, mode, empty: OnceCell::new(), pairs: Vec::new(), free: Vec::new() }
+        BanerjeeWalk {
+            problem,
+            mode,
+            empty: OnceCell::new(),
+            pairs: Vec::new(),
+            free: Vec::new(),
+            prefixes: Vec::new(),
+        }
     }
 
     /// The number of pair ranges this walk has computed and kept.
@@ -340,16 +418,16 @@ impl<'p, C: Coeff> BanerjeeWalk<'p, C> {
         }
         let mut all_ranges_known = true;
         for (e, eq) in problem.equations().iter().enumerate() {
-            match self.equation_range(Some(e), eq, dirs) {
-                Some(EquationRange::EmptyRegion) => return Verdict::Independent,
-                Some(EquationRange::Range(r)) => {
-                    if r.min_positive(a) || r.max_negative(a) {
-                        return Verdict::Independent;
-                    }
-                    if !r.signs_known(a) {
-                        all_ranges_known = false;
-                    }
-                }
+            let decided =
+                self.with_sums(Some(e), |sums| match self.sum_range(Some(e), eq, dirs, sums) {
+                    Summed::EmptyRegion => Some(true),
+                    Summed::Range(r) if r.min_positive(a) || r.max_negative(a) => Some(true),
+                    Summed::Range(r) if r.signs_known(a) => Some(false),
+                    Summed::Range(_) | Summed::Undecided => None,
+                });
+            match decided {
+                Some(true) => return Verdict::Independent,
+                Some(false) => {}
                 None => all_ranges_known = false,
             }
         }
@@ -360,14 +438,41 @@ impl<'p, C: Coeff> BanerjeeWalk<'p, C> {
         }
     }
 
-    /// The range of `eq` under `dirs`, memoized under the problem's
-    /// equation `row` when there is one.
+    /// The range of `eq` under `dirs`, summed through the running sums of
+    /// the problem's equation `row` when there is one.
     fn equation_range(
         &self,
         row: Option<usize>,
         eq: &LinEq<C>,
         dirs: &[Dir],
     ) -> Option<EquationRange<C>> {
+        self.with_sums(row, |sums| match self.sum_range(row, eq, dirs, sums) {
+            Summed::Range(r) => Some(EquationRange::Range(r.clone())),
+            Summed::EmptyRegion => Some(EquationRange::EmptyRegion),
+            Summed::Undecided => None,
+        })
+    }
+
+    /// Runs `f` on the running sums of equation `row`, or on fresh ones
+    /// for a one-shot query or an equation outside the problem.
+    fn with_sums<R>(&self, row: Option<usize>, f: impl FnOnce(&mut PrefixSums<C>) -> R) -> R {
+        match row.and_then(|e| self.prefixes.get(e)) {
+            Some(cell) => f(&mut cell.borrow_mut()),
+            None => f(&mut PrefixSums::default()),
+        }
+    }
+
+    /// Sums the range of `eq` under `dirs` in `sums`: `c0`, the levels
+    /// ascending, then the free variables, starting from the longest
+    /// direction prefix `sums` already holds. `row` is `eq`'s index in the
+    /// walk's problem, for the memoized pair ranges.
+    fn sum_range<'s>(
+        &self,
+        row: Option<usize>,
+        eq: &LinEq<C>,
+        dirs: &[Dir],
+        sums: &'s mut PrefixSums<C>,
+    ) -> Summed<'s, C> {
         let problem = self.problem;
         let a = problem.assumptions();
         // Resolve the hybrid mode per equation.
@@ -382,12 +487,32 @@ impl<'p, C: Coeff> BanerjeeWalk<'p, C> {
             m => m,
         };
         let common = problem.common_loops();
-        let mut range = CandidateRange::point(eq.c0.clone());
-        for (level, &(x, y)) in common.iter().enumerate() {
-            let dir = dirs.get(level).copied().unwrap_or(Dir::Any);
-            let cx = &eq.coeffs[x];
-            let cy = &eq.coeffs[y];
+        let dir_at = |level: usize| dirs.get(level).copied().unwrap_or(Dir::Any);
+        let PrefixSums { dirs: summed, sums: running, tail } = sums;
+        if running.is_empty() {
+            running.push(Running {
+                status: Status::Range,
+                range: CandidateRange::point(eq.c0.clone()),
+            });
+        }
+        let shared = summed.iter().enumerate().take_while(|&(l, &d)| d == dir_at(l)).count();
+        summed.truncate(shared);
+        for (level, &(x, y)) in common.iter().enumerate().skip(shared) {
+            let dir = dir_at(level);
+            summed.push(dir);
+            if running.len() == level + 1 {
+                running.push(Running { status: Status::Undecided, range: empty_range() });
+            }
+            let (done, rest) = running.split_at_mut(level + 1);
+            let (prev, next) = (&done[level], &mut rest[0]);
+            next.status = prev.status;
+            if prev.status != Status::Range {
+                continue;
+            }
+            let (cx, cy) = (&eq.coeffs[x], &eq.coeffs[y]);
             if cx.is_zero() && cy.is_zero() && dir == Dir::Any {
+                next.range.min.clone_from(&prev.range.min);
+                next.range.max.clone_from(&prev.range.max);
                 continue;
             }
             let cell = row.zip(WALK_DIRS.iter().position(|d| *d == dir)).and_then(|(e, slot)| {
@@ -397,11 +522,23 @@ impl<'p, C: Coeff> BanerjeeWalk<'p, C> {
             let pair = memo(cell, &mut fresh, || {
                 pair_range(cx, cy, &problem.vars()[x].upper, dir, mode, problem)
             });
-            match pair.as_ref()? {
-                EquationRange::EmptyRegion => return Some(EquationRange::EmptyRegion),
-                EquationRange::Range(r) => range = range.add(r, a)?,
-            }
+            next.status = match pair {
+                None => Status::Undecided,
+                Some(EquationRange::EmptyRegion) => Status::EmptyRegion,
+                Some(EquationRange::Range(r)) => match prev.range.add_into(r, a, &mut next.range) {
+                    Some(()) => Status::Range,
+                    None => Status::Undecided,
+                },
+            };
         }
+        let levels = &running[common.len()];
+        match levels.status {
+            Status::Range => {}
+            Status::EmptyRegion => return Summed::EmptyRegion,
+            Status::Undecided => return Summed::Undecided,
+        }
+        // The free variables, summed through the two tail buffers in turn.
+        let mut last: Option<usize> = None;
         for (k, c) in eq.coeffs.iter().enumerate() {
             if c.is_zero() || common.iter().any(|&(x, y)| x == k || y == k) {
                 continue;
@@ -410,9 +547,24 @@ impl<'p, C: Coeff> BanerjeeWalk<'p, C> {
             let mut fresh = None;
             let contrib =
                 memo(cell, &mut fresh, || free_contribution(c, &problem.vars()[k].upper, a));
-            range = range.add(contrib.as_ref()?, a)?;
+            let Some(contrib) = contrib else {
+                return Summed::Undecided;
+            };
+            let [t0, t1] = tail;
+            let (from, into, written) = match last {
+                None => (&levels.range, t0, 0),
+                Some(0) => (&*t0, t1, 1),
+                Some(_) => (&*t1, t0, 0),
+            };
+            if from.add_into(contrib, a, into).is_none() {
+                return Summed::Undecided;
+            }
+            last = Some(written);
         }
-        Some(EquationRange::Range(range))
+        Summed::Range(match last {
+            None => &levels.range,
+            Some(i) => &tail[i],
+        })
     }
 }
 
@@ -650,9 +802,97 @@ mod tests {
             .collect()
     }
 
+    /// Every node of a hierarchy walk over `levels` loops, in the walk's
+    /// depth-first order: each child right after its parent or its previous
+    /// sibling, sharing their fixed levels.
+    fn depth_first_queries(levels: usize) -> Vec<Vec<Dir>> {
+        fn visit(dirs: &mut Vec<Dir>, level: usize, out: &mut Vec<Vec<Dir>>) {
+            out.push(dirs.clone());
+            if level == dirs.len() {
+                return;
+            }
+            for d in [Dir::Lt, Dir::Eq, Dir::Gt] {
+                dirs[level] = d;
+                visit(dirs, level + 1, out);
+            }
+            dirs[level] = Dir::Any;
+        }
+        let mut out = Vec::new();
+        visit(&mut vec![Dir::Any; levels], 0, &mut out);
+        out
+    }
+
+    /// The sum each query made before walks shared prefixes: `c0`, every
+    /// level, then the free variables, each addition collecting all
+    /// pairwise sums before reducing them.
+    fn reference_equation_range<C: Coeff>(
+        p: &DependenceProblem<C>,
+        eq: &LinEq<C>,
+        dirs: &[Dir],
+        mode: DirectionMode,
+    ) -> Option<EquationRange<C>> {
+        let a = p.assumptions();
+        let mode = match mode {
+            DirectionMode::Hybrid if eq.num_active_vars() <= 2 => DirectionMode::IntegerSharp,
+            DirectionMode::Hybrid => DirectionMode::Real,
+            m => m,
+        };
+        let reduce = |vals: Vec<C>, keep_min: bool| {
+            let mut kept: Vec<C> = Vec::new();
+            'next: for v in vals {
+                for u in &kept {
+                    if (if keep_min { u.le(&v, a) } else { v.le(u, a) }).is_true() {
+                        continue 'next;
+                    }
+                }
+                kept.retain(|u| !(if keep_min { v.le(u, a) } else { u.le(&v, a) }).is_true());
+                kept.push(v);
+            }
+            kept
+        };
+        let add = |x: &CandidateRange<C>, y: &CandidateRange<C>| {
+            let sum = |xs: &[C], ys: &[C], keep_min: bool| {
+                let mut out = Vec::new();
+                for u in xs {
+                    for v in ys {
+                        out.push(u.checked_add(v).ok()?);
+                    }
+                }
+                Some(reduce(out, keep_min))
+            };
+            let (min, max) = (sum(&x.min, &y.min, true)?, sum(&x.max, &y.max, false)?);
+            (min.len() <= MAX_CANDIDATES && max.len() <= MAX_CANDIDATES)
+                .then_some(CandidateRange { min, max })
+        };
+        let common = p.common_loops();
+        let mut range = CandidateRange::point(eq.c0.clone());
+        for (level, &(x, y)) in common.iter().enumerate() {
+            let dir = dirs.get(level).copied().unwrap_or(Dir::Any);
+            let (cx, cy) = (&eq.coeffs[x], &eq.coeffs[y]);
+            if cx.is_zero() && cy.is_zero() && dir == Dir::Any {
+                continue;
+            }
+            match pair_range(cx, cy, &p.vars()[x].upper, dir, mode, p)? {
+                EquationRange::EmptyRegion => return Some(EquationRange::EmptyRegion),
+                EquationRange::Range(r) => range = add(&range, &r)?,
+            }
+        }
+        for (k, c) in eq.coeffs.iter().enumerate() {
+            if c.is_zero() || common.iter().any(|&(x, y)| x == k || y == k) {
+                continue;
+            }
+            range = add(&range, &free_contribution(c, &p.vars()[k].upper, a)?)?;
+        }
+        Some(EquationRange::Range(range))
+    }
+
     /// The memoized walk against fresh queries: the same atomic vectors
     /// (queried in walk order), and the same range and verdict for every
-    /// equation and every query (queried in another order).
+    /// equation and every query. The queries come in the hierarchy's
+    /// depth-first order, where each shares a prefix with the last, and
+    /// then in an order where consecutive queries share little. One walk
+    /// answers the verdicts, another the ranges, so each meets prefixes
+    /// the other left; every range also equals the per-query reference.
     fn assert_walk_matches_fresh<C: Coeff>(p: &DependenceProblem<C>, mode: DirectionMode) {
         let fresh =
             |q: &DependenceProblem<C>, dirs: &[Dir]| test_with_directions_mode(q, dirs, mode);
@@ -661,23 +901,30 @@ mod tests {
             crate::hierarchy::atomic_direction_vectors(p, &fresh),
             "{p:?} {mode:?}"
         );
-        let walk = BanerjeeWalk::new(p, mode);
-        for dirs in walk_queries(p.common_loops().len()) {
+        let levels = p.common_loops().len();
+        let (verdicts, ranges) = (BanerjeeWalk::new(p, mode), BanerjeeWalk::new(p, mode));
+        for dirs in depth_first_queries(levels).into_iter().chain(walk_queries(levels)) {
+            assert_eq!(verdicts.test(&dirs), test_with_directions_mode(p, &dirs, mode));
             for (e, eq) in p.equations().iter().enumerate() {
+                let expect = equation_range_mode(p, eq, &dirs, mode);
                 assert_eq!(
-                    walk.equation_range(Some(e), eq, &dirs),
-                    equation_range_mode(p, eq, &dirs, mode),
+                    reference_equation_range(p, eq, &dirs, mode),
+                    expect,
+                    "{p:?} {mode:?} {dirs:?}"
+                );
+                assert_eq!(
+                    ranges.equation_range(Some(e), eq, &dirs),
+                    expect,
                     "{p:?} {mode:?} {dirs:?}"
                 );
             }
-            assert_eq!(walk.test(&dirs), test_with_directions_mode(p, &dirs, mode));
         }
     }
 
     proptest::proptest! {
-        /// One table per walk changes no range and no vector, on concrete
-        /// and symbolic problems with one to three common loops, in every
-        /// direction mode.
+        /// One table and shared prefix sums per walk change no range and no
+        /// vector, on concrete and symbolic problems with one to three
+        /// common loops, in every direction mode.
         #[test]
         fn walk_table_matches_fresh_queries(
             levels in 1usize..4,

@@ -8,10 +8,16 @@
 //! against which every approximate test — and delinearization itself — is
 //! validated.
 //!
-//! Solves reuse per-thread scratch: the DFS domain buffers come from a pool
-//! the previous solve on the same worker left behind, and a refinement
-//! query overwrites a recycled problem instead of cloning its base. After
-//! warmup a solve allocates only the witness it hands back.
+//! Bounds propagation works on a sparse copy of the constraints: each row's
+//! nonzero terms, and for each variable the rows that mention it, so a
+//! node narrows a variable against only those rows and sums only their
+//! nonzero terms.
+//!
+//! Solves reuse per-thread scratch: the DFS domain buffers and the sparse
+//! rows come from the previous solve on the same worker, and the queries
+//! of one direction walk ([`ExactWalk`]) share one copy of their base
+//! problem, each pushing and popping only its direction rows. After warmup
+//! a solve allocates only the witness it hands back.
 
 use crate::budget::{DegradeReason, ResourceBudget};
 use crate::dirvec::Dir;
@@ -165,16 +171,18 @@ impl Default for ExactSolver {
     }
 }
 
-/// Per-thread solve scratch: the DFS buffers one solve leaves behind,
-/// picked up by the next solve on the same worker thread. After a handful
-/// of pairs the miss path stops allocating domain vectors entirely — every
-/// `dfs` child frame pops a recycled buffer from `pool`.
+/// Per-thread solve scratch: the DFS buffers and sparse rows one solve
+/// leaves behind, picked up by the next solve on the same worker thread.
+/// After a handful of pairs the miss path stops allocating them entirely —
+/// every `dfs` child frame pops a recycled buffer from `pool`, and the
+/// sparse tables are rebuilt in place.
 #[derive(Default)]
 struct SolveScratch {
     assignment: Vec<i128>,
     assigned: Vec<bool>,
     domains: Vec<Interval>,
     pool: Vec<Vec<Interval>>,
+    rows: SparseRows,
 }
 
 thread_local! {
@@ -183,15 +191,90 @@ thread_local! {
     /// failed borrow falls back to fresh buffers rather than panicking).
     static SOLVE_SCRATCH: RefCell<SolveScratch> = RefCell::new(SolveScratch::default());
 
-    /// The worker's recycled refinement problem: `fresh_solve` overwrites
-    /// it via `clone_from` + `impose_directions` instead of cloning the
-    /// base problem per query, so after warmup a refinement costs no
-    /// problem allocation at all.
+    /// The worker's recycled refinement problem. An [`ExactWalk`] (a lone
+    /// [`SubtreeStore::solve_refined`] is a walk of one query) borrows it
+    /// for the whole walk and overwrites it with its base via `clone_from`,
+    /// which reuses every buffer the previous walk left behind. After
+    /// warmup a refinement costs no problem allocation at all.
     static REFINE_SCRATCH: RefCell<Option<DependenceProblem<i128>>> = const { RefCell::new(None) };
+}
+
+/// A problem's constraints in sparse form, rebuilt at the start of every
+/// solve: each row's nonzero terms, and each variable's uses (the rows
+/// that mention it, with its coefficient there).
+#[derive(Default)]
+struct SparseRows {
+    /// The rows in the problem's order: equations, then inequalities.
+    rows: Vec<SparseRow>,
+    /// Every row's nonzero `(variable, coefficient)` terms, row after row,
+    /// variables ascending within a row.
+    terms: Vec<(usize, i128)>,
+    /// Every variable's `(row, coefficient)` uses, variable after variable,
+    /// rows ascending within a variable.
+    uses: Vec<(usize, i128)>,
+    /// Per variable, the end of its run in `uses`.
+    uses_end: Vec<usize>,
+}
+
+/// One constraint `c0 + Σ terms (= | ≥) 0` of a [`SparseRows`] table.
+struct SparseRow {
+    c0: i128,
+    is_equation: bool,
+    /// The row's terms are `terms[start..end]`.
+    start: usize,
+    end: usize,
+}
+
+impl SparseRows {
+    /// Overwrites the tables with `problem`'s constraints, reusing their
+    /// buffers.
+    fn rebuild(&mut self, problem: &DependenceProblem<i128>) {
+        self.rows.clear();
+        self.terms.clear();
+        self.uses.clear();
+        self.uses_end.clear();
+        for (c0, coeffs, is_equation) in dense_rows(problem) {
+            let start = self.terms.len();
+            self.terms
+                .extend(coeffs.iter().enumerate().filter(|(_, &c)| c != 0).map(|(k, &c)| (k, c)));
+            self.rows.push(SparseRow { c0, is_equation, start, end: self.terms.len() });
+        }
+        for var in 0..problem.num_vars() {
+            for (r, (_, coeffs, _)) in dense_rows(problem).enumerate() {
+                if coeffs[var] != 0 {
+                    self.uses.push((r, coeffs[var]));
+                }
+            }
+            self.uses_end.push(self.uses.len());
+        }
+    }
+
+    fn terms(&self, row: &SparseRow) -> &[(usize, i128)] {
+        &self.terms[row.start..row.end]
+    }
+
+    fn uses(&self, var: usize) -> &[(usize, i128)] {
+        let start = if var == 0 { 0 } else { self.uses_end[var - 1] };
+        &self.uses[start..self.uses_end[var]]
+    }
+
+    fn equations(&self) -> impl Iterator<Item = &SparseRow> {
+        self.rows.iter().take_while(|row| row.is_equation)
+    }
+}
+
+/// The problem's rows as `(c0, coefficients, is_equation)`: the equations,
+/// then the inequalities.
+fn dense_rows(
+    problem: &DependenceProblem<i128>,
+) -> impl Iterator<Item = (i128, &[i128], bool)> + '_ {
+    let eqs = problem.equations().iter().map(|eq| (eq.c0, &eq.coeffs[..], true));
+    eqs.chain(problem.inequalities().iter().map(|iq| (iq.c0, &iq.coeffs[..], false)))
 }
 
 struct Search<'a> {
     problem: &'a DependenceProblem<i128>,
+    rows: &'a SparseRows,
     assignment: Vec<i128>,
     assigned: Vec<bool>,
     nodes: u64,
@@ -268,8 +351,10 @@ impl ExactSolver {
         let mut domains = std::mem::take(&mut scratch.domains);
         domains.clear();
         domains.extend(problem.vars().iter().map(|v| Interval::new(0, v.upper)));
+        scratch.rows.rebuild(problem);
         let mut search = Search {
             problem,
+            rows: &scratch.rows,
             assignment: std::mem::take(&mut scratch.assignment),
             assigned: std::mem::take(&mut scratch.assigned),
             nodes: 0,
@@ -320,10 +405,9 @@ pub struct SolveTree {
 /// fingerprint of the base problem (see [`problem_fp`]) — refinement
 /// queries are hot enough that rendering a `String` key per query was a
 /// measurable share of their cost. One store is threaded through a whole
-/// unit of refinement work (a direction-hierarchy walk, plus the distance
-/// extraction that follows it when distances are asked for), so sibling
-/// queries — and, via the verdict cache, repeat decisions of the same
-/// canonical problem — share subtrees instead of re-solving.
+/// unit of refinement work (one decision's direction-hierarchy walks, plus
+/// the distance extraction that follows them when distances are asked
+/// for), so sibling queries share subtrees instead of re-solving.
 ///
 /// A disabled store (see [`SubtreeStore::disabled`]) still counts
 /// refinement queries but answers every one with a fresh solve: the
@@ -334,12 +418,6 @@ pub struct SubtreeStore {
     enabled: bool,
     trees: Mutex<HashMap<u128, SolveTree, FxBuildHasher>>,
 }
-
-/// One exported solve tree: the base problem's fingerprint plus its
-/// refinements as `(direction prefix, outcome, nodes spent)` triples — the
-/// plain-data shape [`SubtreeStore::export`] produces and
-/// [`SubtreeStore::import`] accepts.
-pub type TreeRecord = (u128, Vec<(Vec<Dir>, SolveOutcome, u64)>);
 
 impl SubtreeStore {
     /// An enabled store (the default configuration).
@@ -366,48 +444,6 @@ impl SubtreeStore {
     /// `true` when no tree has been memoized yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Every memoized solve tree as plain data, in deterministic order:
-    /// base-problem fingerprints ascending, each tree's refinements in the
-    /// `BTreeMap` key order. This is the serialization boundary the
-    /// persistent verdict cache uses; degraded outcomes never enter a tree,
-    /// so the export only ever contains replayable proofs.
-    pub fn export(&self) -> Vec<TreeRecord> {
-        let trees = self.lock();
-        let mut out: Vec<_> = trees
-            .iter()
-            .map(|(k, tree)| {
-                let entries = tree
-                    .entries
-                    .iter()
-                    .map(|(dirs, e)| (dirs.clone(), e.outcome.clone(), e.nodes))
-                    .collect();
-                (*k, entries)
-            })
-            .collect();
-        out.sort_unstable_by_key(|(k, _)| *k);
-        out
-    }
-
-    /// Rebuilds memoized trees from records produced by
-    /// [`SubtreeStore::export`]. Degraded outcomes are skipped (they are
-    /// never storable), and a disabled store imports nothing.
-    pub fn import(&self, records: &[TreeRecord]) {
-        if !self.enabled {
-            return;
-        }
-        let mut trees = self.lock();
-        for (k, entries) in records {
-            let tree = trees.entry(*k).or_default();
-            for (dirs, outcome, nodes) in entries {
-                if outcome.is_degraded() {
-                    continue;
-                }
-                tree.entries
-                    .insert(dirs.clone(), TreeEntry { outcome: outcome.clone(), nodes: *nodes });
-            }
-        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u128, SolveTree, FxBuildHasher>> {
@@ -439,120 +475,187 @@ impl SubtreeStore {
         dirs: &[Dir],
     ) -> Result<SolveOutcome, NumericError> {
         record_refine(|c| c.refine_queries += 1);
-        self.solve_refined_inner(solver, base, dirs)
+        ExactWalk::new(solver, self, base).query(dirs, SolveOutcome::clone)
     }
 
-    fn solve_refined_inner(
+    /// One convex query of `base` (store key `key`, `None` when the store
+    /// does not memoize) under the store's rules: an exact hit, else the
+    /// first ancestor in `BTreeMap` order whose proof covers the query,
+    /// else `fresh`, whose outcome is stored unless degraded. `answer`
+    /// reads the outcome in place, so a caller that needs only its kind
+    /// clones no witness.
+    fn refine<R>(
         &self,
-        solver: &ExactSolver,
+        key: Option<u128>,
         base: &DependenceProblem<i128>,
         dirs: &[Dir],
-    ) -> Result<SolveOutcome, NumericError> {
-        // `≠` is not convex; split it into `<` and `>` (the engine's
-        // hierarchy walk never asks for it, but the API stays total).
-        if let Some(k) = dirs.iter().position(|&d| d == Dir::Ne) {
-            let mut split = dirs.to_vec();
-            split[k] = Dir::Lt;
-            let lt = self.solve_refined_inner(solver, base, &split)?;
-            if lt.is_solution() {
-                return Ok(lt);
-            }
-            split[k] = Dir::Gt;
-            let gt = self.solve_refined_inner(solver, base, &split)?;
-            if gt.is_solution() {
-                return Ok(gt);
-            }
-            return Ok(match (lt, gt) {
-                (SolveOutcome::NoSolution, SolveOutcome::NoSolution) => SolveOutcome::NoSolution,
-                (SolveOutcome::Degraded(r), _) | (_, SolveOutcome::Degraded(r)) => {
-                    SolveOutcome::Degraded(r)
-                }
-                _ => unreachable!("solutions returned early"),
-            });
-        }
-        if !self.enabled {
-            return Ok(self.fresh_solve(solver, base, dirs)?.0);
-        }
-        let key = problem_fp(base);
+        fresh: impl FnOnce() -> Result<(SolveOutcome, u64), NumericError>,
+        answer: impl Fn(&SolveOutcome) -> R,
+    ) -> Result<R, NumericError> {
+        let Some(key) = key else {
+            return Ok(answer(&fresh()?.0));
+        };
+        let reused = |nodes: u64| {
+            record_refine(|c| {
+                c.subtree_reuses += 1;
+                c.nodes_saved = c.nodes_saved.saturating_add(nodes);
+            })
+        };
         if let Some(tree) = self.lock().get(&key) {
             if let Some(entry) = tree.entries.get(dirs) {
-                let (outcome, nodes) = (entry.outcome.clone(), entry.nodes);
-                record_refine(|c| {
-                    c.subtree_reuses += 1;
-                    c.nodes_saved = c.nodes_saved.saturating_add(nodes);
-                });
-                return Ok(outcome);
+                reused(entry.nodes);
+                return Ok(answer(&entry.outcome));
             }
             // Ancestor scan: any stored vector that subsumes `dirs`
-            // element-wise decided a superset of this query's region.
+            // element-wise decided a superset of this query's region. Its
+            // `NoSolution` covers the query; its witness covers it when
+            // the witness meets the tighter directions.
             for (anc, entry) in &tree.entries {
-                if !subsumes(anc, dirs) {
-                    continue;
-                }
-                match &entry.outcome {
-                    SolveOutcome::NoSolution => {
-                        let nodes = entry.nodes;
-                        record_refine(|c| {
-                            c.subtree_reuses += 1;
-                            c.nodes_saved = c.nodes_saved.saturating_add(nodes);
-                        });
-                        return Ok(SolveOutcome::NoSolution);
-                    }
-                    SolveOutcome::Solution(w) if witness_satisfies(base, dirs, w) => {
-                        let (outcome, nodes) = (entry.outcome.clone(), entry.nodes);
-                        record_refine(|c| {
-                            c.subtree_reuses += 1;
-                            c.nodes_saved = c.nodes_saved.saturating_add(nodes);
-                        });
-                        return Ok(outcome);
-                    }
-                    _ => {}
+                let covers = subsumes(anc, dirs)
+                    && match &entry.outcome {
+                        SolveOutcome::NoSolution => true,
+                        SolveOutcome::Solution(w) => witness_satisfies(base, dirs, w),
+                        SolveOutcome::Degraded(_) => false,
+                    };
+                if covers {
+                    reused(entry.nodes);
+                    return Ok(answer(&entry.outcome));
                 }
             }
         }
         // Fresh solve outside the lock: concurrent sharers may duplicate a
         // solve (benign — the duplicate entry is identical, the DFS being
         // deterministic) but never serialize on each other's search.
-        let (outcome, nodes) = self.fresh_solve(solver, base, dirs)?;
+        let (outcome, nodes) = fresh()?;
         if outcome.is_degraded() {
-            return Ok(outcome);
+            return Ok(answer(&outcome));
         }
         let mut trees = self.lock();
         let tree = trees.entry(key).or_default();
         // Move the outcome into the tree and answer from the stored entry:
-        // a store costs the key allocation alone, not the key plus extra
-        // outcome clones (and cloning `NoSolution` — the common memoized
-        // case — back out is free).
+        // a store costs the key allocation alone.
         let entry = tree.entries.entry(dirs.to_vec()).or_insert(TreeEntry { outcome, nodes });
-        Ok(entry.outcome.clone())
+        Ok(answer(&entry.outcome))
+    }
+}
+
+/// The exact solver and a [`SubtreeStore`] bound to one base problem for
+/// the length of one direction walk (`hierarchy::exact_atomic_vectors`),
+/// as [`crate::banerjee::BanerjeeWalk`] binds the Banerjee test.
+///
+/// A walk asks about many direction vectors of the same base. The walk
+/// fingerprints the base once, and copies it into the thread's refinement
+/// scratch once, on its first fresh solve; each fresh solve then pushes
+/// its direction rows and pops them after. Every query follows
+/// [`SubtreeStore::solve_refined`]'s rules and counters exactly, but
+/// answers with the outcome's kind only, so no witness is cloned.
+pub struct ExactWalk<'a> {
+    solver: &'a ExactSolver,
+    store: &'a SubtreeStore,
+    base: &'a DependenceProblem<i128>,
+    /// The store key of `base`; `None` when the store does not memoize.
+    key: Option<u128>,
+    /// `base`, plus the direction rows of the fresh solve in progress;
+    /// handed back to the thread when the walk ends.
+    refined: RefCell<Option<DependenceProblem<i128>>>,
+}
+
+impl<'a> ExactWalk<'a> {
+    /// A walk over `base` whose queries run under `solver`'s budget and
+    /// share `store`.
+    pub fn new(
+        solver: &'a ExactSolver,
+        store: &'a SubtreeStore,
+        base: &'a DependenceProblem<i128>,
+    ) -> ExactWalk<'a> {
+        let key = store.enabled.then(|| problem_fp(base));
+        ExactWalk { solver, store, base, key, refined: RefCell::new(None) }
     }
 
-    fn fresh_solve(
+    /// [`SubtreeStore::solve_refined`] on the walk's base, as a verdict:
+    /// `Independent` for a proof of no solution, an exact `Dependent`
+    /// (without the witness) for a solution, `Unknown` when the search
+    /// degraded or the directions could not be imposed.
+    pub fn test(&self, dirs: &[Dir]) -> Verdict {
+        record_refine(|c| c.refine_queries += 1);
+        self.query(dirs, verdict_of).unwrap_or(Verdict::Unknown)
+    }
+
+    /// The outcome of the walk's base under `dirs`, read through `answer`.
+    fn query<R>(
         &self,
-        solver: &ExactSolver,
-        base: &DependenceProblem<i128>,
         dirs: &[Dir],
-    ) -> Result<(SolveOutcome, u64), NumericError> {
-        let before = peek_thread_nodes();
-        // Overwrite the thread's recycled refinement problem in place:
-        // `clone_from` reuses every equation/inequality/name buffer the
-        // previous query left behind, so imposing the directions is the
-        // only work that grows it.
-        let outcome = REFINE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut slot) => {
-                let scratch = match slot.as_mut() {
-                    Some(s) => {
-                        s.clone_from(base);
-                        s
-                    }
-                    None => slot.insert(base.clone()),
-                };
-                scratch.impose_directions(dirs)?;
-                Ok(solver.solve(scratch))
+        answer: impl Fn(&SolveOutcome) -> R,
+    ) -> Result<R, NumericError> {
+        // `≠` is not convex; split it into `<` and `>` (the engine's
+        // hierarchy walk never asks for it, but the API stays total).
+        let Some(k) = dirs.iter().position(|&d| d == Dir::Ne) else {
+            return self.store.refine(self.key, self.base, dirs, || self.fresh_solve(dirs), answer);
+        };
+        let mut split = dirs.to_vec();
+        split[k] = Dir::Lt;
+        let lt = self.query(&split, SolveOutcome::clone)?;
+        if lt.is_solution() {
+            return Ok(answer(&lt));
+        }
+        split[k] = Dir::Gt;
+        let gt = self.query(&split, SolveOutcome::clone)?;
+        if gt.is_solution() {
+            return Ok(answer(&gt));
+        }
+        Ok(answer(&match (lt, gt) {
+            (SolveOutcome::NoSolution, SolveOutcome::NoSolution) => SolveOutcome::NoSolution,
+            (SolveOutcome::Degraded(r), _) | (_, SolveOutcome::Degraded(r)) => {
+                SolveOutcome::Degraded(r)
             }
-            Err(_) => Ok(solver.solve(&base.with_directions(dirs)?)),
-        })?;
-        Ok((outcome, peek_thread_nodes().saturating_sub(before)))
+            _ => unreachable!("solutions returned early"),
+        }))
+    }
+
+    /// Solves the base under `dirs` afresh, returning the outcome and the
+    /// nodes it cost.
+    fn fresh_solve(&self, dirs: &[Dir]) -> Result<(SolveOutcome, u64), NumericError> {
+        let before = peek_thread_nodes();
+        let mut slot = self.refined.borrow_mut();
+        let refined = slot.get_or_insert_with(|| {
+            let recycled = REFINE_SCRATCH
+                .try_with(|cell| cell.try_borrow_mut().ok().and_then(|mut s| s.take()))
+                .ok()
+                .flatten();
+            match recycled {
+                Some(mut p) => {
+                    p.clone_from(self.base);
+                    p
+                }
+                None => self.base.clone(),
+            }
+        });
+        let outcome = refined.impose_directions(dirs).map(|()| self.solver.solve(refined));
+        refined.truncate_constraints(self.base.equations().len(), self.base.inequalities().len());
+        Ok((outcome?, peek_thread_nodes().saturating_sub(before)))
+    }
+}
+
+impl Drop for ExactWalk<'_> {
+    fn drop(&mut self) {
+        if let Some(p) = self.refined.get_mut().take() {
+            let _ = REFINE_SCRATCH.try_with(|cell| {
+                if let Ok(mut slot) = cell.try_borrow_mut() {
+                    slot.get_or_insert(p);
+                }
+            });
+        }
+    }
+}
+
+/// The verdict an outcome proves, without its witness.
+fn verdict_of(outcome: &SolveOutcome) -> Verdict {
+    match outcome {
+        SolveOutcome::NoSolution => Verdict::Independent,
+        SolveOutcome::Solution(_) => {
+            Verdict::Dependent { exact: true, info: DependenceInfo::default() }
+        }
+        SolveOutcome::Degraded(_) => Verdict::Unknown,
     }
 }
 
@@ -726,19 +829,16 @@ impl Search<'_> {
 
     /// The interval of values for `var` consistent with every constraint
     /// given the current partial assignment and the other variables'
-    /// current domains. `None` on arithmetic overflow (callers fall back
-    /// to the current domain).
+    /// current domains. Only the rows that mention `var` can narrow it;
+    /// they are visited in the problem's order (equations, then
+    /// inequalities), so an empty range or an overflow is met at the same
+    /// row as in a visit of every row. `None` on arithmetic overflow
+    /// (callers fall back to the current domain).
     fn feasible_range(&self, var: usize, domains: &[Interval]) -> Option<Interval> {
         let mut range = domains[var];
-        for eq in self.problem.equations() {
-            range = range.intersect(&self.constraint_range(eq.c0, &eq.coeffs, var, true, domains)?);
-            if range.is_empty() {
-                return Some(range);
-            }
-        }
-        for iq in self.problem.inequalities() {
-            range =
-                range.intersect(&self.constraint_range(iq.c0, &iq.coeffs, var, false, domains)?);
+        for &(r, c_var) in self.rows.uses(var) {
+            let row = &self.rows.rows[r];
+            range = range.intersect(&self.constraint_range(row, var, c_var, domains)?);
             if range.is_empty() {
                 return Some(range);
             }
@@ -746,26 +846,21 @@ impl Search<'_> {
         Some(range)
     }
 
-    /// For constraint `c0 + Σ ck·zk (= | ≥) 0`, the interval of `var`
-    /// values that keep it satisfiable given the other variables'
-    /// intervals.
+    /// For constraint `c0 + Σ ck·zk (= | ≥) 0`, in which `var` has the
+    /// nonzero coefficient `c_var`, the interval of `var` values that keep
+    /// it satisfiable given the other variables' intervals.
     fn constraint_range(
         &self,
-        c0: i128,
-        coeffs: &[i128],
+        row: &SparseRow,
         var: usize,
-        is_equation: bool,
+        c_var: i128,
         domains: &[Interval],
     ) -> Option<Interval> {
-        let c_var = coeffs[var];
-        let full = domains[var];
-        if c_var == 0 {
-            return Some(full);
-        }
-        // rest = c0 + assigned terms + interval of other unassigned terms
-        let mut rest = Interval::point(c0);
-        for (k, &c) in coeffs.iter().enumerate() {
-            if k == var || c == 0 {
+        // rest = c0 + assigned terms + interval of other unassigned terms,
+        // summed in ascending variable order.
+        let mut rest = Interval::point(row.c0);
+        for &(k, c) in self.rows.terms(row) {
+            if k == var {
                 continue;
             }
             let contrib = if self.assigned[k] {
@@ -778,33 +873,35 @@ impl Search<'_> {
         // Equation: need c_var·v ∈ [-rest.hi, -rest.lo].
         // Inequality (≥ 0): need c_var·v ≥ -rest.hi, i.e. c_var·v ∈
         // [-rest.hi, +∞) regardless of the sign of c_var (the sign only
-        // affects the conversion to bounds on v below).
-        let (lo, hi) = if is_equation { (-rest.hi, -rest.lo) } else { (-rest.hi, i128::MAX / 2) };
-        // v ∈ [ceil(lo/c), floor(hi/c)] for c>0; reversed for c<0.
-        let (vlo, vhi) = if c_var > 0 {
-            (
-                delin_numeric::int::ceil_div(lo, c_var).ok()?,
-                delin_numeric::int::floor_div(hi, c_var).ok()?,
-            )
-        } else {
-            (
-                delin_numeric::int::ceil_div(hi, c_var).ok()?,
-                delin_numeric::int::floor_div(lo, c_var).ok()?,
-            )
+        // affects the conversion to bounds on v below). A bound of
+        // `i128::MIN` has no negation: give up on the row like any other
+        // overflow.
+        let lo = rest.hi.checked_neg()?;
+        let hi = if row.is_equation { rest.lo.checked_neg()? } else { i128::MAX / 2 };
+        // v ∈ [ceil(lo/c), floor(hi/c)] for c>0; reversed for c<0. A unit
+        // coefficient needs no division.
+        let (vlo, vhi) = match c_var {
+            1 => (lo, hi),
+            -1 => (hi.checked_neg()?, lo.checked_neg()?),
+            c if c > 0 => (
+                delin_numeric::int::ceil_div(lo, c).ok()?,
+                delin_numeric::int::floor_div(hi, c).ok()?,
+            ),
+            c => (
+                delin_numeric::int::ceil_div(hi, c).ok()?,
+                delin_numeric::int::floor_div(lo, c).ok()?,
+            ),
         };
-        Some(full.intersect(&Interval::new(vlo, vhi)))
+        Some(domains[var].intersect(&Interval::new(vlo, vhi)))
     }
 
     /// `true` when some equation's fixed residual cannot be matched by the
     /// remaining terms for divisibility reasons.
     fn divisibility_prune(&self) -> bool {
-        'eqs: for eq in self.problem.equations() {
-            let mut fixed = eq.c0;
+        'eqs: for row in self.rows.equations() {
+            let mut fixed = row.c0;
             let mut g = 0i128;
-            for (k, &c) in eq.coeffs.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
+            for &(k, c) in self.rows.terms(row) {
                 if self.assigned[k] {
                     let Some(t) = c.checked_mul(self.assignment[k]) else {
                         continue 'eqs;
@@ -1188,6 +1285,306 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert_eq!(take_thread_refine().subtree_reuses, 1);
         reset_thread_nodes();
+    }
+
+    /// `MAX·z0 − z1 + (MIN + 5) = 0` over `z0 ∈ [0, 1]`, `z1 ∈ [0, 5]` is
+    /// solved by `(1, 4)` alone. Narrowing `z0` meets a rest interval whose
+    /// low end is `i128::MIN`, which has no negation: propagation must keep
+    /// the domain there, not wrap the bound into a false independence.
+    #[test]
+    fn a_rest_bound_of_i128_min_keeps_the_domain() {
+        let p = DependenceProblem::single_equation(i128::MIN + 5, vec![i128::MAX, -1], vec![1, 5]);
+        assert_eq!(ExactSolver::default().solve(&p), SolveOutcome::Solution(vec![1, 4]));
+        assert_eq!(dense::solve(&p, DEFAULT_SOLVER_NODES).0, SolveOutcome::Solution(vec![1, 4]));
+    }
+
+    /// The dense propagation the solver ran before its rows went sparse,
+    /// kept as the reference the sparse form must match node for node:
+    /// every variable is narrowed against every row, summing every
+    /// coefficient, with a division for every bound.
+    mod dense {
+        use super::super::{equation_obviously_infeasible, SolveOutcome, MAX_PROPAGATION_ROUNDS};
+        use crate::budget::{DegradeReason, ResourceBudget};
+        use crate::problem::DependenceProblem;
+        use delin_numeric::{gcd, Interval};
+
+        /// Solves `problem` under a node limit, returning the outcome and
+        /// the nodes it cost.
+        pub(super) fn solve(
+            problem: &DependenceProblem<i128>,
+            node_limit: u64,
+        ) -> (SolveOutcome, u64) {
+            if problem.vars().iter().any(|v| v.upper < 0)
+                || problem.equations().iter().any(|eq| equation_obviously_infeasible(problem, eq))
+            {
+                return (SolveOutcome::NoSolution, 0);
+            }
+            let budget = ResourceBudget::with_node_limit(node_limit);
+            let n = problem.num_vars();
+            let mut search = Search {
+                problem,
+                assignment: vec![0; n],
+                assigned: vec![false; n],
+                nodes: 0,
+                budget: &budget,
+            };
+            let mut domains: Vec<Interval> =
+                problem.vars().iter().map(|v| Interval::new(0, v.upper)).collect();
+            let outcome = match search.dfs(&mut domains) {
+                Ok(true) => SolveOutcome::Solution(search.assignment.clone()),
+                Ok(false) => SolveOutcome::NoSolution,
+                Err(reason) => SolveOutcome::Degraded(reason),
+            };
+            (outcome, search.nodes)
+        }
+
+        struct Search<'a> {
+            problem: &'a DependenceProblem<i128>,
+            assignment: Vec<i128>,
+            assigned: Vec<bool>,
+            nodes: u64,
+            budget: &'a ResourceBudget,
+        }
+
+        impl Search<'_> {
+            fn dfs(&mut self, domains: &mut [Interval]) -> Result<bool, DegradeReason> {
+                self.nodes += 1;
+                self.budget.check(self.nodes)?;
+                let n = self.problem.num_vars();
+                for _round in 0..MAX_PROPAGATION_ROUNDS {
+                    let mut changed = false;
+                    for var in 0..n {
+                        if self.assigned[var] {
+                            continue;
+                        }
+                        let range = self.feasible_range(var, domains).unwrap_or(domains[var]);
+                        if range.is_empty() {
+                            return Ok(false);
+                        }
+                        if range != domains[var] {
+                            domains[var] = range;
+                            changed = true;
+                        }
+                    }
+                    if !changed {
+                        break;
+                    }
+                }
+                let mut pick: Option<usize> = None;
+                for var in (0..n).filter(|&v| !self.assigned[v]) {
+                    let better = pick.is_none_or(|best| {
+                        domains[var].len().unwrap_or(i128::MAX)
+                            < domains[best].len().unwrap_or(i128::MAX)
+                    });
+                    if better {
+                        pick = Some(var);
+                    }
+                }
+                let Some(var) = pick else {
+                    return Ok(self.problem.is_solution(&self.assignment).unwrap_or(false));
+                };
+                if self.divisibility_prune() {
+                    return Ok(false);
+                }
+                let range = domains[var];
+                self.assigned[var] = true;
+                for v in range.lo..=range.hi {
+                    self.assignment[var] = v;
+                    if self.dfs(&mut domains.to_vec())? {
+                        return Ok(true);
+                    }
+                }
+                self.assigned[var] = false;
+                self.assignment[var] = 0;
+                Ok(false)
+            }
+
+            fn feasible_range(&self, var: usize, domains: &[Interval]) -> Option<Interval> {
+                let mut range = domains[var];
+                let eqs = self.problem.equations().iter().map(|eq| (eq.c0, &eq.coeffs[..], true));
+                let iqs =
+                    self.problem.inequalities().iter().map(|iq| (iq.c0, &iq.coeffs[..], false));
+                for (c0, coeffs, is_equation) in eqs.chain(iqs) {
+                    range = range.intersect(&self.constraint_range(
+                        c0,
+                        coeffs,
+                        var,
+                        is_equation,
+                        domains,
+                    )?);
+                    if range.is_empty() {
+                        return Some(range);
+                    }
+                }
+                Some(range)
+            }
+
+            fn constraint_range(
+                &self,
+                c0: i128,
+                coeffs: &[i128],
+                var: usize,
+                is_equation: bool,
+                domains: &[Interval],
+            ) -> Option<Interval> {
+                let c_var = coeffs[var];
+                let full = domains[var];
+                if c_var == 0 {
+                    return Some(full);
+                }
+                let mut rest = Interval::point(c0);
+                for (k, &c) in coeffs.iter().enumerate() {
+                    if k == var || c == 0 {
+                        continue;
+                    }
+                    let contrib = if self.assigned[k] {
+                        Interval::point(c.checked_mul(self.assignment[k])?)
+                    } else {
+                        domains[k].checked_scale(c).ok()?
+                    };
+                    rest = rest.checked_add(&contrib).ok()?;
+                }
+                let (lo, hi) = if is_equation {
+                    (rest.hi.checked_neg()?, rest.lo.checked_neg()?)
+                } else {
+                    (rest.hi.checked_neg()?, i128::MAX / 2)
+                };
+                let (vlo, vhi) = if c_var > 0 {
+                    (
+                        delin_numeric::int::ceil_div(lo, c_var).ok()?,
+                        delin_numeric::int::floor_div(hi, c_var).ok()?,
+                    )
+                } else {
+                    (
+                        delin_numeric::int::ceil_div(hi, c_var).ok()?,
+                        delin_numeric::int::floor_div(lo, c_var).ok()?,
+                    )
+                };
+                Some(full.intersect(&Interval::new(vlo, vhi)))
+            }
+
+            fn divisibility_prune(&self) -> bool {
+                'eqs: for eq in self.problem.equations() {
+                    let mut fixed = eq.c0;
+                    let mut g = 0i128;
+                    for (k, &c) in eq.coeffs.iter().enumerate() {
+                        if c == 0 {
+                            continue;
+                        }
+                        if self.assigned[k] {
+                            let Some(t) = c.checked_mul(self.assignment[k]) else {
+                                continue 'eqs;
+                            };
+                            let Some(f) = fixed.checked_add(t) else {
+                                continue 'eqs;
+                            };
+                            fixed = f;
+                        } else {
+                            g = gcd(g, c);
+                        }
+                    }
+                    if g == 0 {
+                        if fixed != 0 {
+                            return true;
+                        }
+                    } else if fixed % g != 0 {
+                        return true;
+                    }
+                }
+                false
+            }
+        }
+    }
+
+    /// A coefficient drawn from `r`: mostly zero (rows stay sparse), else
+    /// ±1, small, around ±2^100, or next to `i128::MAX`/`MIN`.
+    fn drawn_coeff(r: i128) -> i128 {
+        let m = r.abs() % 8;
+        match r.rem_euclid(16) {
+            0..=5 => 0,
+            6 | 7 => 1,
+            8 | 9 => -1,
+            10 => 2 + m,
+            11 => -2 - m,
+            12 => (1i128 << 100) + m,
+            13 => -(1i128 << 100) - m,
+            14 => i128::MAX - m,
+            _ => i128::MIN + 1 + m,
+        }
+    }
+
+    /// A constant drawn from `r`: small, or next to `i128::MIN`/`MAX`, or
+    /// around ±2^100.
+    fn drawn_constant(r: i128) -> i128 {
+        let m = r.abs() % 8;
+        match r.rem_euclid(8) {
+            0..=3 => r % 13,
+            4 => i128::MIN + m,
+            5 => i128::MAX - m,
+            6 => (1i128 << 100) - m,
+            _ => -(1i128 << 100) + m,
+        }
+    }
+
+    /// A problem with `vars` variables, `eqs` equations and `ineqs`
+    /// inequalities, its numbers drawn from `raw` in turn. Bounds are
+    /// small, with an occasional zero-trip loop or a bound of 2^62.
+    fn drawn_problem(
+        vars: usize,
+        eqs: usize,
+        ineqs: usize,
+        raw: &[i128],
+    ) -> DependenceProblem<i128> {
+        let mut draws = raw.iter().copied().cycle();
+        let mut draw = || draws.next().expect("cycled");
+        let mut b = DependenceProblem::<i128>::builder();
+        for v in 0..vars {
+            let r = draw();
+            let upper = match r.rem_euclid(20) {
+                0 => -1,
+                1 => 1i128 << 62,
+                k => k % 7,
+            };
+            b.var(format!("z{v}"), upper);
+        }
+        let row = |draw: &mut dyn FnMut() -> i128| {
+            let c0 = drawn_constant(draw());
+            let coeffs: Vec<i128> = (0..vars).map(|_| drawn_coeff(draw())).collect();
+            (c0, coeffs)
+        };
+        for _ in 0..eqs {
+            let (c0, coeffs) = row(&mut draw);
+            b.equation(c0, coeffs);
+        }
+        let mut p = b.build();
+        for _ in 0..ineqs {
+            let (c0, coeffs) = row(&mut draw);
+            p = p.with_inequality(c0, coeffs);
+        }
+        p
+    }
+
+    proptest::proptest! {
+        /// Sparse propagation reaches the dense reference's fixpoints: the
+        /// same outcome, witness included, after the same number of nodes,
+        /// over 1–6 variables, 1–3 equations and 0–6 inequalities with unit,
+        /// large and extreme coefficients and constants.
+        #[test]
+        fn sparse_propagation_matches_the_dense_reference(
+            vars in 1usize..7,
+            eqs in 1usize..4,
+            ineqs in 0usize..7,
+            raw in proptest::collection::vec(-1000i128..1000, 96..97),
+        ) {
+            let p = drawn_problem(vars, eqs, ineqs, &raw);
+            let limit = 3_000;
+            let (expect, expect_nodes) = dense::solve(&p, limit);
+            reset_thread_nodes();
+            let got = ExactSolver::with_limit(limit).solve(&p);
+            let nodes = take_thread_nodes();
+            proptest::prop_assert_eq!(&got, &expect, "{:?}", p);
+            proptest::prop_assert_eq!(nodes, expect_nodes, "{:?}", p);
+        }
     }
 
     #[test]

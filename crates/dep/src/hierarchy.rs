@@ -14,7 +14,7 @@
 
 use crate::banerjee::{BanerjeeWalk, DirectionMode};
 use crate::dirvec::{summarize, Dir, DirVec, DistDir, DistDirVec};
-use crate::exact::{ExactSolver, SolveOutcome, SubtreeStore};
+use crate::exact::{ExactSolver, ExactWalk, SolveOutcome, SubtreeStore};
 use crate::problem::DependenceProblem;
 use crate::verdict::{DependenceInfo, Verdict};
 use delin_numeric::Coeff;
@@ -24,7 +24,8 @@ use delin_numeric::Coeff;
 pub type DirOracle<'a, C> = dyn Fn(&DependenceProblem<C>, &[Dir]) -> Verdict + 'a;
 
 /// A whole walk: the atomic direction vectors of a problem, as
-/// [`atomic_direction_vectors`] or [`banerjee_atomic_vectors`] compute them.
+/// [`atomic_direction_vectors`], [`exact_atomic_vectors`] or
+/// [`banerjee_atomic_vectors`] compute them.
 pub type AtomicWalk<'a, C> = dyn Fn(&DependenceProblem<C>) -> Vec<DirVec> + 'a;
 
 /// Enumerates the *atomic* direction vectors (every element `<`, `=`, or
@@ -47,6 +48,19 @@ pub fn banerjee_atomic_vectors<C: Coeff>(
 ) -> Vec<DirVec> {
     let banerjee = BanerjeeWalk::new(problem, mode);
     walk(problem.common_loops().len(), &|dirs| banerjee.test(dirs))
+}
+
+/// [`atomic_direction_vectors`] under [`exact_oracle_in`]: the same
+/// vectors, store traffic and counters, asked through one [`ExactWalk`] so
+/// that the base problem is fingerprinted and copied once per walk rather
+/// than once per query.
+pub fn exact_atomic_vectors(
+    problem: &DependenceProblem<i128>,
+    solver: &ExactSolver,
+    store: &SubtreeStore,
+) -> Vec<DirVec> {
+    let exact = ExactWalk::new(solver, store, problem);
+    walk(problem.common_loops().len(), &|dirs| exact.test(dirs))
 }
 
 /// [`banerjee_atomic_vectors`], summarized.
@@ -173,8 +187,7 @@ pub fn distance_direction_vectors_in(
     solver: &ExactSolver,
     store: &SubtreeStore,
 ) -> Vec<DistDirVec> {
-    let oracle = exact_oracle_in(solver.clone(), store);
-    let atomics = atomic_direction_vectors(problem, &oracle);
+    let atomics = exact_atomic_vectors(problem, solver, store);
     let mut out = Vec::new();
     for dv in &atomics {
         let Ok(w) = store.solve_refined(solver, problem, &dv.0) else {

@@ -506,6 +506,14 @@ impl<C: Coeff> DependenceProblem<C> {
         Ok(())
     }
 
+    /// Keeps the first `equations` equations and `inequalities`
+    /// inequalities: undoes [`DependenceProblem::impose_directions`] on a
+    /// problem that had that many rows before.
+    pub(crate) fn truncate_constraints(&mut self, equations: usize, inequalities: usize) {
+        self.equations.truncate(equations);
+        self.inequalities.truncate(inequalities);
+    }
+
     /// Returns a copy with one extra inequality `c0 + Σ coeffs[k]·z_k ≥ 0`
     /// (zero-extended to the variable count).
     pub fn with_inequality(&self, c0: C, coeffs: impl Into<CoeffRow<C>>) -> DependenceProblem<C> {

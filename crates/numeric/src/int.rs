@@ -85,7 +85,8 @@ pub fn mul(a: i128, b: i128) -> Result<i128, NumericError> {
 ///
 /// # Errors
 ///
-/// Returns [`NumericError::DivisionByZero`] when `b == 0`.
+/// Returns [`NumericError::DivisionByZero`] when `b == 0`, and an overflow
+/// error for `(i128::MIN, -1)`, whose quotient does not fit.
 ///
 /// ```
 /// assert_eq!(delin_numeric::int::floor_div(7, 2).unwrap(), 3);
@@ -95,7 +96,7 @@ pub fn floor_div(a: i128, b: i128) -> Result<i128, NumericError> {
     if b == 0 {
         return Err(NumericError::DivisionByZero);
     }
-    let q = a / b;
+    let q = a.checked_div(b).ok_or_else(|| NumericError::overflow("floor_div"))?;
     let r = a % b;
     Ok(if r != 0 && (r < 0) != (b < 0) { q - 1 } else { q })
 }
@@ -104,12 +105,13 @@ pub fn floor_div(a: i128, b: i128) -> Result<i128, NumericError> {
 ///
 /// # Errors
 ///
-/// Returns [`NumericError::DivisionByZero`] when `b == 0`.
+/// Returns [`NumericError::DivisionByZero`] when `b == 0`, and an overflow
+/// error for `(i128::MIN, -1)`, whose quotient does not fit.
 pub fn ceil_div(a: i128, b: i128) -> Result<i128, NumericError> {
     if b == 0 {
         return Err(NumericError::DivisionByZero);
     }
-    let q = a / b;
+    let q = a.checked_div(b).ok_or_else(|| NumericError::overflow("ceil_div"))?;
     let r = a % b;
     Ok(if r != 0 && (r < 0) == (b < 0) { q + 1 } else { q })
 }
@@ -173,6 +175,19 @@ mod tests {
         assert!(floor_div(1, 0).is_err());
         assert!(ceil_div(1, 0).is_err());
         assert!(mod_floor(1, 0).is_err());
+    }
+
+    /// `i128::MIN / -1` does not fit: both divisions report the overflow
+    /// instead of panicking, and their neighbours still divide exactly.
+    #[test]
+    fn floor_ceil_div_overflow_at_min_over_minus_one() {
+        assert_eq!(floor_div(i128::MIN, -1), Err(NumericError::overflow("floor_div")));
+        assert_eq!(ceil_div(i128::MIN, -1), Err(NumericError::overflow("ceil_div")));
+        assert_eq!(floor_div(i128::MIN + 1, -1), Ok(i128::MAX));
+        assert_eq!(ceil_div(i128::MIN + 1, -1), Ok(i128::MAX));
+        assert_eq!(floor_div(i128::MIN, 1), Ok(i128::MIN));
+        assert_eq!(ceil_div(i128::MIN, 2), Ok(i128::MIN / 2));
+        assert_eq!(floor_div(i128::MIN, -2), Ok(1i128 << 126));
     }
 
     #[test]

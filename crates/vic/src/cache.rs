@@ -136,13 +136,10 @@ pub struct CachedOutcome {
     pub subtree_reuses: u64,
     /// Exact-solver nodes those subtree replays avoided re-spending.
     pub nodes_saved: u64,
-    /// The per-problem incremental solver state (the solve trees built
-    /// while refining this problem's direction hierarchy). Memoized
-    /// alongside the verdict so sibling refinements across a unit — and
-    /// across units sharing this cache — reach the already-built subtrees
-    /// through a cache hit instead of rebuilding them. `None` for an
-    /// outcome that carries no state: a lost pair's stand-in, or a
-    /// persisted record saved without one.
+    /// Not filled by the engine, and read by nothing: a decision's solve
+    /// trees end with the decision, because a cache hit returns the stored
+    /// verdict without walking again, and the persistent tier writes no
+    /// trees. Kept only because perfbench names it.
     pub solver_state: Option<Arc<SubtreeStore>>,
     /// `Some(reason)` when the verdict was reached under an exhausted
     /// resource budget. Degraded outcomes are conservative (`Unknown`, or
@@ -1182,29 +1179,6 @@ mod tests {
         assert!(out.computed, "post-panic lookup must recompute");
         assert_eq!(out.outcome.solver_nodes, 5);
         assert_eq!(cache.len(), 1);
-    }
-
-    /// The memoized outcome carries the incremental solver state: every
-    /// later hit — from any reference pair or unit — sees the *same*
-    /// [`SubtreeStore`] instance, so sibling refinements share subtrees
-    /// instead of rebuilding them.
-    #[test]
-    fn cache_hits_carry_the_stored_solver_state() {
-        let cache = VerdictCache::bounded(0);
-        let env = Assumptions::new();
-        let store = Arc::new(SubtreeStore::new());
-        let miss = cache.lookup(&env, &two_eq_problem([0, 1]), |_| CachedOutcome {
-            solver_state: Some(Arc::clone(&store)),
-            ..outcome(3)
-        });
-        // Equation order must not defeat the state either.
-        let hit = cache.lookup(&env, &two_eq_problem([1, 0]), |_| outcome(0));
-        assert!(!hit.computed);
-        let carried =
-            hit.outcome.solver_state.clone().expect("hit must carry the stored solver state");
-        assert!(Arc::ptr_eq(&carried, &store));
-        let first = miss.outcome.solver_state.clone().expect("miss returns the state it stored");
-        assert!(Arc::ptr_eq(&first, &store));
     }
 
     #[test]

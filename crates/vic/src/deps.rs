@@ -31,7 +31,6 @@ use delin_dep::acyclic::AcyclicTest;
 use delin_dep::banerjee::{BanerjeeTest, DirectionMode};
 use delin_dep::budget::{BudgetSpec, DegradeReason, ResourceBudget};
 use delin_dep::dirvec::{summarize, Dir, DirVec};
-use delin_dep::exact::SubtreeStore;
 use delin_dep::gcd::GcdTest;
 use delin_dep::hierarchy;
 use delin_dep::problem::{DependenceProblem, ProblemArena, ProblemBuilder};
@@ -843,12 +842,12 @@ fn test_pair(a: &AccessSite, b: &AccessSite, task: &Task, ctx: &PairCtx<'_>) -> 
 /// Runs [`decide`] with exact-solver node and refinement accounting
 /// around it.
 ///
-/// The decision refines through a private [`SubtreeStore`] created here —
-/// private, so the counters stay pure functions of the canonical problem
-/// regardless of scheduling — and the store is stowed in the returned
-/// outcome: the verdict cache memoizes it alongside the verdict, which is
-/// how sibling refinements across a unit (and across units sharing one
-/// cache) reach the same subtrees.
+/// The decision refines through a private `SubtreeStore` that lives as
+/// long as the decision (see `DelinearizationTest`) — private, so the
+/// counters stay pure functions of the canonical problem regardless of
+/// scheduling. Nothing reads the store after the verdict is in (a cache
+/// hit returns the stored verdict without walking again), so the outcome
+/// carries no solver state.
 fn decide_counted(
     problem: &DependenceProblem<SymPoly>,
     assumptions: &Assumptions,
@@ -857,8 +856,7 @@ fn decide_counted(
 ) -> CachedOutcome {
     let _ = delin_dep::exact::take_thread_nodes();
     delin_dep::exact::reset_thread_refine();
-    let store = Arc::new(SubtreeStore::new());
-    let (verdict, tested_by, attempts) = decide(problem, assumptions, choice, budget, &store);
+    let (verdict, tested_by, attempts) = decide(problem, assumptions, choice, budget);
     let refine = delin_dep::exact::take_thread_refine();
     CachedOutcome {
         verdict,
@@ -868,7 +866,7 @@ fn decide_counted(
         refine_queries: refine.refine_queries,
         subtree_reuses: refine.subtree_reuses,
         nodes_saved: refine.nodes_saved,
-        solver_state: Some(store),
+        solver_state: None,
         degraded: budget.tripped(),
     }
 }
@@ -995,7 +993,6 @@ fn decide(
     assumptions: &Assumptions,
     choice: TestChoice,
     budget: &ResourceBudget,
-    store: &Arc<SubtreeStore>,
 ) -> (Verdict, &'static str, Vec<&'static str>) {
     if budget.exhausted().is_some() {
         return (Verdict::Unknown, "degraded", Vec::new());
@@ -1058,8 +1055,7 @@ fn decide(
     let (verdict, tested_by) = match choice {
         TestChoice::BatteryOnly => run_battery(&mut attempts),
         TestChoice::DelinearizationFirst => {
-            let mut delin = DelinearizationTest::with_budget(budget.clone());
-            delin.config.solve_store = Some(Arc::clone(store));
+            let delin = DelinearizationTest::with_budget(budget.clone());
             attempts.push("delinearization");
             let v = match &concrete {
                 Some(c) => DependenceTest::<i128>::test(&delin, c),

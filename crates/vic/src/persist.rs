@@ -2,9 +2,9 @@
 //! fingerprint-keyed record file.
 //!
 //! [`save`] serializes every memoized entry of a [`VerdictCache`] — the
-//! 128-bit key, the full [`CachedOutcome`] and its [`SubtreeStore`] solver
-//! state — and [`load`] seeds them back into a fresh cache, so a later
-//! process starts warm instead of re-solving the whole corpus. The engine's
+//! 128-bit key and the [`CachedOutcome`] — and [`load`] seeds them back
+//! into a fresh cache, so a later process starts warm instead of
+//! re-solving the whole corpus. The engine's
 //! determinism contract makes this safe by construction: per-run statistics
 //! are attributed at fold time from key fingerprints, never from live cache
 //! state, so a warm run reports byte-for-byte what the cold run reported
@@ -46,12 +46,10 @@
 
 use crate::cache::{CachedOutcome, VerdictCache};
 use delin_dep::dirvec::{Dir, DirVec};
-use delin_dep::exact::{SolveOutcome, SubtreeStore};
 use delin_dep::verdict::{DependenceInfo, Verdict};
 use delin_numeric::fp128::Fp128;
 use std::hash::Hasher as _;
 use std::path::Path;
-use std::sync::Arc;
 
 /// File magic: "DELINVC" plus a format byte.
 const MAGIC: &[u8; 8] = b"DELINVC\x01";
@@ -206,34 +204,9 @@ fn encode_record(fp: u128, outcome: &CachedOutcome) -> Vec<u8> {
     push_u64(&mut b, outcome.subtree_reuses);
     push_u64(&mut b, outcome.nodes_saved);
     encode_verdict(&mut b, &outcome.verdict);
-    match &outcome.solver_state {
-        None => b.push(0),
-        Some(store) => {
-            b.push(1);
-            let trees = store.export();
-            push_u32(&mut b, trees.len() as u32);
-            for (k, entries) in &trees {
-                push_u128(&mut b, *k);
-                push_u32(&mut b, entries.len() as u32);
-                for (dirs, out, nodes) in entries {
-                    encode_dirs(&mut b, dirs);
-                    match out {
-                        SolveOutcome::NoSolution => b.push(0),
-                        SolveOutcome::Solution(w) => {
-                            b.push(1);
-                            encode_witness(&mut b, w);
-                        }
-                        // Unreachable: degraded outcomes never enter a
-                        // solve tree. Encode as an invalid tag so a bug
-                        // here surfaces as a rejected record, not a bogus
-                        // replayable proof.
-                        SolveOutcome::Degraded(_) => b.push(0xff),
-                    }
-                    push_u64(&mut b, *nodes);
-                }
-            }
-        }
-    }
+    // The solver-state tag: always 0 (none). A cache hit never reads the
+    // solve trees of the decision it replays, so none are written.
+    b.push(0);
     b
 }
 
@@ -347,32 +320,28 @@ fn decode_record(payload: &[u8]) -> Option<(u128, CachedOutcome)> {
     let subtree_reuses = r.u64()?;
     let nodes_saved = r.u64()?;
     let verdict = decode_verdict(&mut r)?;
-    let solver_state = match r.u8()? {
-        0 => None,
+    match r.u8()? {
+        0 => {}
+        // A file written while decisions kept their solve trees: read past
+        // them (nothing replays them) and keep the verdict.
         1 => {
-            let n = r.u32()? as usize;
-            let mut records = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let k = r.u128()?;
-                let m = r.u32()? as usize;
-                let mut entries = Vec::with_capacity(m.min(1024));
-                for _ in 0..m {
-                    let dirs = decode_dirs(&mut r)?;
-                    let out = match r.u8()? {
-                        0 => SolveOutcome::NoSolution,
-                        1 => SolveOutcome::Solution(decode_witness(&mut r)?),
+            for _ in 0..r.u32()? {
+                r.u128()?;
+                for _ in 0..r.u32()? {
+                    decode_dirs(&mut r)?;
+                    match r.u8()? {
+                        0 => {}
+                        1 => {
+                            decode_witness(&mut r)?;
+                        }
                         _ => return None,
-                    };
-                    entries.push((dirs, out, r.u64()?));
+                    }
+                    r.u64()?;
                 }
-                records.push((k, entries));
             }
-            let store = SubtreeStore::new();
-            store.import(&records);
-            Some(Arc::new(store))
         }
         _ => return None,
-    };
+    }
     if !r.at_end() {
         return None; // trailing garbage inside a checksummed payload
     }
@@ -386,7 +355,7 @@ fn decode_record(payload: &[u8]) -> Option<(u128, CachedOutcome)> {
             refine_queries,
             subtree_reuses,
             nodes_saved,
-            solver_state,
+            solver_state: None,
             degraded: None,
         },
     ))

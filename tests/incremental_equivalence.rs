@@ -1,8 +1,9 @@
 //! Budget-starvation soundness of incremental solving.
 //!
 //! Direction-refinement queries replay memoized solve subtrees (a
-//! `SubtreeStore` per canonical problem, kept beside its verdict in the
-//! cache). A replay spends no nodes, so a starved run may degrade later
+//! `SubtreeStore` per decision, dropped when the decision ends: a cache
+//! hit returns the stored verdict without walking again). A replay spends
+//! no nodes, so a starved run may degrade later
 //! than a fresh solve would and keep more precision. It must still degrade
 //! conservatively: relative to a full-budget reference, no dependence and
 //! no direction vector may ever be dropped. The chaos-gated module checks

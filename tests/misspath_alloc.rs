@@ -9,6 +9,8 @@
 //! solvers) fails the build. One `#[test]` per file — the allocator
 //! counter is global.
 
+use delinearization::dep::exact::{ExactSolver, SolveOutcome};
+use delinearization::dep::problem::DependenceProblem;
 use delinearization::frontend::affine::infer_bound_assumptions;
 use delinearization::frontend::parse_program;
 use delinearization::numeric::Assumptions;
@@ -64,11 +66,12 @@ const FIG3: &str = "
     ";
 
 /// The pinned ceiling for one cold graph build of [`FIG3`] (serial,
-/// caching on, incremental on). Measured at 912 on x86_64 Linux, rustc
-/// 1.95, with about 30% headroom; headroom absorbs allocator-library
-/// drift, not design regressions — a per-pair allocation leak blows
-/// straight past it.
-const ARENA_COLD_BUDGET: u64 = 1185;
+/// caching on, incremental on), which spends 621 solver nodes over 19
+/// refinement queries. Measured at 893 on x86_64 Linux, rustc 1.95 (912
+/// while every walk query cloned its witness), with about 30% headroom;
+/// headroom absorbs allocator-library drift, not design regressions — a
+/// per-pair allocation leak blows straight past it.
+const ARENA_COLD_BUDGET: u64 = 1160;
 
 /// Forty copies of one statement in one loop: 2,420 reference pairs in
 /// three pair classes, which emit 2,380 edges (780 loop-independent
@@ -92,11 +95,12 @@ const MISS_COLD_SYMBOLIC: &str = "
     ";
 
 /// The pinned ceiling for one cold build of [`MISS_COLD_SYMBOLIC`] under
-/// `NX ≥ 8` and the loop-bound assumptions. Measured at 1,192 with inline
-/// monomials and one Banerjee table per walk (3,148 with `BTreeMap`
-/// monomials and a fresh Banerjee test per query), with about 30%
-/// headroom.
-const SYMBOLIC_COLD_BUDGET: u64 = 1550;
+/// `NX ≥ 8` and the loop-bound assumptions. Measured at 822 with inline
+/// monomials, one Banerjee table per walk and running sums that reuse
+/// their buffers (1,192 when every query built four vectors per level,
+/// 3,148 with `BTreeMap` monomials and a fresh Banerjee test per query),
+/// with about 30% headroom.
+const SYMBOLIC_COLD_BUDGET: u64 = 1070;
 
 fn cold_build(source: &str) -> (DepGraph, u64) {
     cold_build_under(source, &Assumptions::new())
@@ -146,6 +150,23 @@ fn arena_miss_path_allocates_under_budget() {
          stamping allocates per member pair again",
         graph.edges.len()
     );
+
+    // Once warm, a solve reuses the thread's scratch: its domain buffers
+    // and its sparse row tables. A problem without a solution hands back
+    // no witness, so solving it again allocates nothing at all.
+    let mut b = DependenceProblem::<i128>::builder();
+    let (i1, j1) = (b.var("i1", 4), b.var("j1", 9));
+    let (i2, j2) = (b.var("i2", 4), b.var("j2", 9));
+    b.common_pair(i1, i2).common_pair(j1, j2);
+    b.equation(-5, vec![1, 10, -1, -10]);
+    let motivating = b.build().with_inequality(-1, vec![-1, 0, 1, 0]); // i1 < i2
+    let solver = ExactSolver::default();
+    assert_eq!(solver.solve(&motivating), SolveOutcome::NoSolution, "warm-up solve");
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let again = solver.solve(&motivating);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(again, SolveOutcome::NoSolution);
+    assert_eq!(allocs, 0, "a warm solve without a solution allocated {allocs} times");
 
     // A symbolic decision allocates about as little as a concrete one:
     // the polynomials behind every sign query stay inline, and each walk
