@@ -4,8 +4,9 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
-# The whole suite at two fixed worker counts: code that defaults its
-# engine/batch configuration picks the count up via DELIN_WORKERS, so any
+# The whole suite at two fixed worker counts: code that defaults its batch
+# configuration picks the count up via DELIN_WORKERS (units are the only
+# unit of parallelism; a graph build tests its pairs on one thread), so any
 # scheduling-dependent output fails one of the two runs.
 DELIN_WORKERS=1 cargo test -q
 DELIN_WORKERS=4 cargo test -q
@@ -175,7 +176,8 @@ cargo test -q --features chaos --test incremental_equivalence
 cargo test -q -p delin-vic --features chaos --lib deps::
 # The same determinism matrix with faults firing (seed 42).
 cargo run --release -q -p delin-bench --features chaos --bin batch_corpus -- --chaos --verify --units 18 > /dev/null
-cargo clippy --all-targets -- -D warnings
-cargo clippy --all-targets --features chaos -- -D warnings
+# Every package's targets, not only the root package's.
+cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets --features delinearization/chaos,delin-vic/chaos -- -D warnings
 cargo fmt --check
 echo "ci: all green"

@@ -115,7 +115,7 @@ fn main() {
     let full = cli.flag("--full");
     let verify = cli.flag("--verify");
     let gen_units = cli.count_or_exit("--units").unwrap_or(24);
-    let workers = cli.count_or_exit("--workers").unwrap_or_else(delin_vic::deps::workers_from_env);
+    let workers = cli.count_or_exit("--workers").unwrap_or_else(delin_vic::batch::workers_from_env);
     let cache_cap = cli.count_or_exit("--cache-cap").unwrap_or_else(cache_cap_from_env);
     let suite = cli.string("--suite").map(|path| match SuiteConfig::load(Path::new(&path)) {
         Ok(suite) => suite,

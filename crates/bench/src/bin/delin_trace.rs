@@ -107,7 +107,7 @@ fn codec_roundtrip(unit: BatchUnit) -> BatchUnit {
 
 fn replay(cli: &Cli) {
     cli.validate_or_exit(&["--full"], &["--trace", "--suite", "--workers"]);
-    let workers = cli.count_or_exit("--workers").unwrap_or_else(delin_vic::deps::workers_from_env);
+    let workers = cli.count_or_exit("--workers").unwrap_or_else(delin_vic::batch::workers_from_env);
     let config = BatchConfig { workers, ..BatchConfig::default() };
     let trace_path = cli.string("--trace").map(PathBuf::from);
     let suite_path = match (&trace_path, cli.string("--suite"), cli.flag("--full")) {

@@ -23,14 +23,6 @@ fn main() {
         EngineConfig { choice: TestChoice::DelinearizationFirst, ..EngineConfig::default() };
     let stats = delin_bench::experiments::corpus_engine_stats(lines, &config);
     println!();
-    println!("dependence engine over the corpus ({} workers, cache on):", effective(&config));
+    println!("dependence engine over the corpus (cache on):");
     print!("{}", stats.render_summary());
-}
-
-fn effective(config: &EngineConfig) -> String {
-    if config.workers == 0 {
-        format!("auto={}", config.effective_workers(usize::MAX))
-    } else {
-        config.workers.to_string()
-    }
 }

@@ -305,6 +305,18 @@ mod tests {
         assert_eq!(ExactSolver::default().solve(&p), SolveOutcome::NoSolution);
     }
 
+    /// `(1, 1)` solves both equations although their left-to-right partial
+    /// sums overflow (the pair pinned in `dep::exact`'s tests):
+    /// delinearization must not report them independent.
+    #[test]
+    fn an_overflowing_partial_sum_is_not_independence() {
+        for (c0, coeffs) in [(i128::MAX, vec![1, i128::MIN]), (1, vec![i128::MAX, i128::MIN])] {
+            let p = DependenceProblem::single_equation(c0, coeffs, vec![1, 1]);
+            let v = DelinearizationTest::default().test(&p);
+            assert!(!v.is_independent(), "{p}: {v:?}");
+        }
+    }
+
     #[test]
     fn direction_vectors_on_dependent_example() {
         let mut b = DependenceProblem::<i128>::builder();

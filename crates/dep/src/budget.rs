@@ -35,11 +35,6 @@ pub enum DegradeReason {
     Deadline,
     /// The owning [`CancelToken`] was cancelled.
     Cancelled,
-    /// The outcome was lost inside the engine (e.g. a worker ended without
-    /// reporting one). Not a resource axis, but a degradation reason all the
-    /// same: consumers substitute the conservative answer instead of
-    /// treating the gap as a bug worth crashing over.
-    Lost,
 }
 
 impl std::fmt::Display for DegradeReason {
@@ -48,7 +43,6 @@ impl std::fmt::Display for DegradeReason {
             DegradeReason::Nodes => "nodes",
             DegradeReason::Deadline => "deadline",
             DegradeReason::Cancelled => "cancelled",
-            DegradeReason::Lost => "lost",
         })
     }
 }
@@ -144,7 +138,6 @@ fn encode(reason: DegradeReason) -> u8 {
         DegradeReason::Nodes => 1,
         DegradeReason::Deadline => 2,
         DegradeReason::Cancelled => 3,
-        DegradeReason::Lost => 4,
     }
 }
 
@@ -153,7 +146,6 @@ fn decode(code: u8) -> Option<DegradeReason> {
         1 => Some(DegradeReason::Nodes),
         2 => Some(DegradeReason::Deadline),
         3 => Some(DegradeReason::Cancelled),
-        4 => Some(DegradeReason::Lost),
         _ => None,
     }
 }
@@ -435,13 +427,5 @@ mod tests {
         assert_eq!(DegradeReason::Nodes.to_string(), "nodes");
         assert_eq!(DegradeReason::Deadline.to_string(), "deadline");
         assert_eq!(DegradeReason::Cancelled.to_string(), "cancelled");
-        assert_eq!(DegradeReason::Lost.to_string(), "lost");
-    }
-
-    #[test]
-    fn lost_round_trips_through_the_trip_flag() {
-        let b = ResourceBudget::unlimited();
-        b.trip(DegradeReason::Lost);
-        assert_eq!(b.tripped(), Some(DegradeReason::Lost));
     }
 }

@@ -431,11 +431,6 @@ impl SubtreeStore {
         SubtreeStore { enabled: false, trees: Mutex::new(HashMap::default()) }
     }
 
-    /// Whether this store memoizes subtrees.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Number of base problems with a memoized tree.
     pub fn len(&self) -> usize {
         self.lock().len()
@@ -823,8 +818,11 @@ impl Search<'_> {
         Ok(false)
     }
 
+    /// Whether the complete assignment is a solution. `is_solution` decides
+    /// integer rows exactly, so it cannot fail here, and a solution whose
+    /// partial sums pass `i128` still counts as one.
     fn check_full(&self) -> bool {
-        self.problem.is_solution(&self.assignment).unwrap_or(false)
+        self.problem.is_solution(&self.assignment) == Ok(true)
     }
 
     /// The interval of values for `var` consistent with every constraint
@@ -1204,7 +1202,6 @@ mod tests {
         reset_thread_refine();
         reset_thread_nodes();
         let store = SubtreeStore::disabled();
-        assert!(!store.is_enabled());
         let solver = ExactSolver::default();
         let p = shift_by_one();
         let a = store.solve_refined(&solver, &p, &[Dir::Lt]).unwrap();
@@ -1296,6 +1293,25 @@ mod tests {
         let p = DependenceProblem::single_equation(i128::MIN + 5, vec![i128::MAX, -1], vec![1, 5]);
         assert_eq!(ExactSolver::default().solve(&p), SolveOutcome::Solution(vec![1, 4]));
         assert_eq!(dense::solve(&p, DEFAULT_SOLVER_NODES).0, SolveOutcome::Solution(vec![1, 4]));
+    }
+
+    /// Two equations that `(1, 1)` solves although their left-to-right
+    /// partial sums overflow: `z1 − 2^127·z2 + (2^127 − 1) = 0` and
+    /// `(2^127 − 1)·z1 − 2^127·z2 + 1 = 0` over `z ∈ [0, 1]²`. The leaf check
+    /// sums exactly, so the solver finds the solution instead of reporting
+    /// independence.
+    #[test]
+    fn an_overflowing_partial_sum_keeps_its_solution() {
+        for (c0, coeffs) in [(i128::MAX, vec![1, i128::MIN]), (1, vec![i128::MAX, i128::MIN])] {
+            let p = DependenceProblem::single_equation(c0, coeffs, vec![1, 1]);
+            assert_eq!(ExactSolver::default().solve(&p), SolveOutcome::Solution(vec![1, 1]));
+            assert_eq!(
+                dense::solve(&p, DEFAULT_SOLVER_NODES).0,
+                SolveOutcome::Solution(vec![1, 1])
+            );
+            assert!(p.is_solution(&[1, 1]).unwrap());
+            assert!(!p.is_solution(&[0, 1]).unwrap());
+        }
     }
 
     /// The dense propagation the solver ran before its rows went sparse,

@@ -247,6 +247,33 @@ fn eval_linear<C: Coeff>(c0: &C, coeffs: &[C], vals: &[C]) -> Result<C, NumericE
     Ok(acc)
 }
 
+/// Whether `c0 + Σ coeffs[k]·vals[k]` is zero (`equation`) or non-negative.
+/// A concrete row whose checked sum overflows is summed again exactly
+/// ([`delin_numeric::int::linear_sign`]), so a solution whose partial sums
+/// pass `i128` still satisfies it; only a symbolic row can fail.
+fn row_holds<C: Coeff>(
+    c0: &C,
+    coeffs: &[C],
+    vals: &[C],
+    equation: bool,
+    a: &Assumptions,
+) -> Result<bool, NumericError> {
+    let sign = match eval_linear(c0, coeffs, vals) {
+        Ok(v) if equation => return Ok(v.is_zero()),
+        Ok(v) => return Ok(v.is_nonneg(a).is_true()),
+        Err(e) => {
+            let concrete = |x: &C| x.as_i128().ok_or_else(|| e.clone());
+            let terms = coeffs
+                .iter()
+                .zip(vals)
+                .map(|(c, v)| Ok((concrete(c)?, concrete(v)?)))
+                .collect::<Result<Vec<_>, NumericError>>()?;
+            delin_numeric::int::linear_sign(concrete(c0)?, terms)
+        }
+    };
+    Ok(if equation { sign.is_eq() } else { sign.is_ge() })
+}
+
 /// A linear equation `c0 + Σ coeffs[k]·z_k = 0` over the problem variables.
 #[derive(Debug, PartialEq, Eq)]
 pub struct LinEq<C> {
@@ -525,11 +552,12 @@ impl<C: Coeff> DependenceProblem<C> {
     }
 
     /// Checks a concrete assignment against all equations, inequalities and
-    /// bounds; used by tests and the exact solver.
+    /// bounds; used by tests and the exact solver. Rows over integers are
+    /// decided exactly, however large their partial sums.
     ///
     /// # Errors
     ///
-    /// Returns an error when evaluation overflows.
+    /// Returns an error when a symbolic row's evaluation overflows.
     pub fn is_solution(&self, vals: &[C]) -> Result<bool, NumericError> {
         let a = &self.assumptions;
         for (v, val) in self.vars.iter().zip(vals) {
@@ -541,12 +569,12 @@ impl<C: Coeff> DependenceProblem<C> {
             }
         }
         for eq in &self.equations {
-            if !eq.eval(vals)?.is_zero() {
+            if !row_holds(&eq.c0, &eq.coeffs, vals, true, a)? {
                 return Ok(false);
             }
         }
         for ineq in &self.inequalities {
-            if !ineq.eval(vals)?.is_nonneg(a).is_true() {
+            if !row_holds(&ineq.c0, &ineq.coeffs, vals, false, a)? {
                 return Ok(false);
             }
         }
@@ -558,7 +586,7 @@ impl<C: Coeff> DependenceProblem<C> {
 ///
 /// A builder can be fed retired problems through
 /// [`ProblemBuilder::recycle`]; their vectors, coefficient rows and name
-/// strings become spare storage that [`ProblemBuilder::var_args`] and
+/// strings become spare storage that [`ProblemBuilder::var_suffixed`] and
 /// [`ProblemBuilder::equation_from_subscripts`] overwrite in place, so an
 /// engine worker that rebuilds a problem per reference pair stops
 /// allocating once the builder has seen the workload's largest shape.
@@ -569,7 +597,7 @@ pub struct ProblemBuilder<C> {
     inequalities: Vec<LinIneq<C>>,
     common: Vec<(usize, usize)>,
     assumptions: Assumptions,
-    /// Retired variable slots; `var_args` pops and overwrites these.
+    /// Retired variable slots; `var_suffixed` pops and overwrites these.
     spare_vars: Vec<VarInfo<C>>,
     /// Retired equation slots; `equation_from_subscripts` pops and
     /// overwrites these.
@@ -633,22 +661,11 @@ impl<C: Coeff> ProblemBuilder<C> {
         self.vars.len() - 1
     }
 
-    /// Like [`ProblemBuilder::var`], but renders the name and clones the
-    /// bound into a recycled slot when one is available (see
+    /// Like [`ProblemBuilder::var`] for the `{base}{suffix}` names the
+    /// engine gives source/sink loop variables, written with the bound into
+    /// a recycled slot when one is available (see
     /// [`ProblemBuilder::recycle`]), so a warm builder adds the variable
     /// without allocating.
-    pub fn var_args(&mut self, name: std::fmt::Arguments<'_>, upper: &C) -> usize {
-        use std::fmt::Write as _;
-        let mut slot = self.pop_spare_var();
-        let _ = slot.name.write_fmt(name);
-        slot.upper.clone_from(upper);
-        self.vars.push(slot);
-        self.vars.len() - 1
-    }
-
-    /// Like [`ProblemBuilder::var_args`] for the `{base}{suffix}` names the
-    /// engine gives source/sink loop variables, assembled with plain string
-    /// pushes instead of the formatting machinery.
     pub fn var_suffixed(&mut self, base: &str, suffix: char, upper: &C) -> usize {
         let mut slot = self.pop_spare_var();
         slot.name.push_str(base);
@@ -804,11 +821,6 @@ impl<C: Coeff> ProblemArena<C> {
         if self.free.len() < ARENA_SLABS {
             self.free.push(problem);
         }
-    }
-
-    /// Number of recycled slabs currently held.
-    pub fn slabs(&self) -> usize {
-        self.free.len()
     }
 }
 

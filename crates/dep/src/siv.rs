@@ -53,13 +53,10 @@ pub fn solve_two_var(a: i128, ux: i128, b: i128, uy: i128, c0: i128) -> TwoVarOu
                 TwoVarOutcome::Infeasible
             }
         }
-        (false, true) => match solve_one_var(a, ux, c0) {
-            Some(x) => TwoVarOutcome::Feasible { x, y: 0 },
-            None => TwoVarOutcome::Infeasible,
-        },
+        (false, true) => solve_one_var(a, ux, c0),
         (true, false) => match solve_one_var(b, uy, c0) {
-            Some(y) => TwoVarOutcome::Feasible { x: 0, y },
-            None => TwoVarOutcome::Infeasible,
+            TwoVarOutcome::Feasible { x: y, .. } => TwoVarOutcome::Feasible { x: 0, y },
+            other => other,
         },
         (false, false) => {
             let g = gcd(a, b);
@@ -81,9 +78,9 @@ fn solve_two_var_general(
     g: i128,
 ) -> Option<TwoVarOutcome> {
     // Particular solution of a·x + b·y = -c0.
-    let (g0, u, v) = ext_gcd(a, b);
+    let (g0, u, v) = ext_gcd(a, b)?;
     debug_assert_eq!(g0, g);
-    let scale = -c0 / g;
+    let scale = (c0 / g).checked_neg()?;
     let x0 = u.checked_mul(scale)?;
     let y0 = v.checked_mul(scale)?;
     // General solution: x = x0 + (b/g)t, y = y0 - (a/g)t.
@@ -99,7 +96,7 @@ fn solve_two_var_general(
         }
     };
     let tx = t_for(bs, x0, ux)?;
-    let ty = t_for(-as_, y0, uy)?;
+    let ty = t_for(as_.checked_neg()?, y0, uy)?;
     let t = tx.intersect(&ty);
     if t.is_empty() {
         Some(TwoVarOutcome::Infeasible)
@@ -110,12 +107,22 @@ fn solve_two_var_general(
     }
 }
 
-fn solve_one_var(a: i128, upper: i128, c0: i128) -> Option<i128> {
+/// Decides `a·x + c0 = 0` with `a ≠ 0` and `x ∈ [0, upper]`; a feasible
+/// `x` comes back as the witness `x` (with `y = 0`).
+fn solve_one_var(a: i128, upper: i128, c0: i128) -> TwoVarOutcome {
+    // `i128::MIN / −1` is the one quotient that overflows, and `x = −(c0/a)`
+    // has no negation when the quotient is `i128::MIN`.
+    let Some(q) = c0.checked_div(a) else {
+        return TwoVarOutcome::Overflow;
+    };
     if c0 % a != 0 {
-        return None;
+        return TwoVarOutcome::Infeasible;
     }
-    let x = -c0 / a;
-    (0..=upper).contains(&x).then_some(x)
+    match q.checked_neg() {
+        Some(x) if (0..=upper).contains(&x) => TwoVarOutcome::Feasible { x, y: 0 },
+        Some(_) => TwoVarOutcome::Infeasible,
+        None => TwoVarOutcome::Overflow,
+    }
 }
 
 /// Classification of a single equation for reporting purposes.
@@ -144,7 +151,7 @@ pub fn classify(eq: &LinEq<i128>) -> SivKind {
         1 => SivKind::WeakZero,
         2 => {
             let (a, b) = (eq.coeffs[active[0]], eq.coeffs[active[1]]);
-            if a == -b {
+            if Some(a) == b.checked_neg() {
                 SivKind::Strong
             } else if a == b {
                 SivKind::WeakCrossing
@@ -196,7 +203,7 @@ pub fn strong_siv_distance(
 ) -> Option<i128> {
     let (x, y) = *problem.common_loops().get(level)?;
     let a = eq.coeffs[x];
-    if a == 0 || eq.coeffs[y] != -a {
+    if a == 0 || Some(eq.coeffs[y]) != a.checked_neg() {
         return None;
     }
     // Other variables must be absent for the distance to be forced.
@@ -204,12 +211,12 @@ pub fn strong_siv_distance(
         return None;
     }
     // a(x - y) + c0 = 0  =>  y - x = c0/a.
-    if eq.c0 % a != 0 {
+    if eq.c0.checked_rem(a)? != 0 {
         return None;
     }
     let d = eq.c0 / a;
     let z = problem.vars()[x].upper;
-    (d.abs() <= z).then_some(d)
+    d.checked_abs().is_some_and(|m| m <= z).then_some(d)
 }
 
 impl DependenceTest<i128> for SivTest {
@@ -268,6 +275,30 @@ mod tests {
     use super::*;
     use crate::exact::{ExactSolver, SolveOutcome};
     use proptest::prelude::*;
+
+    /// Equations at `i128::MIN` whose remainder, quotient or Bézout step
+    /// overflows: `−z1 + MIN = 0` over `[0, 0]`, `MIN·z1 − z2 + MIN = 0` over
+    /// `[0, 0]²` and `MIN·z1 + MIN·z2 = 0` over `[0, 1]²` are undecided, not
+    /// a panic, and a root of `2^127` is not mistaken for a negative one.
+    #[test]
+    fn overflow_at_i128_min_is_undecided() {
+        let min = i128::MIN;
+        for (c0, coeffs, uppers) in [
+            (min, vec![-1], vec![0]),
+            (min, vec![min, -1], vec![0, 0]),
+            (0, vec![min, min], vec![1, 1]),
+        ] {
+            let p = DependenceProblem::single_equation(c0, coeffs, uppers);
+            assert_eq!(SivTest.test(&p), Verdict::Unknown, "{p}");
+        }
+        assert_eq!(solve_two_var(-1, 0, 0, 0, min), TwoVarOutcome::Overflow);
+        assert_eq!(solve_two_var(0, 0, 1, 5, min), TwoVarOutcome::Overflow);
+        assert_eq!(solve_two_var(min, 0, -1, 0, min), TwoVarOutcome::Overflow);
+        assert_eq!(solve_two_var(min, 1, min, 1, 0), TwoVarOutcome::Overflow);
+        // Away from the edge the kernel still decides.
+        assert_eq!(solve_two_var(-1, 5, 0, 0, min + 1), TwoVarOutcome::Infeasible);
+        assert_eq!(solve_two_var(2, 5, 0, 0, min), TwoVarOutcome::Infeasible);
+    }
 
     #[test]
     fn two_var_kernel_basics() {

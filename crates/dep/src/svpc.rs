@@ -35,10 +35,17 @@ impl DependenceTest<i128> for SvpcTest {
                 1 => {
                     let k = active[0];
                     let a = eq.coeffs[k];
+                    // `i128::MIN / −1` overflows, and so does the negation
+                    // of a quotient of `i128::MIN`: undecided, not a panic.
+                    let Some(q) = eq.c0.checked_div(a) else {
+                        return Verdict::Unknown;
+                    };
                     if eq.c0 % a != 0 {
                         return Verdict::Independent;
                     }
-                    let v = -eq.c0 / a;
+                    let Some(v) = q.checked_neg() else {
+                        return Verdict::Unknown;
+                    };
                     if v < 0 || v > problem.vars()[k].upper {
                         return Verdict::Independent;
                     }
@@ -68,6 +75,18 @@ impl DependenceTest<i128> for SvpcTest {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `−z1 + MIN = 0` needs `MIN / −1`, and `z1 + MIN = 0` the negation of
+    /// `MIN`: both are undecided, not a panic.
+    #[test]
+    fn overflow_at_i128_min_is_unknown() {
+        for (coeff, upper) in [(-1, 0), (1, 5)] {
+            let p = DependenceProblem::single_equation(i128::MIN, vec![coeff], vec![upper]);
+            assert_eq!(SvpcTest.test(&p), Verdict::Unknown, "{p}");
+        }
+        let p = DependenceProblem::single_equation(i128::MIN, vec![2], vec![5]);
+        assert_eq!(SvpcTest.test(&p), Verdict::Independent);
+    }
 
     #[test]
     fn decides_single_var_systems() {

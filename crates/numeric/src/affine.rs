@@ -169,22 +169,6 @@ impl<C: Coeff> Affine<C> {
         }
     }
 
-    /// Renames variables through `f` (must be injective on the form's
-    /// variables; duplicate targets are summed).
-    pub fn map_vars(&self, mut f: impl FnMut(VarId) -> VarId) -> Result<Affine<C>, NumericError> {
-        let mut out = Affine::constant(self.constant.clone());
-        for (&v, c) in &self.terms {
-            let nv = f(v);
-            let cur = out.coeff(nv).checked_add(c)?;
-            if cur.is_zero() {
-                out.terms.remove(&nv);
-            } else {
-                out.terms.insert(nv, cur);
-            }
-        }
-        Ok(out)
-    }
-
     /// Evaluates the form with concrete variable values.
     pub fn eval(&self, values: &BTreeMap<VarId, C>) -> Result<C, NumericError> {
         let mut total = self.constant.clone();
@@ -198,14 +182,6 @@ impl<C: Coeff> Affine<C> {
     /// Whether every coefficient and the constant are concrete integers.
     pub fn is_concrete(&self) -> bool {
         self.constant.as_i128().is_some() && self.terms.values().all(|c| c.as_i128().is_some())
-    }
-
-    /// Renders the form using a caller-supplied variable namer.
-    pub fn display_with<'a>(
-        &'a self,
-        namer: &'a dyn Fn(VarId) -> String,
-    ) -> impl fmt::Display + 'a {
-        AffineDisplay { form: self, namer }
     }
 }
 
@@ -331,14 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn map_vars_merges() {
-        let f = form(0, 2, 3);
-        let merged = f.map_vars(|_| VarId(7)).unwrap();
-        assert_eq!(merged.coeff(VarId(7)), 5);
-        assert_eq!(merged.num_vars(), 1);
-    }
-
-    #[test]
     fn eval() {
         let f = form(5, 1, 10);
         let mut vals = BTreeMap::new();
@@ -357,7 +325,5 @@ mod tests {
         assert_eq!(g.to_string(), "-v0 + 10*v1 - 5");
         assert_eq!(Affine::<i128>::zero().to_string(), "0");
         assert_eq!(Affine::<i128>::constant(-3).to_string(), "-3");
-        let namer = |v: VarId| if v == VarId(0) { "i".to_string() } else { "j".to_string() };
-        assert_eq!(f.display_with(&namer).to_string(), "i + 10*j + 5");
     }
 }

@@ -54,12 +54,6 @@ impl Interval {
         int::add(int::sub(self.hi, self.lo)?, 1)
     }
 
-    /// `true` when the interval has no integers (alias of
-    /// [`Interval::is_empty`], for the `len`/`is_empty` pairing convention).
-    pub fn is_degenerate(&self) -> bool {
-        self.lo == self.hi
-    }
-
     /// Interval sum.
     pub fn checked_add(&self, other: &Interval) -> Result<Interval, NumericError> {
         Ok(Interval { lo: int::add(self.lo, other.lo)?, hi: int::add(self.hi, other.hi)? })
@@ -137,7 +131,6 @@ mod tests {
         assert_eq!(i.len().unwrap(), 9);
         assert!(Interval::new(2, 1).is_empty());
         assert_eq!(Interval::new(2, 1).len().unwrap(), 0);
-        assert!(Interval::point(4).is_degenerate());
         assert_eq!(Interval::point(4).to_string(), "[4, 4]");
     }
 

@@ -3,8 +3,8 @@
 //! This crate provides the numeric substrate shared by every other crate in
 //! the workspace:
 //!
-//! * [`int`] — checked `i128` helpers (gcd, lcm, extended gcd, floor
-//!   division) that never silently wrap;
+//! * [`int`] — checked `i128` helpers (gcd, extended gcd, floor division,
+//!   exact signs of linear sums) that never silently wrap;
 //! * [`sign`] — the [`Sign`] of a quantity and the three-valued logic
 //!   [`Trilean`] used when a symbolic comparison cannot be decided;
 //! * [`rational`] — exact rationals over `i128`, used by the Banerjee and
@@ -56,7 +56,7 @@ pub use affine::{Affine, VarId};
 pub use assume::Assumptions;
 pub use coeff::Coeff;
 pub use error::NumericError;
-pub use int::{ext_gcd, gcd, gcd_slice, lcm};
+pub use int::{ext_gcd, gcd, gcd_slice};
 pub use interval::Interval;
 pub use rational::Rational;
 pub use sign::{Sign, Trilean};

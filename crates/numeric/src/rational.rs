@@ -32,8 +32,16 @@ impl Rational {
         if den == 0 {
             return Err(NumericError::DivisionByZero);
         }
+        // The two fractions whose gcd is 2^127, which `gcd` returns as
+        // 2^126 (`0/MIN` and `MIN/MIN`), are zero and one.
+        if num == 0 {
+            return Ok(Rational::ZERO);
+        }
+        if num == den {
+            return Ok(Rational::ONE);
+        }
         let g = gcd(num, den);
-        let (mut num, mut den) = if g == 0 { (0, 1) } else { (num / g, den / g) };
+        let (mut num, mut den) = (num / g, den / g);
         if den < 0 {
             num = -num;
             den = -den;
@@ -190,6 +198,10 @@ mod tests {
         assert_eq!(r(2, -4), r(-1, 2));
         assert_eq!(r(0, -7), Rational::ZERO);
         assert!(Rational::new(1, 0).is_err());
+        // Reduced by 2^127, a gcd `gcd` cannot return.
+        assert_eq!(r(0, i128::MIN), Rational::ZERO);
+        assert_eq!(r(i128::MIN, i128::MIN), Rational::ONE);
+        assert_eq!(r(i128::MIN, 1 << 126), r(-2, 1));
     }
 
     #[test]

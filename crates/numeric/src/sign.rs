@@ -28,16 +28,6 @@ impl Sign {
     pub fn is_zero(self) -> bool {
         self == Sign::Zero
     }
-
-    /// `true` for [`Sign::Positive`].
-    pub fn is_positive(self) -> bool {
-        self == Sign::Positive
-    }
-
-    /// `true` for [`Sign::Negative`].
-    pub fn is_negative(self) -> bool {
-        self == Sign::Negative
-    }
 }
 
 impl Neg for Sign {
@@ -161,8 +151,6 @@ mod tests {
         assert_eq!(Sign::of(9), Sign::Positive);
         assert_eq!(-Sign::of(9), Sign::Negative);
         assert!(Sign::of(0).is_zero());
-        assert!(Sign::of(1).is_positive());
-        assert!(Sign::of(-1).is_negative());
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! # Worker budgeting
 //!
 //! [`BatchConfig::workers`] is the thread budget, spent at one level: that
-//! many units are in flight at once, and each runs its dependence-pair
-//! worklist serially — for corpora of many small units that is the
-//! efficient shape. `workers = 1` is the fully serial reference path.
+//! many units are in flight at once, and each tests its dependence pairs
+//! on its own worker thread, one after another — units are the only unit
+//! of parallelism. Every worker count, `1` included, runs the same pool
+//! loop.
 //!
 //! # Determinism contract
 //!
@@ -51,9 +52,9 @@
 //!   [`delin_dep::budget::DegradeReason`] in [`DepStats::degraded_by`] and
 //!   surfaced in the unit's report row) instead of running away;
 //! * **panic isolation** — each unit attempt runs behind
-//!   [`std::panic::catch_unwind`]. A panicking unit (or a panicking
-//!   dependence worker inside it — the engine re-raises at the unit
-//!   boundary) yields [`UnitOutcome::Failed`] with the panic message, and
+//!   [`std::panic::catch_unwind`]. A panicking unit (a dependence test
+//!   that panics unwinds to the unit boundary) yields
+//!   [`UnitOutcome::Failed`] with the panic message, and
 //!   the thread-local solver node counter is drained so the leak cannot
 //!   corrupt the next unit on that worker. The shared stream, sink, and
 //!   cache recover from lock poisoning, and the shared cache resets a
@@ -66,9 +67,7 @@
 
 use crate::cache::{cache_cap_from_env, KeyMode, VerdictCache};
 use crate::chaos::{ChaosCtx, ChaosPlan, FaultKind};
-use crate::deps::{
-    workers_from_env, DepEdge, DepKind, DepStats, EngineConfig, TestChoice, VerdictStats,
-};
+use crate::deps::{DepEdge, DepKind, DepStats, EngineConfig, TestChoice, VerdictStats};
 use crate::persist;
 use crate::pipeline::{run_pipeline_in, PipelineConfig};
 use delin_dep::budget::BudgetSpec;
@@ -159,9 +158,9 @@ impl From<BatchUnit> for BatchJob {
 pub struct BatchConfig {
     /// Which dependence tests drive the analysis.
     pub choice: TestChoice,
-    /// Units in flight at once, each running its pair worklist serially;
-    /// `0` means one per available CPU (or `DELIN_WORKERS` when set), `1`
-    /// is fully serial.
+    /// Units in flight at once, each testing its pairs on its own worker
+    /// thread; `0` means one per available CPU. The default reads
+    /// `DELIN_WORKERS` ([`workers_from_env`]).
     pub workers: usize,
     /// Share one verdict cache across all units (cross-unit memoization).
     pub shared_cache: bool,
@@ -224,6 +223,16 @@ impl Default for BatchConfig {
             chaos: ChaosPlan::from_env(),
         }
     }
+}
+
+/// The default worker count: the `DELIN_WORKERS` environment variable when
+/// set to a number, else `0` (one worker per available CPU).
+///
+/// CI runs the whole test suite under `DELIN_WORKERS=1` and
+/// `DELIN_WORKERS=4` so that any scheduling-dependence in code using
+/// default configurations fails the determinism gate.
+pub fn workers_from_env() -> usize {
+    std::env::var("DELIN_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
 }
 
 /// How failed or degraded unit attempts are retried.
@@ -498,8 +507,6 @@ impl BatchRunner {
     pub fn new(config: BatchConfig) -> BatchRunner {
         let engine = EngineConfig {
             choice: config.choice,
-            // Units run in parallel; each unit's pair loop runs serially.
-            workers: 1,
             cache: config.cache,
             cache_cap: config.cache_cap,
             ..EngineConfig::default()
@@ -601,58 +608,38 @@ impl BatchRunner {
         let persistent_hits_before = shared.map_or(0, VerdictCache::persistent_hits);
         let stream_panics = AtomicUsize::new(0);
 
-        let mut agg = if unit_workers <= 1 {
-            let mut it = jobs.into_iter();
-            let mut agg = Aggregate::new(collect_reports);
-            loop {
-                match catch_unwind(AssertUnwindSafe(|| it.next())) {
-                    Ok(Some(job)) => {
-                        let report = self.run_unit(&job, shared);
-                        sink(job.tag, &report);
-                        agg.absorb(report);
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        stream_panics.fetch_add(1, Ordering::SeqCst);
-                        break;
-                    }
-                }
-            }
-            agg
-        } else {
-            let stream = Mutex::new(jobs.into_iter());
-            let agg = Mutex::new(Aggregate::new(collect_reports));
-            std::thread::scope(|scope| {
-                for _ in 0..unit_workers {
-                    scope.spawn(|| loop {
-                        // Hold the stream lock only while pulling: units
-                        // larger than the lock hold-time stream freely. A
-                        // previously-poisoned lock is recovered (the
-                        // iterator state is whatever the panicking `next`
-                        // left behind), and a panicking pull is treated as
-                        // end-of-stream for this worker. A blocking pull
-                        // (a channel with no job ready) holds the lock —
-                        // which is fine: the stream is the one source of
-                        // work, so waiting workers would block either way.
-                        let job = {
-                            let mut guard = lock_recover(&stream);
-                            match catch_unwind(AssertUnwindSafe(|| guard.next())) {
-                                Ok(j) => j,
-                                Err(_) => {
-                                    stream_panics.fetch_add(1, Ordering::SeqCst);
-                                    None
-                                }
+        let stream = Mutex::new(jobs.into_iter());
+        let agg = Mutex::new(Aggregate::new(collect_reports));
+        std::thread::scope(|scope| {
+            for _ in 0..unit_workers {
+                scope.spawn(|| loop {
+                    // Hold the stream lock only while pulling: units larger
+                    // than the lock hold-time stream freely. A
+                    // previously-poisoned lock is recovered (the iterator
+                    // state is whatever the panicking `next` left behind),
+                    // and a panicking pull is treated as end-of-stream for
+                    // this worker. A blocking pull (a channel with no job
+                    // ready) holds the lock — which is fine: the stream is
+                    // the one source of work, so waiting workers would
+                    // block either way.
+                    let job = {
+                        let mut guard = lock_recover(&stream);
+                        match catch_unwind(AssertUnwindSafe(|| guard.next())) {
+                            Ok(j) => j,
+                            Err(_) => {
+                                stream_panics.fetch_add(1, Ordering::SeqCst);
+                                None
                             }
-                        };
-                        let Some(job) = job else { break };
-                        let report = self.run_unit(&job, shared);
-                        sink(job.tag, &report);
-                        lock_recover(&agg).absorb(report);
-                    });
-                }
-            });
-            agg.into_inner().unwrap_or_else(PoisonError::into_inner)
-        };
+                        }
+                    };
+                    let Some(job) = job else { break };
+                    let report = self.run_unit(&job, shared);
+                    sink(job.tag, &report);
+                    lock_recover(&agg).absorb(report);
+                });
+            }
+        });
+        let mut agg = agg.into_inner().unwrap_or_else(PoisonError::into_inner);
 
         // Name-sorted output: arrival order and scheduling cannot leak.
         agg.reports
@@ -1253,7 +1240,6 @@ mod tests {
         let mut edges = 0;
         for unit in units.chain(dense_units(4, 7)) {
             let config = PipelineConfig {
-                engine: EngineConfig { workers: 1, ..EngineConfig::default() },
                 assumptions: unit.assumptions.clone(),
                 ..PipelineConfig::default()
             };

@@ -8,8 +8,8 @@
 //!
 //! * **unit** — a whole program unit panics on arrival, or runs under a
 //!   zero-node / already-expired budget;
-//! * **pair** — one reference-pair decision panics (the unit's worker
-//!   unwinds; [`crate::batch`] catches, retries, and attributes);
+//! * **pair** — one reference-pair decision panics (the unit's graph
+//!   build unwinds; [`crate::batch`] catches, retries, and attributes);
 //! * **solver** — one reference-pair decision runs under an exhausted
 //!   budget and degrades to `Unknown` (exercises the degraded-not-memoized
 //!   cache policy, since the faulted pair bypasses the shared cache).
@@ -44,10 +44,9 @@ pub enum FaultKind {
 
 /// The panic payload of every injected panic, at every granularity.
 ///
-/// Deliberately constant and site-free: a unit whose workers hit several
-/// injected pair panics reports whichever payload it caught, so the
-/// payload must not encode the pair — otherwise the unit's failure reason
-/// would depend on thread scheduling and break report byte-identity.
+/// Deliberately constant and site-free: a failed unit's report says that
+/// an injected panic ended it, not which site fired, so its reason reads
+/// the same whether a unit or a pair fault struck.
 pub const CHAOS_PANIC_MSG: &str = "chaos: injected panic";
 
 /// A seeded fault-injection plan (feature `chaos` enabled).

@@ -14,15 +14,15 @@
 //! into *pair classes*: pairs whose sites have equal shapes (loop names,
 //! upper bounds, subscripts) at the same common loop depth build equal
 //! problems, so only each class's first pair is built, keyed, probed and
-//! decided. Those representatives are sharded across scoped worker threads
-//! ([`EngineConfig::workers`]) and decided through the memoizing verdict
-//! cache ([`crate::cache`]). Each class then charges its counters once,
-//! weighted by its member count, and plans its edges once; every member
-//! pair stamps its own statements, kinds and array onto the planned edges
-//! in source-pair order, so the emitted edges are identical for any worker
-//! count. Chaos-faulted pairs and the members of a class whose
-//! representative degraded are tested alone, exactly as an unclassed
-//! engine would test them.
+//! decided. Those representatives are decided in order on the calling
+//! thread through the memoizing verdict cache ([`crate::cache`]): units are
+//! the only unit of parallelism ([`crate::batch`] runs many at once), so a
+//! graph build never spawns a thread. Each class then charges its counters
+//! once, weighted by its member count, and plans its edges once; every
+//! member pair stamps its own statements, kinds and array onto the planned
+//! edges in source-pair order. Chaos-faulted pairs and the members of a
+//! class whose representative degraded are tested alone, exactly as an
+//! unclassed engine would test them.
 
 use crate::cache::{CacheLookup, CachedOutcome, KeyMode, VerdictCache};
 use crate::chaos::{ChaosCtx, FaultKind};
@@ -40,7 +40,7 @@ use delin_dep::svpc::SvpcTest;
 use delin_dep::verdict::{DependenceTest, Verdict};
 use delin_frontend::access::{AccessKind, AccessSite, Subscript};
 use delin_frontend::ast::{Program, StmtId};
-use delin_numeric::{Assumptions, SymPoly};
+use delin_numeric::{Assumptions, Coeff, SymPoly};
 use fxhash::FxBuildHasher;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -82,7 +82,7 @@ pub struct DepEdge {
 /// Statistics from graph construction.
 ///
 /// Every field except the wall-clock timings is deterministic for a given
-/// program/configuration, independent of the worker count — see
+/// program/configuration, whatever runs beside it — see
 /// [`DepStats::verdict_stats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DepStats {
@@ -98,9 +98,8 @@ pub struct DepStats {
     pub decided_by: BTreeMap<&'static str, usize>,
     /// Test invocations charged to this run, per technique. With caching
     /// enabled each distinct canonical problem is charged exactly once, at
-    /// its *first reference in source-pair order* — not at whichever pair's
-    /// worker happened to compute it — so the counts are deterministic for
-    /// any worker count, and a run against a shared cross-unit cache
+    /// its *first reference in source-pair order* — not at whichever unit
+    /// happened to compute it — so a run against a shared cross-unit cache
     /// reports the same numbers as a run with a private cache (the shared
     /// cache changes who *executes*, never what a unit is charged).
     pub attempts_by: BTreeMap<&'static str, usize>,
@@ -125,12 +124,12 @@ pub struct DepStats {
     /// incremental win; compare against [`DepStats::solver_nodes`]).
     pub nodes_saved: u64,
     /// Entries evicted from the verdict cache while this run executed, to
-    /// respect [`DepStats::cache_capacity`]. Deterministic for a serial run
-    /// with a fixed arrival order; under concurrent workers (or a cache
-    /// shared with concurrently-running units) the victim choice depends on
-    /// scheduling. Deliberately **excluded** from [`VerdictStats`] and every
-    /// determinism-checked report — eviction never changes verdicts or
-    /// attribution, only who re-computes. `0` with an unbounded cache.
+    /// respect [`DepStats::cache_capacity`]. Deterministic for a private
+    /// cache; with a cache shared with concurrently-running units the
+    /// victim choice depends on scheduling. Deliberately **excluded** from
+    /// [`VerdictStats`] and every determinism-checked report — eviction
+    /// never changes verdicts or attribution, only who re-computes. `0`
+    /// with an unbounded cache.
     pub cache_evictions: u64,
     /// The verdict-cache entry capacity in force (`0` = unbounded; see
     /// `DELIN_CACHE_CAP`).
@@ -143,16 +142,17 @@ pub struct DepStats {
     /// Degraded pairs broken down by the budget axis that tripped.
     pub degraded_by: BTreeMap<DegradeReason, usize>,
     /// Total wall-clock nanoseconds spent testing pairs. Only tested pairs
-    /// count: a class's other members take its outcome for free. Not
-    /// deterministic.
+    /// count: a class's other members take its outcome for free. Pairs are
+    /// tested one after another on the building thread, so this never
+    /// exceeds the wall time of the graph build. Not deterministic.
     pub test_nanos: u128,
     /// Wall-clock nanoseconds per deciding test, over tested pairs only.
     /// Not deterministic.
     pub nanos_by: BTreeMap<&'static str, u128>,
 }
 
-/// The scheduling-independent subset of [`DepStats`]: equal between serial
-/// and parallel runs of the same configuration.
+/// The scheduling-independent subset of [`DepStats`]: equal between runs
+/// of the same configuration, whatever the batch worker count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerdictStats {
     /// Reference pairs examined.
@@ -188,10 +188,10 @@ pub struct VerdictStats {
 impl DepStats {
     /// Everything except wall-clock timings.
     ///
-    /// Each distinct canonical problem is computed exactly once even under
-    /// parallel construction (racing workers block on the same cache cell),
-    /// so hit/miss counts, executed attempts, and solver node totals are
-    /// all deterministic — only the `nanos` fields vary run to run.
+    /// Each distinct canonical problem is computed exactly once even when
+    /// units share a cache (racing units block on the same cache cell), so
+    /// hit/miss counts, executed attempts, and solver node totals are all
+    /// deterministic — only the `nanos` fields vary run to run.
     pub fn verdict_stats(&self) -> VerdictStats {
         VerdictStats {
             pairs_tested: self.pairs_tested,
@@ -389,10 +389,10 @@ pub enum TestChoice {
 pub struct EngineConfig {
     /// Which dependence tests drive the analysis.
     pub choice: TestChoice,
-    /// Worker threads for the pair worklist; `0` means one per available
-    /// CPU. `1` runs the serial code path (bit-for-bit the pre-parallel
-    /// behaviour); any other count produces identical edges and verdict
-    /// stats because results are folded in source-pair order.
+    /// No effect: a graph build tests its pairs on the calling thread, and
+    /// units are the only unit of parallelism
+    /// ([`crate::batch::BatchConfig::workers`]). Kept only because
+    /// perfbench names it.
     pub workers: usize,
     /// Memoize verdicts of canonicalized problems (see [`crate::cache`]).
     pub cache: bool,
@@ -424,7 +424,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             choice: TestChoice::default(),
-            workers: workers_from_env(),
+            workers: 1,
             cache: true,
             keying: KeyMode::Fp,
             incremental: true,
@@ -436,29 +436,8 @@ impl Default for EngineConfig {
     }
 }
 
-/// The default worker count: the `DELIN_WORKERS` environment variable when
-/// set to a number, else `0` (one worker per available CPU).
-///
-/// CI runs the whole test suite under `DELIN_WORKERS=1` and
-/// `DELIN_WORKERS=4` so that any scheduling-dependence in code using
-/// default configurations fails the determinism gate.
-pub fn workers_from_env() -> usize {
-    std::env::var("DELIN_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
-}
-
-impl EngineConfig {
-    /// The worker-thread count after resolving `0` to the machine's
-    /// available parallelism and clamping by the number of pairs to test.
-    pub fn effective_workers(&self, worklist_len: usize) -> usize {
-        let auto = || std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let requested = if self.workers == 0 { auto() } else { self.workers };
-        requested.max(1).min(worklist_len.max(1))
-    }
-}
-
 /// Builds the dependence graph of a program with the default engine
-/// configuration (all cores, verdict cache enabled) and the given test
-/// choice.
+/// configuration (verdict cache enabled) and the given test choice.
 pub fn build_dependence_graph(
     program: &Program,
     assumptions: &Assumptions,
@@ -471,8 +450,8 @@ pub fn build_dependence_graph(
     )
 }
 
-/// The outcome of testing one pair, recorded off-thread and folded into
-/// the graph in source-pair order on behalf of every member of its class.
+/// The outcome of testing one pair, folded into the graph in source-pair
+/// order on behalf of every member of its class.
 ///
 /// Holds the cache's `Arc` directly: a cache hit costs one reference-count
 /// bump, never a clone of the outcome payload (the per-entry `attempts`
@@ -538,10 +517,7 @@ pub fn build_dependence_graph_in(
     let chaos = config.chaos.as_ref();
     let mut classes =
         PairClasses::new(&sites, &worklist, |i, j| chaos.and_then(|c| c.pair_fault(i, j)));
-    let run = |tasks: &[Task]| {
-        let workers = config.effective_workers(tasks.len());
-        run_tasks(&sites, &worklist, tasks, &ctx, workers)
-    };
+    let run = |tasks: &[Task]| run_tasks(&sites, &worklist, tasks, &ctx);
     let mut outcomes = run(&classes.tasks);
     let split = classes.split_degraded(&outcomes);
     outcomes.extend(run(&classes.tasks[split..]));
@@ -593,8 +569,7 @@ fn worklist(sites: &[AccessSite]) -> Vec<(usize, usize)> {
     worklist
 }
 
-/// Everything a pair decision needs besides the pair itself; one borrow
-/// bundle shared by the serial and sharded paths.
+/// Everything a pair decision needs besides the pair itself.
 #[derive(Clone, Copy)]
 struct PairCtx<'a> {
     assumptions: &'a Assumptions,
@@ -701,95 +676,23 @@ impl PairClasses {
     }
 }
 
-/// Tests `tasks` on `workers` scoped threads: an atomic cursor hands the
-/// pairs out one at a time, each worker keeps `(index, outcome)` locally,
-/// and the merged results are put back in task order, so scheduling
-/// changes who computes, never what is computed.
-///
-/// A panicking worker (a bug in a dependence test, or an injected chaos
-/// fault) does not bring the process down here: every worker is joined
-/// first — so no outcome is silently dropped and the scope never detaches
-/// a thread — and then exactly one captured payload is re-raised with
-/// [`std::panic::resume_unwind`]. The batch layer catches it at the unit
-/// boundary and converts it into a per-unit failure.
+/// Tests `tasks` in order on the calling thread. A panicking test (a bug
+/// in a dependence test, or an injected chaos fault) unwinds out of the
+/// graph build; the batch layer catches it at the unit boundary and turns
+/// it into a per-unit failure.
 fn run_tasks(
     sites: &[AccessSite],
     worklist: &[(usize, usize)],
     tasks: &[Task],
     ctx: &PairCtx<'_>,
-    workers: usize,
 ) -> Vec<PairOutcome> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let test = |task: &Task| {
-        let (i, j) = worklist[task.pair];
-        test_pair(&sites[i], &sites[j], task, ctx)
-    };
-    if workers <= 1 {
-        return tasks.iter().map(test).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let chunks: Vec<Vec<(usize, PairOutcome)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, PairOutcome)> = Vec::new();
-                    loop {
-                        let t = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(task) = tasks.get(t) else { break };
-                        local.push((t, test(task)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        let mut done: Vec<Vec<(usize, PairOutcome)>> = Vec::with_capacity(handles.len());
-        let mut payload: Option<Box<dyn std::any::Any + Send>> = None;
-        for h in handles {
-            match h.join() {
-                Ok(local) => done.push(local),
-                Err(p) => payload = Some(p),
-            }
-        }
-        if let Some(p) = payload {
-            std::panic::resume_unwind(p);
-        }
-        done
-    });
-
-    let mut slots: Vec<Option<PairOutcome>> = Vec::with_capacity(tasks.len());
-    slots.resize_with(tasks.len(), || None);
-    for (t, outcome) in chunks.into_iter().flatten() {
-        slots[t] = Some(outcome);
-    }
-    // Every task should have produced exactly one outcome. If a slot is
-    // nevertheless empty (a worker ended without reporting — which the
-    // join/re-raise above is designed to prevent), substitute the
-    // conservative degraded outcome instead of crashing the engine: the
-    // pair keeps every direction vector and is attributed to
-    // [`DegradeReason::Lost`].
-    slots.into_iter().map(|s| s.unwrap_or_else(lost_outcome)).collect()
-}
-
-/// The conservative stand-in for a pair whose outcome never arrived:
-/// `Unknown` (all directions survive), charged as its own reference,
-/// degraded by [`DegradeReason::Lost`] so reports attribute the gap.
-fn lost_outcome() -> PairOutcome {
-    PairOutcome {
-        outcome: Arc::new(CachedOutcome {
-            verdict: Verdict::Unknown,
-            tested_by: "degraded",
-            attempts: Vec::new(),
-            solver_nodes: 0,
-            refine_queries: 0,
-            subtree_reuses: 0,
-            nodes_saved: 0,
-            solver_state: None,
-            degraded: Some(DegradeReason::Lost),
-        }),
-        nanos: 0,
-        key_fp: None,
-    }
+    tasks
+        .iter()
+        .map(|task| {
+            let (i, j) = worklist[task.pair];
+            test_pair(&sites[i], &sites[j], task, ctx)
+        })
+        .collect()
 }
 
 /// Tests one pair, through the verdict cache when enabled.
@@ -801,23 +704,11 @@ fn lost_outcome() -> PairOutcome {
 /// masked by — memoized full-budget entries.
 fn test_pair(a: &AccessSite, b: &AccessSite, task: &Task, ctx: &PairCtx<'_>) -> PairOutcome {
     let started = std::time::Instant::now();
-    match task.fault {
-        Some(FaultKind::Panic) => panic!("{}", crate::chaos::CHAOS_PANIC_MSG),
-        Some(fault) => {
-            let spec =
-                ChaosCtx::faulted_spec(fault, &BudgetSpec::nodes_only(ctx.budget.node_limit()));
-            let problem = pair_problem(a, b);
-            let computed = decide_counted(&problem, ctx.assumptions, ctx.choice, &spec.arm());
-            return PairOutcome {
-                outcome: Arc::new(computed),
-                nanos: started.elapsed().as_nanos(),
-                key_fp: None,
-            };
-        }
-        None => {}
+    if task.fault == Some(FaultKind::Panic) {
+        panic!("{}", crate::chaos::CHAOS_PANIC_MSG);
     }
-    let problem = pair_problem_pooled(a, b);
-    let outcome = match ctx.cache {
+    let problem = PAIR_SCRATCH.with(|s| s.borrow_mut().build(a, b));
+    let outcome = match ctx.cache.filter(|_| task.fault.is_none()) {
         Some(cache) => {
             let CacheLookup { outcome, key_fp, .. } =
                 cache.lookup_class(ctx.assumptions, &problem, task.members as u64, |canonical| {
@@ -830,12 +721,18 @@ fn test_pair(a: &AccessSite, b: &AccessSite, task: &Task, ctx: &PairCtx<'_>) -> 
             PairOutcome { outcome, nanos: 0, key_fp: Some(key_fp) }
         }
         None => {
-            let computed =
-                decide_counted(&problem, ctx.assumptions, ctx.choice, &ctx.budget.fresh());
+            let budget = match task.fault {
+                Some(fault) => {
+                    let limit = BudgetSpec::nodes_only(ctx.budget.node_limit());
+                    ChaosCtx::faulted_spec(fault, &limit).arm()
+                }
+                None => ctx.budget.fresh(),
+            };
+            let computed = decide_counted(&problem, ctx.assumptions, ctx.choice, &budget);
             PairOutcome { outcome: Arc::new(computed), nanos: 0, key_fp: None }
         }
     };
-    recycle_pair_problem(problem);
+    PAIR_SCRATCH.with(|s| s.borrow_mut().recycle(problem));
     PairOutcome { nanos: started.elapsed().as_nanos(), ..outcome }
 }
 
@@ -875,27 +772,13 @@ fn decide_counted(
 /// source loops then the sink loops; one equation per array dimension
 /// where both subscripts are affine.
 pub fn pair_problem(a: &AccessSite, b: &AccessSite) -> DependenceProblem<SymPoly> {
-    let mut builder = DependenceProblem::<SymPoly>::builder();
-    let common = a.common_loops_with(b);
-    let src_vars: Vec<usize> =
-        a.loops.iter().map(|l| builder.var(format!("{}1", l.var), l.upper.clone())).collect();
-    let snk_vars: Vec<usize> =
-        b.loops.iter().map(|l| builder.var(format!("{}2", l.var), l.upper.clone())).collect();
-    for k in 0..common {
-        builder.common_pair(src_vars[k], snk_vars[k]);
-    }
-    for (sa, sb) in a.subscripts.iter().zip(&b.subscripts) {
-        if let (Subscript::Affine(fa), Subscript::Affine(fb)) = (sa, sb) {
-            let _ = builder.equation_from_subscripts(fa, &src_vars, fb, &snk_vars);
-        }
-    }
-    builder.build()
+    PairScratch::default().build(a, b)
 }
 
-/// The worker's recycled storage for per-pair problem construction: a
-/// builder that overwrites retired slots in place plus the pool
-/// of retired problems feeding it. Per thread, so no locking on the pair
-/// hot path.
+/// Recycled storage for per-pair problem construction: a builder that
+/// overwrites retired slots in place plus the pool of retired problems
+/// feeding it. One per thread ([`PAIR_SCRATCH`]), so no locking on the
+/// pair hot path.
 #[derive(Default)]
 struct PairScratch {
     builder: ProblemBuilder<SymPoly>,
@@ -904,7 +787,7 @@ struct PairScratch {
     snk_vars: Vec<usize>,
 }
 
-/// Retired problems a worker keeps for pair construction; one is in
+/// Retired problems a thread keeps for pair construction; one is in
 /// flight at a time, the rest cover shape churn between consecutive pairs.
 const PAIR_SLABS: usize = 4;
 
@@ -912,50 +795,41 @@ thread_local! {
     static PAIR_SCRATCH: RefCell<PairScratch> = RefCell::new(PairScratch::default());
 }
 
-/// [`pair_problem`] through the worker's recycled storage: byte-identical
-/// problems, but the builder overwrites the previous pair's vectors, rows
-/// and name strings instead of allocating fresh ones. Falls back to the
-/// allocating path if the scratch is unavailable (re-entrancy).
-fn pair_problem_pooled(a: &AccessSite, b: &AccessSite) -> DependenceProblem<SymPoly> {
-    PAIR_SCRATCH.with(|cell| {
-        let Ok(mut scratch) = cell.try_borrow_mut() else {
-            return pair_problem(a, b);
-        };
-        let s = &mut *scratch;
-        if let Some(slab) = s.free.pop() {
-            s.builder.recycle(slab);
+impl PairScratch {
+    /// [`pair_problem`] on this scratch: byte-identical problems, but a warm
+    /// builder overwrites a retired problem's vectors, rows and name
+    /// strings instead of allocating fresh ones.
+    fn build(&mut self, a: &AccessSite, b: &AccessSite) -> DependenceProblem<SymPoly> {
+        if let Some(slab) = self.free.pop() {
+            self.builder.recycle(slab);
         }
-        let common = a.common_loops_with(b);
-        s.src_vars.clear();
-        s.snk_vars.clear();
+        self.src_vars.clear();
+        self.snk_vars.clear();
         for l in &a.loops {
-            s.src_vars.push(s.builder.var_suffixed(&l.var, '1', &l.upper));
+            self.src_vars.push(self.builder.var_suffixed(&l.var, '1', &l.upper));
         }
         for l in &b.loops {
-            s.snk_vars.push(s.builder.var_suffixed(&l.var, '2', &l.upper));
+            self.snk_vars.push(self.builder.var_suffixed(&l.var, '2', &l.upper));
         }
-        for k in 0..common {
-            s.builder.common_pair(s.src_vars[k], s.snk_vars[k]);
+        for k in 0..a.common_loops_with(b) {
+            self.builder.common_pair(self.src_vars[k], self.snk_vars[k]);
         }
         for (sa, sb) in a.subscripts.iter().zip(&b.subscripts) {
             if let (Subscript::Affine(fa), Subscript::Affine(fb)) = (sa, sb) {
-                let _ = s.builder.equation_from_subscripts(fa, &s.src_vars, fb, &s.snk_vars);
+                let _ =
+                    self.builder.equation_from_subscripts(fa, &self.src_vars, fb, &self.snk_vars);
             }
         }
-        s.builder.build()
-    })
-}
+        self.builder.build()
+    }
 
-/// Returns a pair problem's storage to the worker's pool once its verdict
-/// is in, closing the recycle loop of [`pair_problem_pooled`].
-fn recycle_pair_problem(problem: DependenceProblem<SymPoly>) {
-    PAIR_SCRATCH.with(|cell| {
-        if let Ok(mut s) = cell.try_borrow_mut() {
-            if s.free.len() < PAIR_SLABS {
-                s.free.push(problem);
-            }
+    /// Returns a pair problem's storage to the pool once its verdict is in,
+    /// closing the recycle loop of [`PairScratch::build`].
+    fn recycle(&mut self, problem: DependenceProblem<SymPoly>) {
+        if self.free.len() < PAIR_SLABS {
+            self.free.push(problem);
         }
-    });
+    }
 }
 
 /// Converts a symbolic problem to a concrete one when every quantity is a
@@ -998,57 +872,28 @@ fn decide(
         return (Verdict::Unknown, "degraded", Vec::new());
     }
     // The decision works on a copy of the canonical problem with this
-    // unit's assumptions installed, leased from the worker's recycled pool.
+    // unit's assumptions installed, leased from the thread's recycled pool.
     let mut sym = DECIDE_ARENA.with(|a| a.borrow_mut().lease_clone(problem));
     sym.set_assumptions(assumptions.clone());
     let concrete = concretize(&sym);
 
-    let run_battery = |attempts: &mut Vec<&'static str>| -> (Verdict, &'static str) {
-        if let Some(c) = &concrete {
-            let tests: Vec<(&'static str, Verdict)> = vec![
+    // The classical battery: the full list on concrete problems, only the
+    // GCD test on symbolic ones.
+    let run_battery = |attempts: &mut Vec<&'static str>| match &concrete {
+        Some(c) => battery(
+            c,
+            &[
                 ("gcd", GcdTest.test(c)),
                 ("siv", SivTest.test(c)),
                 ("svpc", SvpcTest.test(c)),
                 ("acyclic", AcyclicTest.test(c)),
                 ("loop-residue", LoopResidueTest.test(c)),
                 ("banerjee", BanerjeeTest.test(c)),
-            ];
-            for (name, _) in &tests {
-                attempts.push(name);
-            }
-            for (name, v) in &tests {
-                if v.is_independent() {
-                    return (Verdict::Independent, name);
-                }
-            }
-            if budget.exhausted().is_some() {
-                return (Verdict::Unknown, "degraded");
-            }
-            // Direction vectors through the Banerjee hierarchy in the
-            // classical mode: exact on single-index equations, real-valued
-            // (the paper's reading) on coupled multi-index equations.
-            attempts.push("dir-vectors");
-            let dirs = hierarchy::banerjee_direction_vectors(c, DirectionMode::Hybrid);
-            if dirs.is_empty() {
-                return (Verdict::Independent, "banerjee");
-            }
-            (Verdict::dependent_with_dirs(dirs), "banerjee")
-        } else {
-            attempts.push("gcd");
-            let v = GcdTest.test(&sym);
-            if v.is_independent() {
-                return (Verdict::Independent, "gcd");
-            }
-            if budget.exhausted().is_some() {
-                return (Verdict::Unknown, "degraded");
-            }
-            attempts.push("dir-vectors");
-            let dirs = hierarchy::banerjee_direction_vectors(&sym, DirectionMode::Hybrid);
-            if dirs.is_empty() {
-                return (Verdict::Independent, "banerjee");
-            }
-            (Verdict::dependent_with_dirs(dirs), "banerjee")
-        }
+            ],
+            budget,
+            attempts,
+        ),
+        None => battery(&sym, &[("gcd", GcdTest.test(&sym))], budget, attempts),
     };
 
     let mut attempts: Vec<&'static str> = Vec::new();
@@ -1074,8 +919,34 @@ fn decide(
     (verdict, tested_by, attempts)
 }
 
+/// Records the battery's `tests` (already run) as attempts and takes the
+/// first independence; otherwise, budget permitting, direction vectors
+/// through the Banerjee hierarchy in the classical mode: exact on
+/// single-index equations, real-valued (the paper's reading) on coupled
+/// multi-index equations.
+fn battery<C: Coeff>(
+    problem: &DependenceProblem<C>,
+    tests: &[(&'static str, Verdict)],
+    budget: &ResourceBudget,
+    attempts: &mut Vec<&'static str>,
+) -> (Verdict, &'static str) {
+    attempts.extend(tests.iter().map(|(name, _)| *name));
+    if let Some((name, _)) = tests.iter().find(|(_, v)| v.is_independent()) {
+        return (Verdict::Independent, name);
+    }
+    if budget.exhausted().is_some() {
+        return (Verdict::Unknown, "degraded");
+    }
+    attempts.push("dir-vectors");
+    let dirs = hierarchy::banerjee_direction_vectors(problem, DirectionMode::Hybrid);
+    if dirs.is_empty() {
+        return (Verdict::Independent, "banerjee");
+    }
+    (Verdict::dependent_with_dirs(dirs), "banerjee")
+}
+
 thread_local! {
-    /// The worker's recycled pool for [`decide`]'s working problems: each
+    /// The thread's recycled pool for [`decide`]'s working problems: each
     /// decision leases its assumption-installed copy of the
     /// canonical problem here and returns it on exit, so after warmup the
     /// install step reuses the previous decision's buffers.
@@ -1432,15 +1303,12 @@ mod tests {
     fn zero_node_budget_degrades_but_stays_sound() {
         let single = OVERLAPPING;
         let repeated = OVERLAPPING_TWICE;
-        let run = |src: &str, workers: usize| {
-            let config = EngineConfig {
-                workers,
-                budget: BudgetSpec::nodes_only(0),
-                ..EngineConfig::default()
-            };
+        let run = |src: &str| {
+            let config =
+                EngineConfig { budget: BudgetSpec::nodes_only(0), ..EngineConfig::default() };
             build_dependence_graph_with(&parse_program(src).unwrap(), &Assumptions::new(), &config)
         };
-        let g = run(single, 1);
+        let g = run(single);
         assert!(g.stats.degraded_pairs > 0, "{:?}", g.stats);
         assert!(g.stats.degraded_by.contains_key(&DegradeReason::Nodes), "{:?}", g.stats);
         // Independence may still be proven by solver-free interval
@@ -1452,7 +1320,7 @@ mod tests {
 
         let (_, classes) = classes_of(repeated);
         assert!(classes.tasks.iter().all(|t| t.members == 2), "{:?}", classes.tasks);
-        let r1 = run(repeated, 1);
+        let r1 = run(repeated);
         assert_eq!(r1.stats.pairs_tested, 2 * g.stats.pairs_tested);
         assert_eq!(r1.stats.degraded_pairs, 2 * g.stats.degraded_pairs, "{:?}", r1.stats);
         assert_eq!(
@@ -1461,14 +1329,10 @@ mod tests {
         );
         assert_eq!(r1.stats.conservative_pairs, 2 * g.stats.conservative_pairs);
         assert_eq!(r1.stats.proven_independent, 2 * g.stats.proven_independent);
-        let r4 = run(repeated, 4);
-        assert_eq!(r1.stats.verdict_stats(), r4.stats.verdict_stats());
-        assert_eq!(r1.edges, r4.edges);
     }
 
     /// An already-expired deadline short-circuits every decision at entry:
-    /// all pairs degrade, all edges are the conservative all-`*` answer,
-    /// and the outcome is identical for any worker count.
+    /// all pairs degrade, and all edges are the conservative all-`*` answer.
     #[test]
     fn expired_deadline_degrades_every_pair() {
         let src = "
@@ -1479,18 +1343,12 @@ mod tests {
         ";
         let p = parse_program(src).unwrap();
         let spec = BudgetSpec { node_limit: 1_000_000, deadline_ms: Some(0), cancel: None };
-        let run = |workers: usize| {
-            let config = EngineConfig { workers, budget: spec.clone(), ..EngineConfig::default() };
-            build_dependence_graph_with(&p, &Assumptions::new(), &config)
-        };
-        let g = run(1);
+        let config = EngineConfig { budget: spec, ..EngineConfig::default() };
+        let g = build_dependence_graph_with(&p, &Assumptions::new(), &config);
         assert_eq!(g.stats.degraded_pairs, g.stats.pairs_tested);
         assert_eq!(g.stats.conservative_pairs, g.stats.pairs_tested);
         assert_eq!(g.stats.decided_by.get("degraded"), Some(&g.stats.pairs_tested));
         assert_eq!(g.stats.degraded_by.get(&DegradeReason::Deadline), Some(&g.stats.pairs_tested));
-        let g4 = run(4);
-        assert_eq!(g.stats.verdict_stats(), g4.stats.verdict_stats());
-        assert_eq!(g.edges, g4.edges);
     }
 
     /// Satellite bugfix audit: a pair that hits the verdict cache reuses an
@@ -1506,7 +1364,7 @@ mod tests {
         // pure verdict-cache hits.
         let doubled = parse_program(OVERLAPPING_TWICE).unwrap();
         let single = parse_program(OVERLAPPING).unwrap();
-        let config = EngineConfig { workers: 1, ..EngineConfig::default() };
+        let config = EngineConfig::default();
         let g2 = build_dependence_graph_with(&doubled, &Assumptions::new(), &config);
         let g1 = build_dependence_graph_with(&single, &Assumptions::new(), &config);
 
@@ -1545,14 +1403,23 @@ mod tests {
         );
         let before = classes.tasks.clone();
         assert!(before.iter().all(|t| t.members == 3), "{before:?}");
-        let decided =
-            Arc::new(CachedOutcome { degraded: None, ..(*lost_outcome().outcome).clone() });
-        let outcomes: Vec<PairOutcome> = (0..before.len())
-            .map(|t| match t {
-                0 => lost_outcome(),
-                _ => PairOutcome { outcome: Arc::clone(&decided), nanos: 0, key_fp: None },
-            })
-            .collect();
+        let outcome = |degraded| PairOutcome {
+            outcome: Arc::new(CachedOutcome {
+                verdict: Verdict::Unknown,
+                tested_by: "degraded",
+                attempts: Vec::new(),
+                solver_nodes: 0,
+                refine_queries: 0,
+                subtree_reuses: 0,
+                nodes_saved: 0,
+                solver_state: None,
+                degraded,
+            }),
+            nanos: 0,
+            key_fp: None,
+        };
+        let outcomes: Vec<PairOutcome> =
+            (0..before.len()).map(|t| outcome((t == 0).then_some(DegradeReason::Nodes))).collect();
         let split = classes.split_degraded(&outcomes);
         assert_eq!(split, before.len());
         assert_eq!(classes.tasks[0], Task { members: 1, ..before[0] });
@@ -1572,7 +1439,7 @@ mod tests {
         let single = OVERLAPPING;
         let repeated = OVERLAPPING_TWICE;
         let run = |src: &str| {
-            let config = EngineConfig { workers: 1, cache: false, ..EngineConfig::default() };
+            let config = EngineConfig { cache: false, ..EngineConfig::default() };
             build_dependence_graph_with(&parse_program(src).unwrap(), &Assumptions::new(), &config)
         };
         let (g1, g2) = (run(single), run(repeated));
@@ -1620,16 +1487,9 @@ mod tests {
             })
             .expect("some seed puts a Deadline fault on a class member");
         let p = parse_program(src).unwrap();
-        let run = |workers: usize| {
-            let config =
-                EngineConfig { workers, chaos: Some(chaos.clone()), ..EngineConfig::default() };
-            build_dependence_graph_with(&p, &Assumptions::new(), &config)
-        };
-        let g = run(1);
+        let config = EngineConfig { chaos: Some(chaos), ..EngineConfig::default() };
+        let g = build_dependence_graph_with(&p, &Assumptions::new(), &config);
         assert_eq!(g.stats.degraded_by.get(&DegradeReason::Deadline), Some(&deadlines));
-        let g4 = run(4);
-        assert_eq!(g.stats.verdict_stats(), g4.stats.verdict_stats());
-        assert_eq!(g.edges, g4.edges);
     }
 
     /// The sites and pair classes of a source program.

@@ -48,14 +48,15 @@ pub mod scc;
 pub mod serve;
 
 pub use batch::{
-    BatchConfig, BatchJob, BatchRunner, BatchStats, BatchUnit, UnitOutcome, UnitReport,
+    workers_from_env, BatchConfig, BatchJob, BatchRunner, BatchStats, BatchUnit, UnitOutcome,
+    UnitReport,
 };
 pub use cache::{cache_cap_from_env, env_key, CacheLookup, CachedOutcome, VerdictCache};
 pub use chaos::{ChaosCtx, ChaosPlan, FaultKind};
 pub use codegen::{vectorize, VectorStmt};
 pub use deps::{
-    build_dependence_graph, build_dependence_graph_in, build_dependence_graph_with,
-    workers_from_env, DepEdge, DepGraph, DepKind, DepStats, EngineConfig, TestChoice, VerdictStats,
+    build_dependence_graph, build_dependence_graph_in, build_dependence_graph_with, DepEdge,
+    DepGraph, DepKind, DepStats, EngineConfig, TestChoice, VerdictStats,
 };
 pub use persist::LoadReport;
 pub use pipeline::{run_pipeline, run_pipeline_in, PipelineConfig, PipelineReport};

@@ -41,11 +41,7 @@ const SOURCES: [&str; 3] = [
 ];
 
 fn graph(src: &str, node_limit: u64) -> DepGraph {
-    let engine = EngineConfig {
-        workers: 1,
-        budget: BudgetSpec::nodes_only(node_limit),
-        ..Default::default()
-    };
+    let engine = EngineConfig { budget: BudgetSpec::nodes_only(node_limit), ..Default::default() };
     run_pipeline(src, &PipelineConfig { engine, ..PipelineConfig::default() })
         .expect("pipeline")
         .graph

@@ -110,7 +110,6 @@ fn cold_build_under(source: &str, assumptions: &Assumptions) -> (DepGraph, u64) 
     let program = parse_program(source).expect("test program parses");
     let config = EngineConfig {
         choice: TestChoice::DelinearizationFirst,
-        workers: 1,
         cache: true,
         ..EngineConfig::default()
     };

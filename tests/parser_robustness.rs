@@ -47,8 +47,7 @@ fn seeds() -> &'static [String] {
 /// A node budget that keeps a mutant with huge loop bounds from searching
 /// for long.
 fn config() -> PipelineConfig {
-    let engine =
-        EngineConfig { workers: 1, budget: BudgetSpec::nodes_only(100_000), ..Default::default() };
+    let engine = EngineConfig { budget: BudgetSpec::nodes_only(100_000), ..Default::default() };
     PipelineConfig { engine, ..PipelineConfig::default() }
 }
 

@@ -263,7 +263,6 @@ proptest! {
         let run = |cache: bool| {
             let config = EngineConfig {
                 choice: TestChoice::DelinearizationFirst,
-                workers: 1,
                 cache,
                 ..EngineConfig::default()
             };
