@@ -14,6 +14,11 @@ DELIN_WORKERS=4 cargo test -q
 # for the sign buffer, inline monomials and the Banerjee walk table among
 # them): the root test run builds only the root package's targets.
 cargo test -q --workspace --lib
+# The benchmark is a Cargo package of its own that names engine types
+# (access sites and their loops, subscripts, graph edges, the EngineConfig
+# stubs): build it and run its unit tests, so an API change that breaks it
+# fails here rather than when the benchmark runs.
+CARGO_TARGET_DIR=target/perfbench cargo test -q --release --manifest-path perfbench/Cargo.toml
 # Deeper differential-oracle sweep in release mode (1024 cases/property),
 # including the direction/distance-vector properties, at both fixed worker
 # counts so code that reads the worker count from the environment gets

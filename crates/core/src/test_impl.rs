@@ -318,6 +318,19 @@ mod tests {
     }
 
     #[test]
+    fn c0_mod_g_at_i128_min_is_sound() {
+        // −2^127·(1 + z1) + (1 − 2^127)·z2 = 0 over [0, 0]²: unsolvable, and
+        // separating it reduces −2^127 modulo a coefficient gcd.
+        let p = DependenceProblem::single_equation(
+            i128::MIN,
+            vec![i128::MIN, i128::MIN + 1],
+            vec![0, 0],
+        );
+        let v = DelinearizationTest::default().test(&p);
+        assert!(!matches!(v, Verdict::Dependent { exact: true, .. }), "{p}: {v:?}");
+    }
+
+    #[test]
     fn direction_vectors_on_dependent_example() {
         let mut b = DependenceProblem::<i128>::builder();
         let i1 = b.var("i1", 4);

@@ -38,7 +38,7 @@ fn applicable(problem: &DependenceProblem<i128>) -> bool {
         if active.len() > 2 {
             return false;
         }
-        if active.iter().any(|&k| eq.coeffs[k].abs() != 1) {
+        if active.iter().any(|&k| eq.coeffs[k].unsigned_abs() != 1) {
             return false;
         }
         if active.len() == 2 {
@@ -73,15 +73,21 @@ impl DependenceTest<i128> for AcyclicTest {
             let mut changed = false;
             for eq in problem.equations() {
                 let active: Vec<usize> = eq.active_vars().collect();
-                match active.len() {
-                    0 => {
-                        if eq.c0 != 0 {
-                            return Verdict::Independent;
-                        }
+                if active.is_empty() {
+                    if eq.c0 != 0 {
+                        return Verdict::Independent;
                     }
+                    continue;
+                }
+                // Every overflow below, `−MIN` first, leaves the problem
+                // undecided.
+                let Some(neg_c0) = eq.c0.checked_neg() else {
+                    return Verdict::Unknown;
+                };
+                match active.len() {
                     1 => {
                         let k = active[0];
-                        let v = -eq.c0 * eq.coeffs[k]; // coeff is ±1
+                        let v = neg_c0 * eq.coeffs[k]; // coeff is ±1
                         let narrowed = dom[k].intersect(&Interval::point(v));
                         if narrowed != dom[k] {
                             dom[k] = narrowed;
@@ -93,21 +99,23 @@ impl DependenceTest<i128> for AcyclicTest {
                         let (sx, sy) = (eq.coeffs[x], eq.coeffs[y]);
                         // sx*x + sy*y + c0 = 0  =>  x = (-c0 - sy*y)/sx.
                         let from = |other: Interval, s_self: i128, s_other: i128| {
-                            let Ok(t) = other.checked_scale(-s_other) else {
-                                return Interval::new(i128::MIN / 4, i128::MAX / 4);
-                            };
-                            let Ok(t) = t.checked_add(&Interval::point(-eq.c0)) else {
-                                return Interval::new(i128::MIN / 4, i128::MAX / 4);
-                            };
+                            let t = other.checked_scale(-s_other).ok()?;
+                            let t = t.checked_add(&Interval::point(neg_c0)).ok()?;
                             // Dividing by ±1 keeps integrality.
-                            t.checked_scale(s_self).unwrap_or(t)
+                            t.checked_scale(s_self).ok()
                         };
-                        let nx = dom[x].intersect(&from(dom[y], sx, sy));
+                        let Some(image) = from(dom[y], sx, sy) else {
+                            return Verdict::Unknown;
+                        };
+                        let nx = dom[x].intersect(&image);
                         if nx != dom[x] {
                             dom[x] = nx;
                             changed = true;
                         }
-                        let ny = dom[y].intersect(&from(dom[x], sy, sx));
+                        let Some(image) = from(dom[x], sy, sx) else {
+                            return Verdict::Unknown;
+                        };
+                        let ny = dom[y].intersect(&image);
                         if ny != dom[y] {
                             dom[y] = ny;
                             changed = true;
@@ -132,26 +140,28 @@ impl DependenceTest<i128> for AcyclicTest {
             let mut progressed = false;
             for eq in problem.equations() {
                 let active: Vec<usize> = eq.active_vars().collect();
-                if active.len() == 1 {
-                    let k = active[0];
-                    if witness[k].is_none() {
-                        witness[k] = Some(-eq.c0 * eq.coeffs[k]);
-                        progressed = true;
-                    }
-                } else if active.len() == 2 {
-                    let (x, y) = (active[0], active[1]);
-                    match (witness[x], witness[y]) {
-                        (Some(vx), None) => {
-                            witness[y] = Some((-eq.c0 - eq.coeffs[x] * vx) * eq.coeffs[y]);
-                            progressed = true;
-                        }
-                        (None, Some(vy)) => {
-                            witness[x] = Some((-eq.c0 - eq.coeffs[y] * vy) * eq.coeffs[x]);
-                            progressed = true;
-                        }
-                        _ => {}
-                    }
-                }
+                // `-c0 - c_other·v_other` over the unit coefficient `c_self`;
+                // `None` on overflow.
+                let solve = |c_other: i128, v_other: i128, c_self: i128| {
+                    eq.c0
+                        .checked_neg()?
+                        .checked_sub(c_other.checked_mul(v_other)?)?
+                        .checked_mul(c_self)
+                };
+                let (k, value) = match active[..] {
+                    [k] if witness[k].is_none() => (k, solve(0, 0, eq.coeffs[k])),
+                    [x, y] => match (witness[x], witness[y]) {
+                        (Some(vx), None) => (y, solve(eq.coeffs[x], vx, eq.coeffs[y])),
+                        (None, Some(vy)) => (x, solve(eq.coeffs[y], vy, eq.coeffs[x])),
+                        _ => continue,
+                    },
+                    _ => continue,
+                };
+                let Some(value) = value else {
+                    return Verdict::Unknown;
+                };
+                witness[k] = Some(value);
+                progressed = true;
             }
             if !progressed {
                 match witness.iter().position(Option::is_none) {
@@ -178,6 +188,19 @@ impl DependenceTest<i128> for AcyclicTest {
 mod tests {
     use super::*;
     use crate::exact::{ExactSolver, SolveOutcome};
+
+    #[test]
+    fn i128_min_is_unknown() {
+        // |MIN| does not fit, so MIN is no unit coefficient; and the bound
+        // −c0 = 2^127 of `z1 − 2^127 = 0` and `z1 − z2 − 2^127 = 0` is out
+        // of range.
+        for (c0, coeffs) in
+            [(0, vec![i128::MIN, 1]), (i128::MIN, vec![1, 0]), (i128::MIN, vec![1, -1])]
+        {
+            let p = DependenceProblem::single_equation(c0, coeffs, vec![1, 1]);
+            assert!(matches!(AcyclicTest.test(&p), Verdict::Unknown), "{p}");
+        }
+    }
 
     #[test]
     fn chain_system_feasible() {

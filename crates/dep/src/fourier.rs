@@ -102,7 +102,10 @@ impl FourierMotzkin {
             problem.equations().iter().map(|eq| (eq.coeffs.to_vec(), eq.c0)).collect();
         let mut rows: Vec<Row> = Vec::new();
         for iq in problem.inequalities() {
-            rows.push(Row { coeffs: iq.coeffs.iter().map(|c| -c).collect(), bound: iq.c0 });
+            let Some(coeffs) = negated(&iq.coeffs) else {
+                return FmRun { verdict: Verdict::Unknown, stats };
+            };
+            rows.push(Row { coeffs, bound: iq.c0 });
         }
         for (k, v) in problem.vars().iter().enumerate() {
             let mut up = vec![0i128; n];
@@ -140,7 +143,7 @@ impl FourierMotzkin {
                 eqs.retain(|(coeffs, _)| coeffs.iter().any(|&c| c != 0));
                 // Find an equality with a unit-coefficient variable.
                 let Some((ei, var)) = eqs.iter().enumerate().find_map(|(ei, (coeffs, _))| {
-                    coeffs.iter().position(|&c| c.abs() == 1).map(|var| (ei, var))
+                    coeffs.iter().position(|&c| c.unsigned_abs() == 1).map(|var| (ei, var))
                 }) else {
                     break;
                 };
@@ -199,8 +202,11 @@ impl FourierMotzkin {
 
         // Remaining equalities become row pairs.
         for (coeffs, c0) in eqs {
-            rows.push(Row { coeffs: coeffs.clone(), bound: -c0 });
-            rows.push(Row { coeffs: coeffs.iter().map(|c| -c).collect(), bound: c0 });
+            let (Some(negated), Some(neg_c0)) = (negated(&coeffs), c0.checked_neg()) else {
+                return FmRun { verdict: Verdict::Unknown, stats };
+            };
+            rows.push(Row { coeffs, bound: neg_c0 });
+            rows.push(Row { coeffs: negated, bound: c0 });
         }
         stats.constraints_generated += rows.len();
         stats.peak_alive = rows.len();
@@ -230,7 +236,8 @@ impl FourierMotzkin {
                 .map(|(i, &k)| {
                     let pos = rows.iter().filter(|r| r.coeffs[k] > 0).count();
                     let neg = rows.iter().filter(|r| r.coeffs[k] < 0).count();
-                    let max_abs = rows.iter().map(|r| r.coeffs[k].abs()).max().unwrap_or(0);
+                    let max_abs =
+                        rows.iter().map(|r| r.coeffs[k].unsigned_abs()).max().unwrap_or(0);
                     (i, (pos * neg, max_abs))
                 })
                 .min_by_key(|&(_, cost)| cost)
@@ -246,8 +253,8 @@ impl FourierMotzkin {
             for p in &pos {
                 for q in &neg {
                     let a = p.coeffs[var];
-                    let b = -q.coeffs[var];
-                    let Some(row) = combine(p, q, b, a) else {
+                    let Some(row) = q.coeffs[var].checked_neg().and_then(|b| combine(p, q, b, a))
+                    else {
                         return FmRun { verdict: Verdict::Unknown, stats };
                     };
                     next.push(row);
@@ -272,6 +279,11 @@ impl FourierMotzkin {
         }
         rows.extend(best.into_iter().map(|(coeffs, bound)| Row { coeffs, bound }));
     }
+}
+
+/// Each coefficient negated; `None` when one is `i128::MIN`.
+fn negated(coeffs: &[i128]) -> Option<Vec<i128>> {
+    coeffs.iter().map(|c| c.checked_neg()).collect()
 }
 
 /// `m1·p + m2·q` with checked arithmetic (`None` on overflow).
@@ -303,6 +315,21 @@ mod tests {
     use super::*;
     use crate::dirvec::Dir;
     use crate::exact::{ExactSolver, SolveOutcome};
+
+    #[test]
+    fn negating_i128_min_is_unknown() {
+        let min = i128::MIN;
+        // An inequality row is negated, and an equation becomes two rows.
+        let ineq = DependenceProblem::single_equation(0, vec![1, -1], vec![1, 1])
+            .with_inequality(0, vec![min, 0]);
+        let eq = DependenceProblem::single_equation(min, vec![min, min], vec![0, 0]);
+        for p in [&ineq, &eq] {
+            assert!(matches!(FourierMotzkin::real().test(p), Verdict::Unknown), "{p}");
+        }
+        // Tightening looked for a unit coefficient through `abs`.
+        let p = DependenceProblem::single_equation(min, vec![min, min + 1], vec![0, 0]);
+        assert!(matches!(FourierMotzkin::tightened().test(&p), Verdict::Unknown), "{p}");
+    }
 
     fn motivating() -> DependenceProblem<i128> {
         DependenceProblem::single_equation(-5, vec![1, 10, -1, -10], vec![4, 9, 4, 9])

@@ -164,6 +164,14 @@ mod tests {
     }
 
     #[test]
+    fn c0_mod_g_at_i128_min() {
+        // (1 − 2^127)·(z1 + z2) − 2^127 = 0: g = 2^127 − 1 does not divide
+        // −2^127. The remainder used to form q·g below i128::MIN.
+        let p = single(i128::MIN, vec![i128::MIN + 1, i128::MIN + 1], vec![0, 0]);
+        assert!(GcdTest.test(&p).is_independent());
+    }
+
+    #[test]
     fn name() {
         assert_eq!(DependenceTest::<i128>::name(&GcdTest), "gcd");
     }

@@ -58,15 +58,18 @@ fn difference_edges(problem: &DependenceProblem<i128>) -> Option<Vec<Edge>> {
             1 => {
                 let k = active[0];
                 let a = coeffs[k];
-                if a.abs() != 1 {
+                if a.unsigned_abs() != 1 {
                     return false;
                 }
                 // a·x + c0 = 0  ⇒  x = -c0/a; as two ≤ constraints vs zero.
                 // a·x + c0 ≥ 0  ⇒  x ≥ -c0 (a=1) or x ≤ c0 (a=-1).
                 if is_eq {
-                    let v = -c0 * a;
-                    push_le(edges, k, zero, v);
-                    push_le(edges, zero, k, -v);
+                    // `−MIN` has no edge weight: not applicable.
+                    let Some((v, neg_v)) = c0.checked_neg().zip(c0.checked_mul(a)) else {
+                        return false;
+                    };
+                    push_le(edges, k, zero, v * a);
+                    push_le(edges, zero, k, neg_v);
                 } else if a == 1 {
                     // x ≥ -c0 ⇔ 0 - x ≤ c0
                     push_le(edges, zero, k, c0);
@@ -91,7 +94,10 @@ fn difference_edges(problem: &DependenceProblem<i128>) -> Option<Vec<Edge>> {
                 // x − y + c0 ≥ 0 ⇒ y − x ≤ c0.
                 push_le(edges, y, x, c0);
                 if is_eq {
-                    push_le(edges, x, y, -c0);
+                    let Some(neg_c0) = c0.checked_neg() else {
+                        return false;
+                    };
+                    push_le(edges, x, y, neg_c0);
                 }
                 true
             }
@@ -176,6 +182,18 @@ mod tests {
     use super::*;
     use crate::dirvec::Dir;
     use crate::exact::{ExactSolver, SolveOutcome};
+
+    #[test]
+    fn i128_min_is_unknown() {
+        // |MIN| does not fit, so MIN is no unit coefficient; and −c0 = 2^127
+        // is no edge weight.
+        for (c0, coeffs) in
+            [(0, vec![i128::MIN, 0]), (i128::MIN, vec![1, 0]), (i128::MIN, vec![1, -1])]
+        {
+            let p = DependenceProblem::single_equation(c0, coeffs, vec![1, 1]);
+            assert!(matches!(LoopResidueTest.test(&p), Verdict::Unknown), "{p}");
+        }
+    }
 
     #[test]
     fn difference_chain() {

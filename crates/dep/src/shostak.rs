@@ -75,11 +75,13 @@ fn constraints(problem: &DependenceProblem<i128>) -> Option<(Vec<Constraint>, bo
             2 => (active[0], coeffs[active[0]], active[1], coeffs[active[1]]),
             _ => return None,
         };
+        // Negating `i128::MIN` has no answer: the problem is undecided.
+        let (na, nb) = (a.checked_neg()?, b.checked_neg()?);
         if is_eq {
-            out.push(Constraint { x, a, y, b, c: -c0 });
-            out.push(Constraint { x, a: -a, y, b: -b, c: c0 });
+            out.push(Constraint { x, a, y, b, c: c0.checked_neg()? });
+            out.push(Constraint { x, a: na, y, b: nb, c: c0 });
         } else {
-            out.push(Constraint { x, a: -a, y, b: -b, c: c0 });
+            out.push(Constraint { x, a: na, y, b: nb, c: c0 });
         }
         Some(())
     };
@@ -176,9 +178,10 @@ impl Enumerator<'_> {
             if a2 == 0 || (a2 > 0) == (chain.cur_coeff > 0) {
                 continue;
             }
-            let m1 = a2.unsigned_abs() as i128;
-            let m2 = chain.cur_coeff.unsigned_abs() as i128;
             let next = (|| {
+                // |MIN| = 2^127 does not fit: no chain, like any overflow.
+                let m1 = a2.checked_abs()?;
+                let m2 = chain.cur_coeff.checked_abs()?;
                 Some(Chain {
                     first_vertex: chain.first_vertex,
                     first_coeff: chain.first_coeff.checked_mul(m1)?,
@@ -267,6 +270,15 @@ impl DependenceTest<i128> for ShostakTest {
 mod tests {
     use super::*;
     use crate::dirvec::Dir;
+
+    #[test]
+    fn no_independence_claim_on_overflow() {
+        // z1 + (2^127 − 1)·z2 − 2^127 = 0 over [0, 1]², which (1, 1) solves:
+        // −c0 = 2^127 wrapped to −2^127.
+        let p = DependenceProblem::single_equation(i128::MIN, vec![1, i128::MAX], vec![1, 1]);
+        assert!(p.is_solution(&[1, 1]).unwrap());
+        assert!(matches!(ShostakTest::default().test(&p), Verdict::Unknown));
+    }
 
     #[test]
     fn detects_real_infeasibility() {

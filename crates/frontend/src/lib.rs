@@ -40,6 +40,8 @@ pub mod lexer;
 pub mod linearize;
 pub mod parser;
 pub mod pretty;
+#[cfg(test)]
+mod testgen;
 
 pub use access::{collect_accesses, AccessKind, AccessSite, LoopContext};
 pub use ast::{ArrayDecl, Assign, Expr, Loop, Program, Stmt, StmtId};

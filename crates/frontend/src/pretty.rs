@@ -5,33 +5,67 @@ use std::fmt::Write as _;
 
 /// Renders an expression.
 pub fn expr_to_string(e: &Expr) -> String {
-    render_expr(e, 0)
+    let mut out = String::new();
+    write_expr(&mut out, e, &|_| None);
+    out
 }
 
-fn render_expr(e: &Expr, parent_prec: u8) -> String {
-    let (s, prec) = match e {
-        Expr::Int(v) => (v.to_string(), 3),
-        Expr::Var(v) => (v.clone(), 3),
-        Expr::Index(name, subs) => {
-            let inner: Vec<String> = subs.iter().map(|s| render_expr(s, 0)).collect();
-            (format!("{}({})", name, inner.join(", ")), 3)
-        }
-        Expr::Neg(a) => (format!("-{}", render_expr(a, 2)), 1),
-        Expr::Bin(op, a, b) => {
-            let (sym, prec) = match op {
-                BinOp::Add => ("+", 1),
-                BinOp::Sub => ("-", 1),
-                BinOp::Mul => ("*", 2),
-                BinOp::Div => ("/", 2),
-            };
-            let right_prec = if matches!(op, BinOp::Sub | BinOp::Div) { prec + 1 } else { prec };
-            (format!("{} {} {}", render_expr(a, prec), sym, render_expr(b, right_prec)), prec)
-        }
+/// Appends `e` to `out` as [`expr_to_string`] renders it, except that a
+/// variable for which `section` returns text prints as that text (vector
+/// code prints its `lo:hi` sections this way, without rewriting the tree).
+pub fn write_expr<'s>(out: &mut String, e: &Expr, section: &impl Fn(&str) -> Option<&'s str>) {
+    write_prec(out, e, 0, section);
+}
+
+fn write_prec<'s>(
+    out: &mut String,
+    e: &Expr,
+    parent_prec: u8,
+    section: &impl Fn(&str) -> Option<&'s str>,
+) {
+    let prec = match e {
+        Expr::Int(_) | Expr::Var(_) | Expr::Index(..) => 3,
+        Expr::Neg(_) | Expr::Bin(BinOp::Add | BinOp::Sub, ..) => 1,
+        Expr::Bin(BinOp::Mul | BinOp::Div, ..) => 2,
     };
     if prec < parent_prec {
-        format!("({s})")
-    } else {
-        s
+        out.push('(');
+    }
+    match e {
+        Expr::Int(v) => {
+            let _ = write!(out, "{v}");
+        }
+        Expr::Var(v) => out.push_str(section(v).unwrap_or(v)),
+        Expr::Index(name, subs) => {
+            out.push_str(name);
+            out.push('(');
+            for (i, s) in subs.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_prec(out, s, 0, section);
+            }
+            out.push(')');
+        }
+        Expr::Neg(a) => {
+            out.push('-');
+            write_prec(out, a, 2, section);
+        }
+        Expr::Bin(op, a, b) => {
+            let sym = match op {
+                BinOp::Add => " + ",
+                BinOp::Sub => " - ",
+                BinOp::Mul => " * ",
+                BinOp::Div => " / ",
+            };
+            let right_prec = if matches!(op, BinOp::Sub | BinOp::Div) { prec + 1 } else { prec };
+            write_prec(out, a, prec, section);
+            out.push_str(sym);
+            write_prec(out, b, right_prec, section);
+        }
+    }
+    if prec < parent_prec {
+        out.push(')');
     }
 }
 
@@ -97,6 +131,56 @@ fn render_stmt(s: &Stmt, depth: usize, out: &mut String) {
 mod tests {
     use super::*;
     use crate::parser::parse_program;
+    use crate::testgen;
+    use proptest::prelude::*;
+
+    /// The renderer that built one `String` per node, kept as the
+    /// reference for [`write_expr`].
+    fn render_expr(e: &Expr, parent_prec: u8) -> String {
+        let (s, prec) = match e {
+            Expr::Int(v) => (v.to_string(), 3),
+            Expr::Var(v) => (v.clone(), 3),
+            Expr::Index(name, subs) => {
+                let inner: Vec<String> = subs.iter().map(|s| render_expr(s, 0)).collect();
+                (format!("{}({})", name, inner.join(", ")), 3)
+            }
+            Expr::Neg(a) => (format!("-{}", render_expr(a, 2)), 1),
+            Expr::Bin(op, a, b) => {
+                let (sym, prec) = match op {
+                    BinOp::Add => ("+", 1),
+                    BinOp::Sub => ("-", 1),
+                    BinOp::Mul => ("*", 2),
+                    BinOp::Div => ("/", 2),
+                };
+                let right_prec =
+                    if matches!(op, BinOp::Sub | BinOp::Div) { prec + 1 } else { prec };
+                (format!("{} {} {}", render_expr(a, prec), sym, render_expr(b, right_prec)), prec)
+            }
+        };
+        if prec < parent_prec {
+            format!("({s})")
+        } else {
+            s
+        }
+    }
+
+    proptest! {
+        /// Every expression of a generated program prints as the reference
+        /// renders it, and a section replaces exactly the variables named.
+        #[test]
+        fn write_expr_matches_the_reference(seed in 0u64..u64::MAX) {
+            let p = parse_program(&testgen::program(seed)).unwrap();
+            let mut exprs = Vec::new();
+            p.visit_assigns(&mut |a| exprs.extend([&a.lhs, &a.rhs]));
+            for e in exprs {
+                prop_assert_eq!(expr_to_string(e), render_expr(e, 0));
+                let mut sectioned = String::new();
+                write_expr(&mut sectioned, e, &|v| (v == "I").then_some("0:9"));
+                let substituted = e.substitute_var("I", &Expr::var("0:9"));
+                prop_assert_eq!(sectioned, render_expr(&substituted, 0));
+            }
+        }
+    }
 
     #[test]
     fn expression_precedence() {

@@ -76,6 +76,19 @@ impl<C: Coeff> Affine<C> {
         Affine { constant: C::zero(), terms }
     }
 
+    /// The form `constant + Σ c·v` from terms in any order; zero
+    /// coefficients are dropped and a repeated variable keeps its last
+    /// coefficient. Builds the term map in place, one insertion per term.
+    pub fn from_terms(constant: C, terms: impl IntoIterator<Item = (VarId, C)>) -> Affine<C> {
+        let mut out = Affine::constant(constant);
+        for (v, c) in terms {
+            if !c.is_zero() {
+                out.terms.insert(v, c);
+            }
+        }
+        out
+    }
+
     /// The constant part.
     pub fn constant_part(&self) -> &C {
         &self.constant

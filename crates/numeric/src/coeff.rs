@@ -161,14 +161,14 @@ impl Coeff for i128 {
     }
 
     fn div_rem(&self, d: &Self) -> Result<(Self, Self), NumericError> {
-        let q = int::floor_div(*self, *d)?;
-        let r = self - q * d;
-        // floor_div against a negative divisor gives r in (d, 0]; normalize
-        // to the Euclidean remainder 0 <= r < |d|.
-        if r < 0 {
-            Ok((q + 1, r - d))
-        } else {
-            Ok((q, r))
+        if *d == 0 {
+            return Err(NumericError::DivisionByZero);
+        }
+        // The Euclidean pair, remainder 0 <= r < |d|. Only `MIN / −1`
+        // overflows: its quotient 2^127 is out of range.
+        match (self.checked_div_euclid(*d), self.checked_rem_euclid(*d)) {
+            (Some(q), Some(r)) => Ok((q, r)),
+            _ => Err(NumericError::overflow("div_rem")),
         }
     }
 
@@ -282,6 +282,16 @@ mod tests {
             assert!(r >= 0 && r < d.abs(), "a={a} d={d} r={r}");
         }
         assert!(0i128.div_rem(&0).is_err());
+    }
+
+    #[test]
+    fn i128_div_rem_at_the_boundary() {
+        // The remainder was `a − q·d`, and q·3 < MIN for a = MIN.
+        let (q, r) = i128::MIN.div_rem(&3).unwrap();
+        assert_eq!((q, r), (i128::MIN.div_euclid(3), 1));
+        assert_eq!(i128::MAX.div_rem(&-2).unwrap(), (-(i128::MAX / 2), 1));
+        assert_eq!(i128::MIN.div_rem(&i128::MIN).unwrap(), (1, 0));
+        assert!(i128::MIN.div_rem(&-1).is_err());
     }
 
     #[test]

@@ -27,7 +27,8 @@ impl Rational {
     ///
     /// # Errors
     ///
-    /// Returns [`NumericError::DivisionByZero`] when `den == 0`.
+    /// Returns [`NumericError::DivisionByZero`] when `den == 0`, and an
+    /// overflow error when moving the sign to the numerator overflows.
     pub fn new(num: i128, den: i128) -> Result<Rational, NumericError> {
         if den == 0 {
             return Err(NumericError::DivisionByZero);
@@ -41,10 +42,11 @@ impl Rational {
             return Ok(Rational::ONE);
         }
         let g = gcd(num, den);
-        let (mut num, mut den) = (num / g, den / g);
+        let (num, den) = (num / g, den / g);
         if den < 0 {
-            num = -num;
-            den = -den;
+            // `1/MIN` and `MIN/−1` have no positive-denominator form.
+            let neg = |v: i128| v.checked_neg().ok_or_else(|| NumericError::overflow("neg"));
+            return Ok(Rational { num: neg(num)?, den: neg(den)? });
         }
         Ok(Rational { num, den })
     }
@@ -140,28 +142,14 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Rational) -> Ordering {
-        // a/b vs c/d with b,d > 0  <=>  a*d vs c*b. i128 products of reduced
-        // in-range values can still overflow in pathological cases; compare
-        // via checked mul and fall back to floating approximation only if
-        // both paths are impossible. In practice dependence-analysis values
-        // are tiny; use checked and unwrap with a clear message.
+        // a/b vs c/d with b,d > 0  <=>  a*d vs c*b, exactly: in i128 while
+        // the products fit, else wider.
         let lhs = self.num.checked_mul(other.den);
         let rhs = other.num.checked_mul(self.den);
         match (lhs, rhs) {
             (Some(l), Some(r)) => l.cmp(&r),
-            _ => {
-                // Fall back to comparing floor + remainder recursively via
-                // subtraction of integer parts, which keeps magnitudes small.
-                let lf = self.floor();
-                let rf = other.floor();
-                if lf != rf {
-                    return lf.cmp(&rf);
-                }
-                let l = Rational::new(self.num - lf * self.den, self.den).unwrap();
-                let r = Rational::new(other.num - rf * other.den, other.den).unwrap();
-                // Both now in [0,1): cross products fit.
-                (l.num * r.den).cmp(&(r.num * l.den))
-            }
+            // The sign of a·d − c·b from 256-bit products; −b fits as b > 0.
+            _ => int::linear_sign(0, [(self.num, other.den), (other.num, -self.den)]),
         }
     }
 }
@@ -229,6 +217,22 @@ mod tests {
         assert!(r(-1, 2) < r(-1, 3));
         assert_eq!(r(1, 3).min(r(1, 2)), r(1, 3));
         assert_eq!(r(1, 3).max(r(1, 2)), r(1, 2));
+    }
+
+    #[test]
+    fn ordering_past_i128_products() {
+        // Cross products of 2^126 and 3 overflow; the order stays exact.
+        let big = 1i128 << 126;
+        assert!(r(big - 1, 3) < r(big, 3));
+        assert!(r(-big, 3) < r(-big + 1, 3));
+        assert_eq!(r(i128::MAX, 3).cmp(&r(i128::MAX, 3)), Ordering::Equal);
+        assert!(r(i128::MIN, 1) < r(i128::MAX, 2));
+        assert!(r(i128::MAX - 1, i128::MAX) < Rational::ONE);
+        // The old fallback cross-multiplied the fractional parts, which
+        // overflows here: 1 − 2^−126 against 1 − 1/(2^126 − 1).
+        assert!(r(big - 1, big) > r(big - 2, big - 1));
+        assert!(Rational::new(1, i128::MIN).is_err());
+        assert!(Rational::new(i128::MIN, -1).is_err());
     }
 
     #[test]

@@ -40,6 +40,14 @@ impl From<&str> for Sym {
     }
 }
 
+/// Wraps an already shared name without copying it, so a caller that
+/// interns names hands every symbol of one name the same allocation.
+impl From<Arc<str>> for Sym {
+    fn from(name: Arc<str>) -> Sym {
+        Sym(name)
+    }
+}
+
 impl From<String> for Sym {
     fn from(s: String) -> Sym {
         Sym(Arc::from(s.as_str()))

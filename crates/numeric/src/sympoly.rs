@@ -655,7 +655,8 @@ impl SymPoly {
         while !rem.is_zero() {
             let (rm, rc) = rem.terms.as_slice().last().map(|(m, c)| (m.clone(), *c))?;
             let qm = rm.try_div(&lead_m)?;
-            if rc % lead_c != 0 {
+            // `MIN % −1` overflows: the quotient 2^127 is out of range.
+            if rc.checked_rem(lead_c)? != 0 {
                 return None;
             }
             let qc = rc / lead_c;

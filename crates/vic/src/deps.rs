@@ -591,7 +591,7 @@ fn intern_shapes(sites: &[AccessSite]) -> Vec<u32> {
     sites
         .iter()
         .map(|site| {
-            let loops = site.loops.iter().map(|l| (l.var.as_str(), &l.upper)).collect();
+            let loops = site.loops.iter().map(|l| (&*l.var, &l.upper)).collect();
             let next = ids.len() as u32;
             *ids.entry((loops, &site.subscripts)).or_insert(next)
         })

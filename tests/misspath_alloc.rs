@@ -67,11 +67,12 @@ const FIG3: &str = "
 
 /// The pinned ceiling for one cold graph build of [`FIG3`] (serial,
 /// caching on, incremental on), which spends 621 solver nodes over 19
-/// refinement queries. Measured at 893 on x86_64 Linux, rustc 1.95 (912
-/// while every walk query cloned its witness), with about 30% headroom;
-/// headroom absorbs allocator-library drift, not design regressions — a
-/// per-pair allocation leak blows straight past it.
-const ARENA_COLD_BUDGET: u64 = 1160;
+/// refinement queries. Measured at 769 on x86_64 Linux, rustc 1.95 (893
+/// while access collection renormalized each statement's nest through
+/// polynomial forms, 912 while every walk query cloned its witness), with
+/// about 30% headroom; headroom absorbs allocator-library drift, not
+/// design regressions — a per-pair allocation leak blows straight past it.
+const ARENA_COLD_BUDGET: u64 = 1000;
 
 /// Forty copies of one statement in one loop: 2,420 reference pairs in
 /// three pair classes, which emit 2,380 edges (780 loop-independent
@@ -95,12 +96,13 @@ const MISS_COLD_SYMBOLIC: &str = "
     ";
 
 /// The pinned ceiling for one cold build of [`MISS_COLD_SYMBOLIC`] under
-/// `NX ≥ 8` and the loop-bound assumptions. Measured at 822 with inline
-/// monomials, one Banerjee table per walk and running sums that reuse
-/// their buffers (1,192 when every query built four vectors per level,
+/// `NX ≥ 8` and the loop-bound assumptions. Measured at 755 with loops
+/// normalized once per walk, inline monomials, one Banerjee table per walk
+/// and running sums that reuse their buffers (822 with per-statement
+/// normalization, 1,192 when every query built four vectors per level,
 /// 3,148 with `BTreeMap` monomials and a fresh Banerjee test per query),
 /// with about 30% headroom.
-const SYMBOLIC_COLD_BUDGET: u64 = 1070;
+const SYMBOLIC_COLD_BUDGET: u64 = 980;
 
 fn cold_build(source: &str) -> (DepGraph, u64) {
     cold_build_under(source, &Assumptions::new())
