@@ -55,20 +55,22 @@ grep -qE 'persistent-cache: loaded=[1-9][0-9]* hits=[1-9][0-9]* saved=[1-9][0-9]
   || { echo "warm run reported no persistent-cache traffic:" >&2; cat "$warm_tmp/warm.err" >&2; exit 1; }
 rm -rf "$warm_tmp"
 # Trace round-trip gate: recording the CI suite twice is byte-identical,
-# the recorded trace replays through the batch engine with the full unit
-# count, and a flipped byte is rejected (exit 1) with the structured
-# checksum error instead of silently analyzing a damaged corpus.
+# running the recording prints the live suite's report (every line after
+# the source banner), and a flipped byte fails the run (exit 1) with the
+# structured checksum error before any unit is analyzed.
 trace_tmp="$(mktemp -d)"
-"$repo_root/target/release/delin_trace" record --out "$trace_tmp/a.trace" \
-  --suite benchmarks/ci/config.json > /dev/null
-"$repo_root/target/release/delin_trace" record --out "$trace_tmp/b.trace" \
-  --suite benchmarks/ci/config.json > /dev/null
+"$repo_root/target/release/batch_corpus" --suite benchmarks/ci/config.json \
+  --record "$trace_tmp/a.trace" > /dev/null
+"$repo_root/target/release/batch_corpus" --suite benchmarks/ci/config.json \
+  --record "$trace_tmp/b.trace" > /dev/null
 cmp "$trace_tmp/a.trace" "$trace_tmp/b.trace" \
   || { echo "recording the same suite twice produced different bytes" >&2; exit 1; }
-"$repo_root/target/release/delin_trace" replay --trace "$trace_tmp/a.trace" \
-  > "$trace_tmp/replay.out"
-grep -qE '^trace-replay: units=64 pairs=[1-9][0-9]*' "$trace_tmp/replay.out" \
-  || { echo "trace replay did not process the recorded CI suite:" >&2; cat "$trace_tmp/replay.out" >&2; exit 1; }
+"$repo_root/target/release/batch_corpus" --trace "$trace_tmp/a.trace" > "$trace_tmp/trace.out"
+"$repo_root/target/release/batch_corpus" --suite benchmarks/ci/config.json > "$trace_tmp/suite.out"
+head -n 1 "$trace_tmp/trace.out" | grep -qF '(64 units)' \
+  || { echo "the recorded CI suite does not hold 64 units:" >&2; head -n 1 "$trace_tmp/trace.out" >&2; exit 1; }
+diff <(tail -n +2 "$trace_tmp/suite.out") <(tail -n +2 "$trace_tmp/trace.out") \
+  || { echo "running the recorded CI suite reported differently from the live suite" >&2; exit 1; }
 python3 - "$trace_tmp/a.trace" <<'EOF'
 import sys
 path = sys.argv[1]
@@ -76,18 +78,23 @@ data = bytearray(open(path, 'rb').read())
 data[40] ^= 0x01  # flip one payload bit past the header
 open(path, 'wb').write(data)
 EOF
-if "$repo_root/target/release/delin_trace" replay --trace "$trace_tmp/a.trace" \
-  > /dev/null 2> "$trace_tmp/corrupt.err"; then
-  echo "corrupt trace replayed successfully" >&2; exit 1
-fi
-grep -q 'checksum mismatch' "$trace_tmp/corrupt.err" \
-  || { echo "corrupt trace did not fail with the checksum error:" >&2; cat "$trace_tmp/corrupt.err" >&2; exit 1; }
+set +e
+"$repo_root/target/release/batch_corpus" --trace "$trace_tmp/a.trace" \
+  > "$trace_tmp/corrupt.out" 2> "$trace_tmp/corrupt.err"
+code=$?
+set -e
+[ "$code" -eq 1 ] && grep -q 'checksum mismatch at record 0' "$trace_tmp/corrupt.err" \
+  || { echo "corrupt trace exited $code without the checksum error:" >&2; cat "$trace_tmp/corrupt.err" >&2; exit 1; }
+[ ! -s "$trace_tmp/corrupt.out" ] \
+  || { echo "corrupt trace printed a report:" >&2; cat "$trace_tmp/corrupt.out" >&2; exit 1; }
 rm -rf "$trace_tmp"
 # Malformed-flag gate: every corpus binary rejects a non-numeric count with
-# exit code 2 via the shared strict parser (delin_bench::cli), and
-# batch_corpus rejects the retired sampler flags as unknown.
+# exit code 2 via the shared strict parser (delin_bench::cli); batch_corpus
+# also rejects the retired sampler flags as unknown, a --trace without its
+# path, and a corpus taken from both a trace and a suite.
 for bad in "batch_corpus --workers four" "delin_serve --cache-cap many" \
-           "delin_loadgen --clients x" "delin_trace replay --workers x" \
+           "delin_loadgen --clients x" "batch_corpus --trace" \
+           "batch_corpus --trace a.trace --suite benchmarks/ci/config.json" \
            "batch_corpus --trajectory" "batch_corpus --sampled-check"; do
   set +e
   # shellcheck disable=SC2086

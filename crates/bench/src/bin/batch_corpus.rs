@@ -1,8 +1,9 @@
-//! The batch engine over the full corpus: RiCEPS plus generated workloads
-//! streamed through one shared verdict cache, with the corpus-level table.
-//! It checks the engine's contracts (determinism, persistence,
-//! cancellation, fault isolation) and measures nothing: wall-clock numbers
-//! come from perfbench (`BENCHMARK.json`), the repository's one benchmark.
+//! The corpus driver: the batch engine over a corpus (RiCEPS plus generated
+//! workloads, a suite config, or a recorded trace) streamed through one
+//! shared verdict cache, with the corpus-level table. It checks the
+//! engine's contracts (determinism, persistence, cancellation, fault
+//! isolation) and measures nothing: wall-clock numbers come from perfbench
+//! (`BENCHMARK.json`), the repository's one benchmark.
 //!
 //! Flags:
 //!
@@ -32,37 +33,38 @@
 //! * `--suite PATH` — replace the hardcoded corpus with a config-driven
 //!   suite (`benchmarks/<suite>/config.json`, see `delin_bench::suite`).
 //!   Composes with `--verify`: the determinism matrix then runs over the
-//!   suite's corpus.
+//!   suite's corpus;
+//! * `--trace PATH` — replace the hardcoded corpus with a recorded trace
+//!   (`delin_corpus::trace`), read whole before any unit is analyzed: a
+//!   truncated, corrupt or malformed trace fails with the structured error
+//!   naming its first bad record and exit 1, and nothing is analyzed.
+//!   Composes with `--verify`, `--cache-file` and `--chaos` like `--suite`,
+//!   and excludes it (both together exit 2);
+//! * `--record PATH` — write the selected corpus (hardcoded, `--suite` or
+//!   `--trace`) to `PATH` as a trace and exit 0 without analyzing it; the
+//!   analysis flags have no effect. Recording the same corpus twice
+//!   writes the same bytes.
 //!
 //! Ctrl-C requests cooperative cancellation through the run's
 //! [`CancelToken`]: in-flight dependence decisions degrade to the sound
 //! conservative verdict (`DegradeReason::Cancelled`), the partial report
 //! still prints, and the process exits with the conventional 130.
 
-use delin_bench::cli::Cli;
+use delin_bench::cli::{Cli, CliError};
 use delin_bench::suite::SuiteConfig;
 use delin_corpus::stream::{generated_units, riceps_units};
+use delin_corpus::trace;
 use delin_dep::budget::{BudgetSpec, CancelToken};
 use delin_vic::batch::{BatchConfig, BatchRunner, BatchStats, BatchUnit};
 use delin_vic::cache::cache_cap_from_env;
 use delin_vic::chaos::ChaosPlan;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 const GENERATED_SEED: u64 = 20260805;
 
 const USAGE: &str = "usage: batch_corpus [--full] [--verify] [--chaos] [--units N] \
-[--workers N] [--cache-cap N] [--cache-file PATH] [--suite PATH]";
-
-fn corpus(spec: &RunSpec) -> Vec<BatchUnit> {
-    match &spec.suite {
-        Some(suite) => suite.units().collect(),
-        None => {
-            let lines = if spec.full { None } else { Some(400) };
-            riceps_units(lines).chain(generated_units(spec.gen_units, GENERATED_SEED)).collect()
-        }
-    }
-}
+[--workers N] [--cache-cap N] [--cache-file PATH] [--suite PATH | --trace PATH] [--record PATH]";
 
 /// Everything one batch run needs; the `--verify` legs derive their
 /// variants from a base spec instead of threading loose arguments.
@@ -70,9 +72,7 @@ fn corpus(spec: &RunSpec) -> Vec<BatchUnit> {
 struct RunSpec {
     workers: usize,
     reversed: bool,
-    full: bool,
-    gen_units: usize,
-    suite: Option<SuiteConfig>,
+    units: Arc<[BatchUnit]>,
     chaos: Option<ChaosPlan>,
     cache_cap: usize,
     cache_file: Option<PathBuf>,
@@ -94,7 +94,7 @@ impl RunSpec {
 
 /// One batch run's corpus-level statistics.
 fn stats(spec: &RunSpec) -> BatchStats {
-    let mut units = corpus(spec);
+    let mut units = spec.units.to_vec();
     if spec.reversed {
         units.reverse();
     }
@@ -110,44 +110,57 @@ fn main() {
     let cli = Cli::from_env("batch_corpus", USAGE);
     cli.validate_or_exit(
         &["--full", "--verify", "--chaos"],
-        &["--units", "--workers", "--cache-cap", "--cache-file", "--suite"],
+        &["--units", "--workers", "--cache-cap", "--cache-file", "--suite", "--trace", "--record"],
     );
-    let full = cli.flag("--full");
     let verify = cli.flag("--verify");
     let gen_units = cli.count_or_exit("--units").unwrap_or(24);
     let workers = cli.count_or_exit("--workers").unwrap_or_else(delin_vic::batch::workers_from_env);
     let cache_cap = cli.count_or_exit("--cache-cap").unwrap_or_else(cache_cap_from_env);
-    let suite = cli.string("--suite").map(|path| match SuiteConfig::load(Path::new(&path)) {
-        Ok(suite) => suite,
-        Err(e) => {
-            eprintln!("batch_corpus: {e}");
-            std::process::exit(1);
+    let (units, label): (Vec<BatchUnit>, String) =
+        match (cli.string("--suite"), cli.string("--trace")) {
+            (Some(_), Some(_)) => cli.exit_usage(&CliError {
+                message: "--suite and --trace are mutually exclusive".into(),
+            }),
+            (Some(path), None) => {
+                let suite = SuiteConfig::load(Path::new(&path)).unwrap_or_else(|e| fail(&e));
+                let label = format!("suite {} ({} units)", suite.name, suite.declared_units());
+                (suite.units().collect(), label)
+            }
+            (None, Some(path)) => {
+                let units = trace::read_all(Path::new(&path))
+                    .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+                let label = format!("trace {path} ({} units)", units.len());
+                (units, label)
+            }
+            (None, None) => {
+                let lines = if cli.flag("--full") { None } else { Some(400) };
+                let units = riceps_units(lines).chain(generated_units(gen_units, GENERATED_SEED));
+                (units.collect(), format!("RiCEPS + {gen_units} generated units"))
+            }
+        };
+    if let Some(out) = cli.string("--record") {
+        match trace::record(Path::new(&out), units) {
+            Ok(written) => {
+                let bytes = std::fs::metadata(&out).map_or(0, |m| m.len());
+                println!("recorded {written} units ({bytes} bytes) from {label} to {out}");
+                std::process::exit(0);
+            }
+            Err(e) => fail(&format!("cannot record {out}: {e}")),
         }
-    });
+    }
     let chaos = chaos_plan(cli.flag("--chaos"));
     let cancel = install_ctrl_c();
     let spec = RunSpec {
         workers,
         reversed: false,
-        full,
-        gen_units,
-        suite,
+        units: units.into(),
         chaos,
         cache_cap,
         cache_file: cli.string("--cache-file").map(PathBuf::from),
         cancel,
     };
 
-    match &spec.suite {
-        Some(suite) => println!(
-            "batch engine: suite {} ({} units), shared verdict cache",
-            suite.name,
-            suite.declared_units()
-        ),
-        None => {
-            println!("batch engine: RiCEPS + {gen_units} generated units, shared verdict cache")
-        }
-    }
+    println!("batch engine: {label}, shared verdict cache");
     if spec.chaos.is_some() {
         println!("chaos: deterministic fault injection enabled");
         // Injected panics are caught and attributed by the batch runner;
@@ -194,6 +207,12 @@ fn main() {
     print!("{}", stats.render());
     report_persistence(&spec, &stats);
     finish(&spec.cancel);
+}
+
+/// Reports a corpus that cannot be loaded or recorded and exits 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("batch_corpus: {msg}");
+    std::process::exit(1);
 }
 
 /// The `--cache-file` summary. Deliberately on stderr: stdout must stay

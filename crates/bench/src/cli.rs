@@ -1,11 +1,11 @@
 //! Shared strict command-line parsing for the corpus binaries.
 //!
-//! `batch_corpus`, `delin_serve`, `delin_loadgen`, and `delin_trace` all
-//! take the same shape of command line — boolean flags plus `--name VALUE`
-//! pairs — and all promise the same contract: an unknown flag, a flag
-//! missing its value, or a numeric flag with a non-numeric value is
-//! rejected up front with the usage string and exit code [`BAD_USAGE`],
-//! before any work (or any daemon socket) is touched. The contract used to
+//! `batch_corpus`, `delin_serve`, and `delin_loadgen` all take the same
+//! shape of command line — boolean flags plus `--name VALUE` pairs — and
+//! all promise the same contract: an unknown flag, a flag missing its
+//! value, or a numeric flag with a non-numeric value is rejected up front
+//! with the usage string and exit code [`BAD_USAGE`], before any work (or
+//! any daemon socket) is touched. The contract used to
 //! be copy-pasted per binary; this module is the single implementation.
 //!
 //! The parsing core is pure (`Result`-returning, no process exit), so the

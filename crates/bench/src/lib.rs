@@ -1,11 +1,10 @@
 //! Experiment harness: the code behind every table and figure of the
 //! reproduction (see `DESIGN.md` for the experiment index E1–E9).
 //!
-//! Each experiment is a plain function returning structured rows so the
-//! same code backs the printing binaries in `src/bin/` and the Criterion
-//! benchmarks in `benches/`. The corpus binaries additionally share their
-//! strict flag parsing ([`cli`]) and their config-driven benchmark suites
-//! ([`suite`]).
+//! Each experiment is a plain function returning structured rows that a
+//! printing binary in `src/bin/` renders. The corpus binaries additionally
+//! share their strict flag parsing ([`cli`]) and their config-driven
+//! suites ([`suite`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,10 @@
 //! Config-driven corpus suites (`benchmarks/<suite>/config.json`).
 //!
 //! A suite names a corpus declaratively: which unit streams, at what sizes
-//! and seeds. `batch_corpus --suite` and `delin_trace` load a suite instead
-//! of hardcoding workloads, so growing a corpus is a config edit reviewed
-//! like one, not a code change to every binary.
+//! and seeds. `batch_corpus --suite` loads a suite instead of the
+//! hardcoded workloads (and `--suite PATH --record FILE` freezes it into a
+//! trace), so growing a corpus is a config edit reviewed like one, not a
+//! code change.
 //!
 //! The format is the workspace's hand-rolled strict JSON
 //! (`delin_vic::json` — no serde): a `delin-suite` schema marker, an

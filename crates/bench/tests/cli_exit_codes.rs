@@ -4,7 +4,7 @@
 //! before any work starts, and says why on stderr.
 //!
 //! The parsing logic itself is unit-tested in `delin_bench::cli`; this
-//! suite proves all four binaries actually route their arguments through
+//! suite proves all three binaries actually route their arguments through
 //! it (the historical bug class was a copy-pasted parser drifting in one
 //! binary only).
 
@@ -22,7 +22,6 @@ fn malformed_counts_exit_two_in_every_binary() {
         (env!("CARGO_BIN_EXE_batch_corpus"), &["--workers", "four"]),
         (env!("CARGO_BIN_EXE_delin_serve"), &["--cache-cap", "many"]),
         (env!("CARGO_BIN_EXE_delin_loadgen"), &["--clients", "x", "--socket", "/none"]),
-        (env!("CARGO_BIN_EXE_delin_trace"), &["replay", "--workers", "x"]),
     ];
     for (bin, args) in cases {
         let (code, stderr) = run(bin, args);
@@ -56,7 +55,12 @@ fn unknown_flags_and_missing_values_exit_two() {
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("needs a value"), "{stderr}");
 
-    let (code, stderr) = run(env!("CARGO_BIN_EXE_delin_trace"), &["transcode"]);
+    // A corpus comes from at most one of a suite and a trace.
+    let (code, stderr) = run(env!("CARGO_BIN_EXE_batch_corpus"), &["--trace"]);
     assert_eq!(code, 2, "{stderr}");
-    assert!(stderr.contains("transcode"), "{stderr}");
+    assert!(stderr.contains("--trace needs a value"), "{stderr}");
+    let (code, stderr) =
+        run(env!("CARGO_BIN_EXE_batch_corpus"), &["--trace", "t.bin", "--suite", "s.json"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("mutually exclusive"), "{stderr}");
 }

@@ -11,8 +11,8 @@
 //! RiCEPS programs and three generated nest families (mixed, refinement,
 //! pair-dense) into lazy `delin_vic::batch::BatchUnit` streams for the
 //! batch engine; the `benchmarks/<suite>` configs compose them. [`trace`]
-//! records and replays unit streams as compact checksummed binary traces;
-//! perfbench records its workloads with it.
+//! records unit streams as checksummed record files and reads them back;
+//! `batch_corpus --record`/`--trace` and perfbench use it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,5 +26,5 @@ pub mod workload;
 pub use census::{census, CensusResult};
 pub use riceps::{all_benchmarks, BenchmarkSpec, ExpectedCount};
 pub use stream::{dense_units, generated_unit, generated_units, riceps_units};
-pub use trace::{TraceError, TraceReader, TraceWriter};
+pub use trace::TraceError;
 pub use workload::{linearized_problem, scaling_problem, LinearizedSpec};

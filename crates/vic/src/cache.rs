@@ -73,9 +73,9 @@
 //!
 //! # Persistent tier
 //!
-//! [`crate::persist`] serializes memoized entries (fingerprint, outcome,
-//! solver state) to a versioned, checksummed file and seeds them back at
-//! startup. Seeded cells are marked, so [`VerdictCache::persistent_hits`]
+//! [`crate::persist`] serializes memoized entries (fingerprint and
+//! outcome; decisions keep no solver state, so none is written) to a
+//! versioned, checksummed file and seeds them back at startup. Seeded cells are marked, so [`VerdictCache::persistent_hits`]
 //! counts the lookups a warm start answered without solving. Only
 //! full-budget outcomes ever reach the cache, so a warm start can never
 //! replay a degraded verdict.

@@ -21,7 +21,8 @@
 //! 5. [`batch`] — the corpus driver: stream many program units through the
 //!    pipeline on a bounded worker pool, sharing one verdict cache across
 //!    units (optionally bounded via `DELIN_CACHE_CAP` and persisted across
-//!    processes via [`persist`]), with a deterministic corpus-level report. The runner is
+//!    processes via [`persist`], on the record-file framing of [`recfile`]
+//!    that corpus traces share), with a deterministic corpus-level report. The runner is
 //!    fault-tolerant: each unit runs under a resource budget ([`delin_dep::budget`])
 //!    and behind a panic boundary, so a pathological or crashing unit
 //!    degrades to a per-unit failure row instead of taking the batch down;
@@ -44,6 +45,7 @@ pub mod deps;
 pub mod json;
 pub mod persist;
 pub mod pipeline;
+pub mod recfile;
 pub mod scc;
 pub mod serve;
 

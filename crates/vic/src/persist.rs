@@ -12,14 +12,18 @@
 //!
 //! # Format
 //!
-//! A small fixed header followed by self-delimiting records:
+//! A [`crate::recfile`] file (the framing corpus traces share):
 //!
 //! ```text
 //! magic    b"DELINVC\x01"                      8 bytes
 //! version  u32 LE                              format revision (3)
-//! probe    u128 LE                             fingerprint-schema probe
+//! stamp    u128 LE                             fingerprint-schema probe
 //! record*  u32 len · u64 checksum · payload    until end of file
 //! ```
+//!
+//! This module owns only the payload codec: one record per entry, holding
+//! the fingerprint, the deciding test and attempts (interned names), the
+//! four work counters, the verdict, and a solver-state tag.
 //!
 //! The *probe* is the [`Fp128`] fingerprint of a fixed byte string computed
 //! by the writing binary. Fingerprints are stable within a build but are
@@ -28,11 +32,11 @@
 //! different probe and rejects the file wholesale instead of silently
 //! mis-keying every entry. Wrong magic or version rejects the same way.
 //!
-//! Each record carries its own length prefix and FxHash checksum, so a
-//! truncated tail (a crash mid-write, although [`save`] writes to a
-//! temporary file and renames) or a corrupted record is detected at the
-//! first bad byte: the valid prefix loads, the rest is ignored. A file that
-//! fails validation is *never trusted* — the cache simply starts cold.
+//! The framing detects a truncated tail (a crash mid-write, although
+//! [`save`] writes to a temporary file and renames) or a corrupted record
+//! at the first bad record: the valid prefix loads, the rest is ignored. A
+//! file that fails validation is *never trusted* — the cache simply starts
+//! cold.
 //!
 //! Two invariants the loader enforces rather than assumes:
 //!
@@ -45,6 +49,7 @@
 //!   records naming unknown tests are rejected rather than leaked.
 
 use crate::cache::{CachedOutcome, VerdictCache};
+use crate::recfile::{self, Cursor, Header, Payload, RecordError, RecordReader};
 use delin_dep::dirvec::{Dir, DirVec};
 use delin_dep::verdict::{DependenceInfo, Verdict};
 use delin_numeric::fp128::Fp128;
@@ -97,10 +102,10 @@ fn build_probe() -> u128 {
     h.finish128()
 }
 
-fn checksum(payload: &[u8]) -> u64 {
-    let mut h = fxhash::FxHasher::default();
-    h.write(payload);
-    h.finish()
+/// The file header, with `probe` (this build's [`build_probe`], little
+/// endian) as its stamp.
+fn header(probe: &[u8; 16]) -> Header<'_> {
+    Header { magic: MAGIC, version: VERSION, stamp: probe }
 }
 
 fn intern(name: &[u8]) -> Option<&'static str> {
@@ -108,27 +113,6 @@ fn intern(name: &[u8]) -> Option<&'static str> {
 }
 
 // ---------------------------------------------------------------- encoding
-
-fn push_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u128(b: &mut Vec<u8>, v: u128) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_i128(b: &mut Vec<u8>, v: i128) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_bytes(b: &mut Vec<u8>, v: &[u8]) {
-    push_u32(b, v.len() as u32);
-    b.extend_from_slice(v);
-}
 
 fn dir_code(d: Dir) -> u8 {
     match d {
@@ -155,111 +139,62 @@ fn dir_from_code(c: u8) -> Option<Dir> {
     })
 }
 
-fn encode_dirs(b: &mut Vec<u8>, dirs: &[Dir]) {
-    push_u32(b, dirs.len() as u32);
+fn encode_dirs(p: &mut Payload, dirs: &[Dir]) {
+    p.u32(dirs.len() as u32);
     for &d in dirs {
-        b.push(dir_code(d));
+        p.u8(dir_code(d));
     }
 }
 
-fn encode_witness(b: &mut Vec<u8>, w: &[i128]) {
-    push_u32(b, w.len() as u32);
+fn encode_witness(p: &mut Payload, w: &[i128]) {
+    p.u32(w.len() as u32);
     for &v in w {
-        push_i128(b, v);
+        p.i128(v);
     }
 }
 
-fn encode_verdict(b: &mut Vec<u8>, v: &Verdict) {
+fn encode_verdict(p: &mut Payload, v: &Verdict) {
     match v {
-        Verdict::Independent => b.push(0),
+        Verdict::Independent => p.u8(0),
         Verdict::Dependent { exact, info } => {
-            b.push(1);
-            b.push(u8::from(*exact));
-            push_u32(b, info.dir_vecs.len() as u32);
+            p.u8(1);
+            p.u8(u8::from(*exact));
+            p.u32(info.dir_vecs.len() as u32);
             for dv in &info.dir_vecs {
-                encode_dirs(b, &dv.0);
+                encode_dirs(p, &dv.0);
             }
             match &info.witness {
-                None => b.push(0),
+                None => p.u8(0),
                 Some(w) => {
-                    b.push(1);
-                    encode_witness(b, w);
+                    p.u8(1);
+                    encode_witness(p, w);
                 }
             }
         }
-        Verdict::Unknown => b.push(2),
+        Verdict::Unknown => p.u8(2),
     }
 }
 
-fn encode_record(fp: u128, outcome: &CachedOutcome) -> Vec<u8> {
-    let mut b = Vec::new();
-    push_u128(&mut b, fp);
-    push_bytes(&mut b, outcome.tested_by.as_bytes());
-    push_u32(&mut b, outcome.attempts.len() as u32);
+fn encode_record(p: &mut Payload, fp: u128, outcome: &CachedOutcome) {
+    p.u128(fp);
+    p.blob(outcome.tested_by.as_bytes());
+    p.u32(outcome.attempts.len() as u32);
     for a in &outcome.attempts {
-        push_bytes(&mut b, a.as_bytes());
+        p.blob(a.as_bytes());
     }
-    push_u64(&mut b, outcome.solver_nodes);
-    push_u64(&mut b, outcome.refine_queries);
-    push_u64(&mut b, outcome.subtree_reuses);
-    push_u64(&mut b, outcome.nodes_saved);
-    encode_verdict(&mut b, &outcome.verdict);
+    p.u64(outcome.solver_nodes);
+    p.u64(outcome.refine_queries);
+    p.u64(outcome.subtree_reuses);
+    p.u64(outcome.nodes_saved);
+    encode_verdict(p, &outcome.verdict);
     // The solver-state tag: always 0 (none). A cache hit never reads the
     // solve trees of the decision it replays, so none are written.
-    b.push(0);
-    b
+    p.u8(0);
 }
 
 // ---------------------------------------------------------------- decoding
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let out = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(out)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.bytes(1).map(|b| b[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.bytes(4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.bytes(8).and_then(|b| Some(u64::from_le_bytes(b.try_into().ok()?)))
-    }
-
-    fn u128(&mut self) -> Option<u128> {
-        self.bytes(16).and_then(|b| Some(u128::from_le_bytes(b.try_into().ok()?)))
-    }
-
-    fn i128(&mut self) -> Option<i128> {
-        self.bytes(16).and_then(|b| Some(i128::from_le_bytes(b.try_into().ok()?)))
-    }
-
-    fn blob(&mut self) -> Option<&'a [u8]> {
-        let n = self.u32()? as usize;
-        self.bytes(n)
-    }
-}
-
-fn decode_dirs(r: &mut Reader<'_>) -> Option<Vec<Dir>> {
+fn decode_dirs(r: &mut Cursor<'_>) -> Option<Vec<Dir>> {
     let n = r.u32()? as usize;
     let mut out = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
@@ -268,7 +203,7 @@ fn decode_dirs(r: &mut Reader<'_>) -> Option<Vec<Dir>> {
     Some(out)
 }
 
-fn decode_witness(r: &mut Reader<'_>) -> Option<Vec<i128>> {
+fn decode_witness(r: &mut Cursor<'_>) -> Option<Vec<i128>> {
     let n = r.u32()? as usize;
     let mut out = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
@@ -277,7 +212,7 @@ fn decode_witness(r: &mut Reader<'_>) -> Option<Vec<i128>> {
     Some(out)
 }
 
-fn decode_verdict(r: &mut Reader<'_>) -> Option<Verdict> {
+fn decode_verdict(r: &mut Cursor<'_>) -> Option<Verdict> {
     Some(match r.u8()? {
         0 => Verdict::Independent,
         1 => {
@@ -306,8 +241,7 @@ fn decode_verdict(r: &mut Reader<'_>) -> Option<Verdict> {
     })
 }
 
-fn decode_record(payload: &[u8]) -> Option<(u128, CachedOutcome)> {
-    let mut r = Reader::new(payload);
+fn decode_record(r: &mut Cursor<'_>) -> Option<(u128, CachedOutcome)> {
     let fp = r.u128()?;
     let tested_by = intern(r.blob()?)?;
     let n = r.u32()? as usize;
@@ -319,7 +253,7 @@ fn decode_record(payload: &[u8]) -> Option<(u128, CachedOutcome)> {
     let refine_queries = r.u64()?;
     let subtree_reuses = r.u64()?;
     let nodes_saved = r.u64()?;
-    let verdict = decode_verdict(&mut r)?;
+    let verdict = decode_verdict(r)?;
     match r.u8()? {
         0 => {}
         // A file written while decisions kept their solve trees: read past
@@ -328,11 +262,11 @@ fn decode_record(payload: &[u8]) -> Option<(u128, CachedOutcome)> {
             for _ in 0..r.u32()? {
                 r.u128()?;
                 for _ in 0..r.u32()? {
-                    decode_dirs(&mut r)?;
+                    decode_dirs(r)?;
                     match r.u8()? {
                         0 => {}
                         1 => {
-                            decode_witness(&mut r)?;
+                            decode_witness(r)?;
                         }
                         _ => return None,
                     }
@@ -341,9 +275,6 @@ fn decode_record(payload: &[u8]) -> Option<(u128, CachedOutcome)> {
             }
         }
         _ => return None,
-    }
-    if !r.at_end() {
-        return None; // trailing garbage inside a checksummed payload
     }
     Some((
         fp,
@@ -372,25 +303,16 @@ fn decode_record(payload: &[u8]) -> Option<(u128, CachedOutcome)> {
 /// Propagates filesystem errors from writing or renaming the file.
 pub fn save(cache: &VerdictCache, path: &Path) -> std::io::Result<usize> {
     let entries = cache.export_entries();
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    push_u32(&mut out, VERSION);
-    push_u128(&mut out, build_probe());
-    let mut written = 0usize;
-    for (fp, outcome) in &entries {
-        if outcome.degraded.is_some() {
-            continue; // never persist a degraded verdict
+    let probe = build_probe().to_le_bytes();
+    recfile::write_file(path, &header(&probe), |w| {
+        for (fp, outcome) in &entries {
+            if outcome.degraded.is_some() {
+                continue; // never persist a degraded verdict
+            }
+            w.record(|p| encode_record(p, *fp, outcome))?;
         }
-        let payload = encode_record(*fp, outcome);
-        push_u32(&mut out, payload.len() as u32);
-        push_u64(&mut out, checksum(&payload));
-        out.extend_from_slice(&payload);
-        written += 1;
-    }
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &out)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(written)
+        Ok(())
+    })
 }
 
 /// Seeds `cache` from a file written by [`save`]. Missing files, wrong
@@ -399,47 +321,38 @@ pub fn save(cache: &VerdictCache, path: &Path) -> std::io::Result<usize> {
 /// past the first byte that fails validation.
 pub fn load(cache: &VerdictCache, path: &Path) -> LoadReport {
     let mut report = LoadReport::default();
-    let Ok(bytes) = std::fs::read(path) else {
-        return report; // no file yet: plain cold start
+    let probe = build_probe().to_le_bytes();
+    let mut reader = match RecordReader::open(path, &header(&probe)) {
+        Ok(reader) => reader,
+        Err(RecordError::Io(_)) => return report, // no file yet: plain cold start
+        Err(_) => {
+            report.rejected += 1;
+            return report;
+        }
     };
-    let mut r = Reader::new(&bytes);
-    let header_ok = r.bytes(MAGIC.len()).map(|m| m == MAGIC).unwrap_or(false)
-        && r.u32() == Some(VERSION)
-        && r.u128() == Some(build_probe());
-    if !header_ok {
-        report.rejected += 1;
-        return report;
-    }
-    while !r.at_end() {
-        let framed = r.u32().and_then(|len| {
-            let sum = r.u64()?;
-            let payload = r.bytes(len as usize)?;
-            (checksum(payload) == sum).then_some(payload)
-        });
-        let Some(payload) = framed else {
-            report.rejected += 1; // truncated or corrupt: ignore the rest
-            break;
-        };
-        match decode_record(payload) {
-            Some((fp, outcome)) => {
+    loop {
+        match reader.next_with(decode_record) {
+            Ok(Some((fp, outcome))) => {
                 if cache.seed_entry(fp, outcome) {
                     report.loaded += 1;
                 } else {
                     report.rejected += 1;
                 }
             }
-            None => {
+            Ok(None) => return report,
+            Err(_) => {
+                // Truncated, corrupt or undecodable: stop trusting the rest.
                 report.rejected += 1;
-                break; // framing was valid but content was not: stop trusting
+                return report;
             }
         }
     }
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recfile::RecordWriter;
     use delin_dep::dirvec::{DistDir, DistDirVec};
 
     #[test]
@@ -467,9 +380,9 @@ mod tests {
         for version in [1, 2] {
             let path = std::env::temp_dir()
                 .join(format!("delin-persist-v{version}-{}.bin", std::process::id()));
-            let mut bytes = MAGIC.to_vec();
-            push_u32(&mut bytes, version);
-            push_u128(&mut bytes, build_probe());
+            let probe = build_probe().to_le_bytes();
+            let old = Header { version, ..header(&probe) };
+            let (bytes, _) = RecordWriter::new(Vec::new(), &old).unwrap().finish().unwrap();
             std::fs::write(&path, &bytes).unwrap();
             let report = load(&VerdictCache::shared(), &path);
             let _ = std::fs::remove_file(&path);
@@ -492,9 +405,9 @@ mod tests {
             },
         ];
         for v in &verdicts {
-            let mut b = Vec::new();
-            encode_verdict(&mut b, v);
-            let mut r = Reader::new(&b);
+            let mut p = Payload::default();
+            encode_verdict(&mut p, v);
+            let mut r = Cursor::new(p.as_bytes());
             assert_eq!(decode_verdict(&mut r).as_ref(), Some(v));
             assert!(r.at_end());
         }
@@ -505,9 +418,9 @@ mod tests {
         if let Verdict::Dependent { info, .. } = &mut with_distances {
             info.dist_dirs = vec![DistDirVec(vec![DistDir::Dist(-3), DistDir::Dir(Dir::Ge)])];
         }
-        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let (mut a, mut b) = (Payload::default(), Payload::default());
         encode_verdict(&mut a, &with_distances);
         encode_verdict(&mut b, &verdicts[2]);
-        assert_eq!(a, b);
+        assert_eq!(a.as_bytes(), b.as_bytes());
     }
 }

@@ -1,21 +1,22 @@
 //! The corpus trace format: record → replay is lossless and byte-stable,
-//! and every way a trace file can lie — truncation, bit flips, wrong
-//! version, wrong magic — is rejected with a structured error naming the
-//! first untrusted record.
+//! the committed fixture pins the bytes, and every way a trace file can
+//! lie — truncation, bit flips, wrong version, wrong magic — is rejected
+//! with a structured error naming the first untrusted record.
 //!
-//! The trust chain mirrors the persistent verdict-cache tier
-//! (`tests/cache_persistence.rs`): a file is believed only as far as its
-//! magic, version, and per-record length/checksum framing allow. The one
+//! The trust chain is the persistent verdict-cache tier's
+//! (`tests/cache_persistence.rs`); both formats share one framing
+//! (`delin_vic::recfile`): a file is believed only as far as its magic,
+//! version, and per-record length/checksum framing allow. The one
 //! deliberate difference is the failure mode — a stale *cache* degrades to
 //! a cold start (caches are advisory), while a damaged *trace* is an
 //! error (a replay that silently analyzed a shortened corpus would report
 //! wrong numbers as if they were the recorded workload's).
 
 use delinearization::corpus::stream::{generated_units, riceps_units};
-use delinearization::corpus::trace::{self, TraceError, TraceReader};
+use delinearization::corpus::trace::{self, TraceError};
 use delinearization::numeric::Assumptions;
 use delinearization::vic::batch::BatchUnit;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn corpus() -> Vec<BatchUnit> {
     riceps_units(Some(120)).chain(generated_units(10, 99)).collect()
@@ -79,19 +80,14 @@ fn truncation_stops_at_the_first_incomplete_record() {
     let units = corpus();
     trace::record(&path, units.clone()).unwrap();
     let bytes = std::fs::read(&path).unwrap();
-    // Cut inside the final record's payload.
+    // Cut inside the final record's payload: every record before it is
+    // valid, and the reader names the last one.
     std::fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
-
-    let mut reader = TraceReader::open(&path).unwrap();
-    let prefix: Vec<BatchUnit> = reader.by_ref().collect();
-    assert_eq!(prefix.len(), units.len() - 1, "the valid prefix must decode");
     let last = units.len() - 1;
-    match reader.finish() {
+    match trace::read_all(&path) {
         Err(TraceError::Truncated { record }) => assert_eq!(record, last),
         other => panic!("expected Truncated {{ record: {last} }}, got {other:?}"),
     }
-    // The all-or-nothing reader refuses the file outright.
-    assert!(matches!(trace::read_all(&path), Err(TraceError::Truncated { .. })));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -107,10 +103,7 @@ fn a_bit_flip_is_caught_by_the_record_checksum() {
     bytes[second_payload + 5] ^= 0x40;
     std::fs::write(&path, &bytes).unwrap();
 
-    let mut reader = TraceReader::open(&path).unwrap();
-    let prefix: Vec<BatchUnit> = reader.by_ref().collect();
-    assert_eq!(prefix.len(), 1, "only the record before the flip is trusted");
-    assert!(matches!(reader.finish(), Err(TraceError::Corrupt { record: 1 })));
+    assert!(matches!(trace::read_all(&path), Err(TraceError::Corrupt { record: 1 })));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -139,18 +132,24 @@ fn wrong_version_and_wrong_magic_are_rejected_before_any_record() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// `tests/golden/trace_v1_generated.bin` was recorded from
+/// `generated_units(6, 7)` (two of them symbolic) before traces and cache
+/// files shared their framing. It must decode to the live units and
+/// re-record to the same bytes.
 #[test]
-fn info_summarizes_a_trace_without_replaying_it() {
-    let path = temp_trace("info");
-    let units = corpus();
-    let symbolic = units.iter().filter(|u| !u.assumptions.is_empty()).count();
-    let source_bytes: u64 = units.iter().map(|u| u.source.len() as u64).sum();
-    trace::record(&path, units.clone()).unwrap();
-
-    let info = trace::info(&path).unwrap();
-    assert_eq!(info.units, units.len());
-    assert_eq!(info.symbolic_units, symbolic);
-    assert_eq!(info.source_bytes, source_bytes);
-    assert_eq!(info.bytes, std::fs::metadata(&path).unwrap().len());
+fn committed_trace_decodes_to_the_live_units_and_rerecords_identically() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trace_v1_generated.bin");
+    let live: Vec<BatchUnit> = generated_units(6, 7).collect();
+    assert!(live.iter().any(|u| !u.assumptions.is_empty()), "the corpus has symbolic units");
+    let decoded = trace::read_all(&fixture).unwrap();
+    assert_eq!(decoded.len(), live.len());
+    for (a, b) in live.iter().zip(&decoded) {
+        assert_eq!((&a.name, &a.source, &a.assumptions), (&b.name, &b.source, &b.assumptions));
+        assert_eq!(a.fingerprint(), b.fingerprint(), "{}", a.name);
+    }
+    let path = temp_trace("fixture");
+    assert_eq!(trace::record(&path, decoded).unwrap(), live.len());
+    let same = std::fs::read(&path).unwrap() == std::fs::read(&fixture).unwrap();
+    assert!(same, "re-recording the fixture's units changed its bytes");
     let _ = std::fs::remove_file(&path);
 }

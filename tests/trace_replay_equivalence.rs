@@ -50,13 +50,5 @@ fn trace_replay_matches_the_live_generator_for_all_schedules() {
             );
         }
     }
-
-    // The streaming path (reader feeding the runner directly, no collect)
-    // must agree too — this is how `delin_trace replay` actually runs.
-    let mut reader = trace::TraceReader::open(&path).unwrap();
-    let streamed =
-        BatchRunner::new(BatchConfig { workers: 4, ..BatchConfig::default() }).run(&mut reader);
-    assert_eq!(reader.finish().unwrap(), suite.declared_units());
-    assert_eq!(streamed.render(), reference, "streamed replay diverged");
     let _ = std::fs::remove_file(&path);
 }
